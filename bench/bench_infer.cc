@@ -4,10 +4,10 @@
 //
 //  - backtest-style decision throughput (DecideWeights steps/sec) for a
 //    trained cross-insight trader at 1 and 4 pool threads, in three modes:
-//      grad      — tape construction forced with ag::SetNoGradAllowed(false)
-//                  (the switch CIT_NOGRAD=0 flips), plans disabled;
+//      grad      — tape construction forced with ag::SetNoGradAllowed(false),
+//                  plans disabled;
 //      nograd    — graph-free interpreted forward, plans disabled with
-//                  plan::SetCompileAllowed(false) (CIT_COMPILE=0);
+//                  plan::SetCompileAllowed(false);
 //      compiled  — graph-free with plan replay live (the default serving
 //                  configuration): each decision replays a recorded
 //                  ExecPlan over slab-allocated intermediates.
@@ -244,8 +244,8 @@ int main(int argc, char** argv) {
   js << "  \"note\": \"DecideWeights sweep over the test split; all three "
         "modes run the identical call sites and produce bitwise identical "
         "weights. grad forces tape construction via ag::SetNoGradAllowed("
-        "false) (CIT_NOGRAD=0); nograd is the graph-free interpreted "
-        "forward with plans disabled (CIT_COMPILE=0); compiled replays "
+        "false); nograd is the graph-free interpreted forward with plans "
+        "disabled via plan::SetCompileAllowed(false); compiled replays "
         "recorded ExecPlans (the default). nograd_speedup is the 1-thread "
         "nograd/grad steps-per-sec ratio (check.sh gates >= 1.5); "
         "compiled_speedup is the 1-thread compiled/nograd ratio (check.sh "

@@ -6,8 +6,8 @@
 // Unix socket; client threads drive the decide line protocol at several
 // offered loads (clients x pipeline depth). Every load level runs twice:
 //
-//   unbatched — max_batch=1: every request takes the single-request
-//               Decide path, exactly the pre-batching daemon;
+//   unbatched — max_batch=1: every request runs as a batch of one, the
+//               pre-batching daemon's schedule;
 //   batched   — max_batch=8 with a small batching window: pending decides
 //               coalesce into one DecideWeightsBatch forward and the
 //               stacked outputs de-interleave back per connection.
@@ -369,7 +369,7 @@ int main(int argc, char** argv) {
         "clients x pipeline depth; latency is send-to-response per "
         "request. high_load_throughput_gain is the batched/unbatched "
         "throughput ratio at the highest load (check.sh gates >= 1.5); "
-        "the low-load arms share the single-request path, so their p50s "
+        "the low-load arms share the batch-of-one path, so their p50s "
         "track each other by construction.\"\n";
   js << "}\n";
 

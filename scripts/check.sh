@@ -108,7 +108,7 @@ echo "=== checkpoint/resume gate (container fuzz + kill-at-k resume) ==="
 
 echo "=== inference gate (graph-free path bitwise + bench ratio) ==="
 # test_inference proves every agent's backtest is bitwise identical with the
-# no-grad fast path on vs. forced off (CIT_NOGRAD=0 semantics), and that
+# no-grad fast path on vs. forced off (ag::SetNoGradAllowed(false)), and that
 # guarded ops build no graph; run it serial and parallel.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_inference)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_inference)
@@ -123,7 +123,7 @@ run grep -q '"compiled_speedup"' /tmp/BENCH_infer_smoke.json
 
 echo "=== compiled-forward gate (plan replay bitwise + committed ratio) ==="
 # test_plan proves every agent's backtest is bitwise identical with plan
-# replay on vs. forced off (CIT_COMPILE=0 semantics) at 1 and 4 pool
+# replay on vs. forced off (plan::SetCompileAllowed(false)) at 1 and 4 pool
 # threads, that parameter mutations (optimizer steps, checkpoint reloads)
 # invalidate stale plans, and that fusion/eviction/kill-switch behave; run
 # it serial and parallel.
@@ -258,7 +258,7 @@ run grep -q '"p99_us"' /tmp/BENCH_serve_smoke.json
 run grep -q '"throughput_rps"' /tmp/BENCH_serve_smoke.json
 run grep -q '"high_load_throughput_gain"' /tmp/BENCH_serve_smoke.json
 # The committed benchmark must show batching buying at least 1.5x
-# throughput over the single-request path at the highest offered load.
+# throughput over batches of one (max_batch=1) at the highest offered load.
 run python3 - <<'EOF'
 import json
 with open("BENCH_serve.json") as f:
@@ -282,7 +282,10 @@ for SAN in address undefined; do
   run cmake -B "build-${SAN}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCIT_SANITIZE="${SAN}"
   run cmake --build "build-${SAN}" -j"$(nproc)"
-  (cd "build-${SAN}" && run env CIT_FAST=1 ctest --output-on-failure -j2)
+  # citbench refuses CIT_FAST by design (its results would not be
+  # comparable), so its smoke runs sit out the smoke-scale sanitizer pass.
+  (cd "build-${SAN}" && run env CIT_FAST=1 ctest --output-on-failure -j2 \
+      -E citbench_smoke_)
 done
 
 echo "=== thread sanitizer build + threading/rollout tests ==="
@@ -290,7 +293,7 @@ run cmake -B build-thread -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCIT_SANITIZE=thread
 run cmake --build build-thread -j"$(nproc)" --target test_threading \
     test_rollout test_inference test_plan test_serve test_kernels \
-    test_source test_scenarios
+    test_source test_scenarios test_core
 # CIT_OVERSUBSCRIBE lifts the hardware clamp so the pool really spawns the
 # requested workers: TSan then sees genuine cross-thread interleavings of
 # the rollout pipeline even on a 1-core container. test_inference rides
@@ -306,10 +309,12 @@ run cmake --build build-thread -j"$(nproc)" --target test_threading \
 # checks are only real under the lifted clamp); the Source/Scenario
 # threaded suites ride along so the StreamingCsvSource LRU + prefetch
 # worker, the ScenarioSource row memo, and concurrent PanelView rings are
-# raced against real workers.
+# raced against real workers; test_core's StackedDecide suite rides along
+# so batched and batch-of-one decides share plans under real 4-worker
+# kernel fan-out for every backbone.
 (cd build-thread && run env CIT_FAST=1 CIT_OVERSUBSCRIBE=1 CIT_NUM_THREADS=4 \
     ctest --output-on-failure \
-    -R 'ThreadPool|Determinism|RngSplit|RolloutRunner|RolloutDeterminism|InferenceIdentity|GradMode\.|Arena\.|Compiled|ArenaStats\.|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep')
+    -R 'ThreadPool|Determinism|RngSplit|RolloutRunner|RolloutDeterminism|InferenceIdentity|GradMode\.|Arena\.|Compiled|ArenaStats\.|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep|StackedDecide')
 
 echo "=== CIT_OBS=OFF build (instrumentation compiles out) ==="
 run cmake -B build-noobs -S . -DCMAKE_BUILD_TYPE=Release -DCIT_OBS=OFF

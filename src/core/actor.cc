@@ -7,8 +7,7 @@ namespace cit::core {
 
 HorizonActor::HorizonActor(const CrossInsightConfig& config,
                            int64_t num_assets, int64_t policy_id, Rng& rng)
-    : num_assets_(num_assets),
-      num_policies_(config.num_policies),
+    : num_policies_(config.num_policies),
       policy_id_(policy_id),
       backbone_(config.backbone, num_assets, config.window,
                 config.feature_dim, config.tcn_blocks, config.kernel_size,
@@ -20,54 +19,24 @@ HorizonActor::HorizonActor(const CrossInsightConfig& config,
       log_std_(Var::Param(Tensor::Full({num_assets},
                                        config.init_log_std))) {}
 
-Var HorizonActor::Forward(const Tensor& band_window,
-                          const std::vector<double>& prev_action,
-                          Var* attention_out) const {
-  CIT_CHECK_EQ(static_cast<int64_t>(prev_action.size()), num_assets_);
-  Tensor prev({num_assets_, 1});
-  for (int64_t i = 0; i < num_assets_; ++i) {
-    prev.At({i, 0}) = static_cast<float>(prev_action[i]);
-  }
-  return Forward(band_window, prev, attention_out);
-}
-
-Var HorizonActor::Forward(const Tensor& band_window, const Tensor& prev,
-                          Var* attention_out) const {
-  CIT_CHECK_EQ(prev.numel(), num_assets_);
-  Var features =
-      backbone_.Forward(Var::Constant(band_window), attention_out);
-  // Per-asset state rows [m, f + 1 + n]: the asset's encoded features
+Var HorizonActor::Forward(const Tensor& band_windows,
+                          const Tensor& prev) const {
+  const int64_t rows = band_windows.dim(0);  // B * m
+  CIT_CHECK_EQ(prev.numel(), rows);
+  Var features = backbone_.Forward(Var::Constant(band_windows));
+  // Per-asset state rows [B*m, f + 1 + n]: the asset's encoded features
   // (already cross-asset-mixed by the attention layer), its previously
   // executed weight, and the policy's one-hot ID. The head is shared
   // across assets (an "identical evaluator"), so the policy learns
   // relational rules rather than memorizing asset identities.
-  Tensor id_rows({num_assets_, num_policies_});
-  for (int64_t i = 0; i < num_assets_; ++i) {
+  Tensor id_rows({rows, num_policies_});
+  for (int64_t i = 0; i < rows; ++i) {
     id_rows.At({i, policy_id_}) = 1.0f;
   }
   Var state = ag::Concat(
       {features, Var::Constant(prev), Var::Constant(id_rows)},
       /*axis=*/1);
-  Var scores = ag::Reshape(head_.Forward(state), {num_assets_});
-  return ag::MulScalar(ag::Tanh(ag::MulScalar(scores, 1.0f / score_bound_)),
-                       score_bound_);
-}
-
-Var HorizonActor::ForwardBatch(int64_t batch, const Tensor& band_windows,
-                               const Tensor& prev) const {
-  CIT_CHECK_EQ(prev.numel(), batch * num_assets_);
-  Var features = backbone_.ForwardBatch(batch, Var::Constant(band_windows));
-  // Same per-asset state rows as Forward, tiled across the batch: the
-  // one-hot ID block repeats per request, so every row matches the row the
-  // unbatched forward would build for that request.
-  Tensor id_rows({batch * num_assets_, num_policies_});
-  for (int64_t i = 0; i < batch * num_assets_; ++i) {
-    id_rows.At({i, policy_id_}) = 1.0f;
-  }
-  Var state = ag::Concat(
-      {features, Var::Constant(prev), Var::Constant(id_rows)},
-      /*axis=*/1);
-  Var scores = ag::Reshape(head_.Forward(state), {batch * num_assets_});
+  Var scores = ag::Reshape(head_.Forward(state), {rows});
   return ag::MulScalar(ag::Tanh(ag::MulScalar(scores, 1.0f / score_bound_)),
                        score_bound_);
 }
@@ -93,47 +62,31 @@ CrossInsightActor::CrossInsightActor(const CrossInsightConfig& config,
       log_std_(Var::Param(Tensor::Full({num_assets},
                                        config.init_log_std))) {}
 
-Var CrossInsightActor::Forward(const Tensor& market_window,
+Var CrossInsightActor::Forward(const Tensor& market_windows,
                                const Tensor& pre_decisions) const {
-  CIT_CHECK_EQ(pre_decisions.numel(), num_policies_ * num_assets_);
-  Var features = backbone_.Forward(Var::Constant(market_window));
-  // Per-asset state rows [m, f + n]: the asset's market features plus the
-  // weight each horizon policy pre-assigned to this asset. The shared head
-  // fuses the horizon insights per asset.
+  const int64_t rows = market_windows.dim(0);  // B * m
+  const int64_t batch = rows / num_assets_;
+  CIT_CHECK_EQ(pre_decisions.numel(), rows * num_policies_);
+  Var features = backbone_.Forward(Var::Constant(market_windows));
+  // Per-asset state rows [B*m, f + n]: the asset's market features plus
+  // the weight each horizon policy pre-assigned to this asset. The shared
+  // head fuses the horizon insights per asset.
   Var state = features;
   if (num_policies_ > 0) {
-    // [n*m] -> [m, n] via reshape+transpose rather than a raw scatter
-    // loop: expressed as ops, the rearrangement stays visible to the
-    // plan recorder, so compiled replays rebind pre_decisions instead of
-    // baking the first call's values. Values are identical either way.
-    Var pre_rows = ag::Transpose(ag::Reshape(
-        Var::Constant(pre_decisions), {num_policies_, num_assets_}));
-    state = ag::Concat({features, pre_rows}, /*axis=*/1);
-  }
-  Var scores = ag::Reshape(head_.Forward(state), {num_assets_});
-  return ag::MulScalar(ag::Tanh(ag::MulScalar(scores, 1.0f / score_bound_)),
-                       score_bound_);
-}
-
-Var CrossInsightActor::ForwardBatch(int64_t batch,
-                                    const Tensor& market_windows,
-                                    const Tensor& pre_decisions) const {
-  CIT_CHECK_EQ(pre_decisions.numel(), batch * num_policies_ * num_assets_);
-  Var features = backbone_.ForwardBatch(batch, Var::Constant(market_windows));
-  Var state = features;
-  if (num_policies_ > 0) {
-    // Per-request [n*m] -> [m, n] (the Forward reshape+transpose), batched
-    // as one permute: [B, n, m] -> [B, m, n] -> rows [B*m, n]. Pure data
-    // movement, so each request block carries exactly the values its
-    // unbatched transpose would.
+    // Per-request [n*m] -> [m, n] as one permute over the stack,
+    // [B, n, m] -> [B, m, n] -> rows [B*m, n], rather than a raw scatter
+    // loop: expressed as ops, the rearrangement stays visible to the plan
+    // recorder, so compiled replays rebind pre_decisions instead of baking
+    // the first call's values. Pure data movement, so each request block
+    // carries exactly the values a per-request transpose would.
     Var pre_rows = ag::Reshape(
         ag::Permute(ag::Reshape(Var::Constant(pre_decisions),
                                 {batch, num_policies_, num_assets_}),
                     {0, 2, 1}),
-        {batch * num_assets_, num_policies_});
+        {rows, num_policies_});
     state = ag::Concat({features, pre_rows}, /*axis=*/1);
   }
-  Var scores = ag::Reshape(head_.Forward(state), {batch * num_assets_});
+  Var scores = ag::Reshape(head_.Forward(state), {rows});
   return ag::MulScalar(ag::Tanh(ag::MulScalar(scores, 1.0f / score_bound_)),
                        score_bound_);
 }

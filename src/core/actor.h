@@ -21,27 +21,13 @@ class HorizonActor : public nn::Module {
   HorizonActor(const CrossInsightConfig& config, int64_t num_assets,
                int64_t policy_id, Rng& rng);
 
-  // band_window: [m, 1, z] tensor of this policy's horizon sub-series;
-  // prev_action: previously executed weights of this policy ([m]).
-  // Returns the Gaussian mean over R^m.
-  Var Forward(const Tensor& band_window,
-              const std::vector<double>& prev_action,
-              Var* attention_out = nullptr) const;
-
-  // Same forward with the previous action already materialized as an
-  // [m, 1] tensor. This is the compiled-inference entry point: the caller
-  // passes `prev` to plan::CompiledFn::Run as a varying input, so replays
-  // rebind it instead of baking the first call's weights into the plan.
-  Var Forward(const Tensor& band_window, const Tensor& prev,
-              Var* attention_out = nullptr) const;
-
-  // Batched serving entry point: `band_windows` stacks `batch` requests'
-  // band windows along axis 0 ([batch * m, 1, z]), `prev` their previous
-  // actions ([batch * m, 1]). Returns the stacked Gaussian means
-  // ([batch * m]); row block b is bitwise identical to Forward on request
-  // b's own window and action.
-  Var ForwardBatch(int64_t batch, const Tensor& band_windows,
-                   const Tensor& prev) const;
+  // band_windows stacks B requests' windows of this policy's horizon
+  // sub-series along axis 0 ([B * m, 1, z]); prev their previously executed
+  // weights of this policy ([B * m, 1]). Returns the stacked Gaussian means
+  // over R^m ([B * m]); row block b depends only on request b. The caller
+  // passes both tensors to plan::CompiledFn::Run as varying inputs, so
+  // replays rebind them instead of baking the first call's values.
+  Var Forward(const Tensor& band_windows, const Tensor& prev) const;
 
   const Var& log_std() const { return log_std_; }
   int64_t policy_id() const { return policy_id_; }
@@ -50,7 +36,6 @@ class HorizonActor : public nn::Module {
                          std::vector<nn::NamedParam>* out) const override;
 
  private:
-  int64_t num_assets_;
   int64_t num_policies_;
   int64_t policy_id_;
   ActorBackbone backbone_;
@@ -67,18 +52,13 @@ class CrossInsightActor : public nn::Module {
   CrossInsightActor(const CrossInsightConfig& config, int64_t num_assets,
                     Rng& rng);
 
-  // market_window: [m, 1, z] of the original normalized prices;
-  // pre_decisions: concatenated pre-decision weights of all n policies
-  // ([n*m]; empty when num_policies == 0, the A2C degenerate mode).
-  Var Forward(const Tensor& market_window,
+  // market_windows: axis-0-stacked windows of the original normalized
+  // prices ([B * m, 1, z]); pre_decisions: back-to-back per-request blocks
+  // of the n policies' concatenated pre-decision weights ([B * n * m];
+  // empty when num_policies == 0, the A2C degenerate mode). Returns the
+  // stacked final means ([B * m]), row block b depending only on request b.
+  Var Forward(const Tensor& market_windows,
               const Tensor& pre_decisions) const;
-
-  // Batched serving entry point: axis-0-stacked market windows
-  // ([batch * m, 1, z]) and back-to-back per-request pre-decision blocks
-  // ([batch * n * m]). Returns stacked final means ([batch * m]), each row
-  // block bitwise identical to Forward on that request alone.
-  Var ForwardBatch(int64_t batch, const Tensor& market_windows,
-                   const Tensor& pre_decisions) const;
 
   const Var& log_std() const { return log_std_; }
 

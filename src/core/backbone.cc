@@ -63,46 +63,15 @@ ActorBackbone::ActorBackbone(BackboneKind kind, int64_t num_assets,
   }
 }
 
-Var ActorBackbone::Forward(const Var& x, Var* attention_out) const {
+Var ActorBackbone::Forward(const Var& x) const {
   // The forward-pass side of the env-step vs forward split (rollout.slot
   // minus env.step time is dominated by these calls).
   CIT_OBS_SPAN("backbone.forward");
   CIT_OBS_COUNT("backbone.forward_calls", 1);
   CIT_CHECK_EQ(x.value().ndim(), 3);
-  CIT_CHECK_EQ(x.value().dim(0), num_assets_);
+  CIT_CHECK_EQ(x.value().dim(0) % num_assets_, 0);
   CIT_CHECK_EQ(x.value().dim(2), window_);
-  switch (kind_) {
-    case BackboneKind::kTcnAttention: {
-      Var h = tcn_->Forward(x);                         // [m, f, z]
-      h = attention_->Forward(h, attention_out);        // [m, f, z]
-      return ag::Reshape(ag::Slice(h, /*axis=*/2, window_ - 1, 1),
-                         {num_assets_, feature_dim_});
-    }
-    case BackboneKind::kGruAttention: {
-      Var h = gru_->ForwardSequence(x);                 // [m, f, z]
-      h = attention_->Forward(h, attention_out);
-      return ag::Reshape(ag::Slice(h, /*axis=*/2, window_ - 1, 1),
-                         {num_assets_, feature_dim_});
-    }
-    case BackboneKind::kGru:
-      return gru_->ForwardLast(x);                      // [m, f]
-    case BackboneKind::kMlp: {
-      Var flat = ag::Reshape(x, {num_assets_ * window_});
-      Var h = mlp_->Forward(flat);
-      return ag::Reshape(h, {num_assets_, feature_dim_});
-    }
-  }
-  CIT_CHECK(false);
-  return Var();
-}
-
-Var ActorBackbone::ForwardBatch(int64_t batch, const Var& x) const {
-  if (batch == 1) return Forward(x);
-  CIT_OBS_SPAN("backbone.forward");
-  CIT_OBS_COUNT("backbone.forward_calls", 1);
-  CIT_CHECK_EQ(x.value().ndim(), 3);
-  CIT_CHECK_EQ(x.value().dim(0), batch * num_assets_);
-  CIT_CHECK_EQ(x.value().dim(2), window_);
+  const int64_t batch = x.value().dim(0) / num_assets_;
   switch (kind_) {
     case BackboneKind::kTcnAttention:
     case BackboneKind::kGruAttention: {
@@ -112,14 +81,18 @@ Var ActorBackbone::ForwardBatch(int64_t batch, const Var& x) const {
       Var h = kind_ == BackboneKind::kTcnAttention
                   ? tcn_->Forward(x)
                   : gru_->ForwardSequence(x);           // [B*m, f, z]
-      std::vector<Var> blocks;
-      blocks.reserve(static_cast<size_t>(batch));
-      for (int64_t b = 0; b < batch; ++b) {
-        Var hb = ag::Slice(h, /*axis=*/0, b * num_assets_, num_assets_);
-        blocks.push_back(attention_->Forward(hb));
+      if (batch == 1) {
+        h = attention_->Forward(h);
+      } else {
+        std::vector<Var> blocks;
+        blocks.reserve(static_cast<size_t>(batch));
+        for (int64_t b = 0; b < batch; ++b) {
+          Var hb = ag::Slice(h, /*axis=*/0, b * num_assets_, num_assets_);
+          blocks.push_back(attention_->Forward(hb));
+        }
+        h = ag::Concat(blocks, /*axis=*/0);             // [B*m, f, z]
       }
-      Var mixed = ag::Concat(blocks, /*axis=*/0);       // [B*m, f, z]
-      return ag::Reshape(ag::Slice(mixed, /*axis=*/2, window_ - 1, 1),
+      return ag::Reshape(ag::Slice(h, /*axis=*/2, window_ - 1, 1),
                          {batch * num_assets_, feature_dim_});
     }
     case BackboneKind::kGru:

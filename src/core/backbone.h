@@ -28,19 +28,15 @@ class ActorBackbone : public nn::Module {
                 int64_t feature_dim, int64_t tcn_blocks, int64_t kernel_size,
                 Rng& rng);
 
-  // x: [num_assets, 1, window] -> per-asset features [num_assets, f].
-  // If attention_out != nullptr and this variant has spatial attention, it
-  // receives the [m, m] attention matrix.
-  Var Forward(const Var& x, Var* attention_out = nullptr) const;
-
-  // Batched variant for serving: x stacks `batch` independent request
-  // windows along axis 0 ([batch * num_assets, 1, window]) and the result
-  // stacks their feature rows the same way ([batch * num_assets, f]). The
+  // x stacks B request windows along axis 0 ([B * num_assets, 1, window]);
+  // the result stacks their per-asset features the same way
+  // ([B * num_assets, f]). B is read from x's leading dimension. The
   // temporal encoders are per-row, so they run once over the whole stack;
   // spatial attention mixes across the asset axis, so it runs per request
   // block (contiguous axis-0 slices — O(1) views). Every output row is
-  // bitwise identical to Forward on that request's own window.
-  Var ForwardBatch(int64_t batch, const Var& x) const;
+  // bitwise identical to a batch of one on that request's own window, and a
+  // batch of one records no slice or concat around the attention.
+  Var Forward(const Var& x) const;
 
   int64_t feature_dim() const { return feature_dim_; }
   BackboneKind kind() const { return kind_; }

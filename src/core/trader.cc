@@ -28,6 +28,11 @@ Tensor WeightsTensor(const std::vector<double>& w) {
   return t;
 }
 
+// Previous action [m] -> the [m, 1] input of HorizonActor::Forward.
+Tensor PrevTensor(const std::vector<double>& w) {
+  return WeightsTensor(w).Reshape({static_cast<int64_t>(w.size()), 1});
+}
+
 Tensor ConcatWeights(const std::vector<std::vector<double>>& all,
                      int64_t m) {
   Tensor t({static_cast<int64_t>(all.size()) * m});
@@ -90,20 +95,13 @@ CrossInsightTrader::CrossInsightTrader(int64_t num_assets,
       std::move(critic_params), static_cast<float>(config_.lr), 0.9f,
       0.999f, 1e-8f, static_cast<float>(config_.weight_decay));
   actor_plans_ = std::vector<plan::CompiledFn>(config_.num_policies);
-  actor_batch_plans_ = std::vector<plan::CompiledFn>(config_.num_policies);
-  // The batch caches see one shape key per live batch size (1..max_batch,
+  // The caches see one shape key per live batch size (1..max_batch,
   // typically), per policy — widen them so mixed batch sizes don't churn
   // hot plans through the default 8 slots.
-  constexpr int64_t kBatchPlanCapacity = 32;
-  for (auto& p : actor_batch_plans_) p.SetCapacity(kBatchPlanCapacity);
-  cross_batch_plan_.SetCapacity(kBatchPlanCapacity);
+  constexpr int64_t kPlanCapacity = 32;
+  for (auto& p : actor_plans_) p.SetCapacity(kPlanCapacity);
+  cross_plan_.SetCapacity(kPlanCapacity);
   Reset();
-}
-
-void CrossInsightTrader::ClearFeatureCache() {
-  std::unique_lock<std::shared_mutex> lock(feature_mu_);
-  feature_cache_.clear();
-  cached_source_ = 0;
 }
 
 void CrossInsightTrader::Reset() {
@@ -158,21 +156,10 @@ const CrossInsightTrader::DayFeatures& CrossInsightTrader::FeaturesAt(
   return feature_cache_.try_emplace(day, std::move(features)).first->second;
 }
 
-Tensor CrossInsightTrader::ActorMean(
-    int64_t k, const Tensor& band, const std::vector<double>& prev_action) {
-  Tensor prev({num_assets_, 1});
-  for (int64_t i = 0; i < num_assets_; ++i) {
-    prev.At({i, 0}) = static_cast<float>(prev_action[i]);
-  }
+Tensor CrossInsightTrader::PolicyMean(int64_t k, const Tensor& bands,
+                                      const Tensor& prev) {
   return actor_plans_[k].Run(
-      {&band, &prev}, [&] { return actors_[k]->Forward(band, prev); });
-}
-
-std::vector<double> CrossInsightTrader::PolicyWeights(
-    const market::PricePanel& panel, int64_t day, int64_t k,
-    const std::vector<double>& prev_action) {
-  market::InMemorySource source(&panel);
-  return PolicyWeights(market::PanelView(&source), day, k, prev_action);
+      {&bands, &prev}, [&] { return actors_[k]->Forward(bands, prev); });
 }
 
 std::vector<double> CrossInsightTrader::PolicyWeights(
@@ -181,63 +168,58 @@ std::vector<double> CrossInsightTrader::PolicyWeights(
   CIT_CHECK(k >= 0 && k < config_.num_policies);
   ag::NoGradGuard no_grad;
   const DayFeatures& f = FeaturesAt(panel, day);
-  return SoftmaxWeights(ActorMean(k, f.bands[k], prev_action));
+  return SoftmaxWeights(PolicyMean(k, f.bands[k], PrevTensor(prev_action)));
 }
 
 std::vector<double> CrossInsightTrader::DecideWeights(
     const market::PanelView& panel, int64_t day) {
   ag::NoGradGuard no_grad;
-  const DayFeatures& f = FeaturesAt(panel, day);
   const int64_t n = config_.num_policies;
-  std::vector<std::vector<double>> pre(n);
-  for (int64_t k = 0; k < n; ++k) {
-    pre[k] = SoftmaxWeights(ActorMean(k, f.bands[k], held_actions_[k]));
-    held_actions_[k] = pre[k];
-  }
-  Tensor pre_dec = n > 0 ? ConcatWeights(pre, num_assets_) : Tensor({0});
-  auto cross_forward = [&] {
-    return cross_actor_->Forward(f.market, pre_dec);
-  };
-  // pre_dec only feeds the forward when there are horizon policies; with
-  // n == 0 it is an empty placeholder and must not be bound as an input.
-  Tensor cross_mean =
-      n > 0 ? cross_plan_.Run({&f.market, &pre_dec}, cross_forward)
-            : cross_plan_.Run({&f.market}, cross_forward);
-  return SoftmaxWeights(cross_mean);
-}
-
-std::vector<std::vector<double>> CrossInsightTrader::DecideWeightsBatch(
-    const std::vector<const market::PricePanel*>& panels) {
-  // Each panel gets a fresh source (and source id) for the duration of
-  // the call; the views borrow the panels, so nothing is copied.
-  std::vector<std::unique_ptr<market::InMemorySource>> sources;
-  std::vector<market::PanelView> views;
-  sources.reserve(panels.size());
-  views.reserve(panels.size());
-  for (const market::PricePanel* p : panels) {
-    sources.push_back(std::make_unique<market::InMemorySource>(p));
-    views.emplace_back(sources.back().get());
-  }
-  return DecideWeightsBatch(views);
+  std::vector<Tensor> prev;
+  prev.reserve(static_cast<size_t>(n));
+  for (int64_t k = 0; k < n; ++k) prev.push_back(PrevTensor(held_actions_[k]));
+  std::vector<std::vector<std::vector<double>>> pre;
+  std::vector<double> weights =
+      std::move(DecideStacked({&FeaturesAt(panel, day)}, prev, &pre)[0]);
+  for (int64_t k = 0; k < n; ++k) held_actions_[k] = std::move(pre[0][k]);
+  return weights;
 }
 
 std::vector<std::vector<double>> CrossInsightTrader::DecideWeightsBatch(
     const std::vector<market::PanelView>& panels) {
-  const int64_t batch = static_cast<int64_t>(panels.size());
-  std::vector<std::vector<double>> out(batch);
-  if (batch == 0) return out;
+  if (panels.empty()) return {};
   ag::NoGradGuard no_grad;
-  const int64_t m = num_assets_;
-  const int64_t n = config_.num_policies;
-  const int64_t z = config_.window;
   // Request panels are short-lived (the daemon builds one per request), so
   // the source-keyed FeaturesAt cache is skipped on purpose.
   std::vector<DayFeatures> feats;
-  feats.reserve(static_cast<size_t>(batch));
+  feats.reserve(panels.size());
   for (const market::PanelView& p : panels) {
     feats.push_back(ComputeFeatures(p, p.num_days() - 1));
   }
-  auto stack_windows = [&](auto&& window_of) {
+  std::vector<const DayFeatures*> stack;
+  stack.reserve(feats.size());
+  for (const DayFeatures& f : feats) stack.push_back(&f);
+  // Uniform previous actions, as Reset() hands DecideWeights: the serving
+  // contract is one stateless decision per request.
+  const int64_t rows = static_cast<int64_t>(panels.size()) * num_assets_;
+  Tensor uniform({rows, 1});
+  const float u = static_cast<float>(1.0 / static_cast<double>(num_assets_));
+  for (int64_t i = 0; i < rows; ++i) uniform[i] = u;
+  std::vector<std::vector<std::vector<double>>> pre;
+  return DecideStacked(
+      stack, std::vector<Tensor>(config_.num_policies, uniform), &pre);
+}
+
+std::vector<std::vector<double>> CrossInsightTrader::DecideStacked(
+    const std::vector<const DayFeatures*>& feats,
+    const std::vector<Tensor>& prev,
+    std::vector<std::vector<std::vector<double>>>* pre) {
+  const int64_t batch = static_cast<int64_t>(feats.size());
+  const int64_t m = num_assets_;
+  const int64_t n = config_.num_policies;
+  const int64_t z = config_.window;
+  auto stack_windows = [&](auto&& window_of) -> Tensor {
+    if (batch == 1) return window_of(0);  // O(1): shares the storage
     Tensor stacked({batch * m, 1, z});
     for (int64_t b = 0; b < batch; ++b) {
       std::memcpy(stacked.data() + b * m * z, window_of(b).data(),
@@ -245,48 +227,34 @@ std::vector<std::vector<double>> CrossInsightTrader::DecideWeightsBatch(
     }
     return stacked;
   };
-  // Uniform previous actions, as Reset() hands DecideWeights: the serving
-  // contract is one stateless decision per request.
-  Tensor prev_stack({batch * m, 1});
-  const float uniform = static_cast<float>(1.0 / static_cast<double>(m));
-  for (int64_t i = 0; i < batch * m; ++i) prev_stack[i] = uniform;
 
-  // pre[b][k] — each policy's pre-decision weights per request.
-  std::vector<std::vector<std::vector<double>>> pre(
-      static_cast<size_t>(batch));
+  pre->assign(static_cast<size_t>(batch), {});
   for (int64_t k = 0; k < n; ++k) {
-    Tensor band_stack =
-        stack_windows([&](int64_t b) -> const Tensor& {
-          return feats[b].bands[k];
-        });
-    Tensor mean = actor_batch_plans_[k].Run(
-        {&band_stack, &prev_stack}, [&] {
-          return actors_[k]->ForwardBatch(batch, band_stack, prev_stack);
-        });
+    Tensor bands = stack_windows(
+        [&](int64_t b) -> const Tensor& { return feats[b]->bands[k]; });
+    Tensor mean = PolicyMean(k, bands, prev[k]);
     for (int64_t b = 0; b < batch; ++b) {
-      pre[b].push_back(rl::SoftmaxWeightsRange(mean, b * m, m));
+      (*pre)[b].push_back(rl::SoftmaxWeightsRange(mean, b * m, m));
     }
   }
-  // Back-to-back per-request [n*m] blocks, each laid out exactly like
-  // ConcatWeights builds the single-request pre-decision tensor.
-  Tensor pre_stack = n > 0 ? Tensor({batch * n * m}) : Tensor({0});
-  for (int64_t b = 0; b < batch; ++b) {
-    int64_t pos = b * n * m;
-    for (int64_t k = 0; k < n; ++k) {
-      for (double v : pre[b][static_cast<size_t>(k)]) {
-        pre_stack[pos++] = static_cast<float>(v);
-      }
+  // Back-to-back per-request [n*m] blocks, each laid out like
+  // ConcatWeights.
+  Tensor pre_dec({batch * n * m});
+  int64_t pos = 0;
+  for (const std::vector<std::vector<double>>& request : *pre) {
+    for (const std::vector<double>& w : request) {
+      for (double v : w) pre_dec[pos++] = static_cast<float>(v);
     }
   }
-  Tensor market_stack = stack_windows(
-      [&](int64_t b) -> const Tensor& { return feats[b].market; });
-  auto cross_forward = [&] {
-    return cross_actor_->ForwardBatch(batch, market_stack, pre_stack);
-  };
-  Tensor cross_mean =
-      n > 0
-          ? cross_batch_plan_.Run({&market_stack, &pre_stack}, cross_forward)
-          : cross_batch_plan_.Run({&market_stack}, cross_forward);
+  Tensor market = stack_windows(
+      [&](int64_t b) -> const Tensor& { return feats[b]->market; });
+  auto cross_forward = [&] { return cross_actor_->Forward(market, pre_dec); };
+  // pre_dec only feeds the forward when there are horizon policies; with
+  // n == 0 it is an empty placeholder and must not be bound as an input.
+  Tensor cross_mean = n > 0
+                          ? cross_plan_.Run({&market, &pre_dec}, cross_forward)
+                          : cross_plan_.Run({&market}, cross_forward);
+  std::vector<std::vector<double>> out(static_cast<size_t>(batch));
   for (int64_t b = 0; b < batch; ++b) {
     out[b] = rl::SoftmaxWeightsRange(cross_mean, b * m, m);
   }
@@ -324,12 +292,6 @@ struct SlotData {
 };
 
 }  // namespace
-
-std::vector<double> CrossInsightTrader::Train(
-    const market::PricePanel& panel, int64_t curve_points) {
-  market::InMemorySource source(&panel);
-  return Train(market::PanelView(&source), curve_points);
-}
 
 std::vector<double> CrossInsightTrader::Train(
     const market::PanelView& panel, int64_t curve_points) {
@@ -416,7 +378,7 @@ std::vector<double> CrossInsightTrader::Train(
         rec.pre.resize(n);
         rec.mu.resize(n);
         for (int64_t k = 0; k < n; ++k) {
-          Var mean = actors_[k]->Forward(f.bands[k], held[k]);
+          Var mean = actors_[k]->Forward(f.bands[k], PrevTensor(held[k]));
           GaussianAction act =
               SampleGaussianSimplex(mean, actors_[k]->log_std(), &rng);
           rec.pre[k] = act.weights;
@@ -451,7 +413,7 @@ std::vector<double> CrossInsightTrader::Train(
         const DayFeatures& f = FeaturesAt(panel, sd.boot_day);
         std::vector<std::vector<double>> pre(n);
         for (int64_t k = 0; k < n; ++k) {
-          Var mean = actors_[k]->Forward(f.bands[k], held[k]);
+          Var mean = actors_[k]->Forward(f.bands[k], PrevTensor(held[k]));
           pre[k] = SoftmaxWeights(mean.value());
         }
         if (n > 0) sd.boot_pre = ConcatWeights(pre, num_assets_);
@@ -751,7 +713,6 @@ class SinglePolicyAgent : public env::TradingAgent {
                  1.0 / static_cast<double>(parent_->num_assets()));
   }
 
-  using env::TradingAgent::DecideWeights;
   std::vector<double> DecideWeights(const market::PanelView& panel,
                                     int64_t day) override {
     prev_ = parent_->PolicyWeights(panel, day, k_, prev_);

@@ -35,12 +35,11 @@ class CrossInsightTrader : public env::TradingAgent {
   // checkpoints — the series plotted in Fig. 8).
   std::vector<double> Train(const market::PanelView& panel,
                             int64_t curve_points = 20);
-  std::vector<double> Train(const market::PricePanel& panel,
-                            int64_t curve_points = 20);
 
   std::string name() const override { return "CIT"; }
   void Reset() override;
-  using env::TradingAgent::DecideWeights;
+  // A batch of one through the stacked forward: the previous-action input
+  // is held_actions_, and features come from the source-keyed cache.
   std::vector<double> DecideWeights(const market::PanelView& panel,
                                     int64_t day) override;
 
@@ -51,19 +50,10 @@ class CrossInsightTrader : public env::TradingAgent {
   // requests pay one plan replay each instead of N. Each returned weight
   // vector is bitwise identical to the corresponding single-panel call.
   // Bypasses the source-keyed feature cache and mutates no execution
-  // state (held actions, feature cache); it does drive its own
-  // CompiledFn caches, so the single-owner thread contract still applies.
+  // state; it drives the same CompiledFn caches as DecideWeights, so the
+  // single-owner thread contract applies.
   std::vector<std::vector<double>> DecideWeightsBatch(
       const std::vector<market::PanelView>& panels);
-  std::vector<std::vector<double>> DecideWeightsBatch(
-      const std::vector<const market::PricePanel*>& panels);
-
-  // Drops the per-day feature cache. The cache invalidates by the view's
-  // source id — ids are allocated from a process-wide monotonic counter
-  // and never recycled, so a fresh source (even at a recycled address)
-  // always misses. Calling this is therefore only needed to release
-  // memory, not for correctness.
-  void ClearFeatureCache();
 
   // An agent that trades policy k's pre-decision alone (deterministic),
   // used for the per-policy analysis of Figs. 5-6. The returned agent
@@ -72,9 +62,6 @@ class CrossInsightTrader : public env::TradingAgent {
 
   // Deterministic pre-decision weights of policy k at `day`.
   std::vector<double> PolicyWeights(const market::PanelView& panel,
-                                    int64_t day, int64_t k,
-                                    const std::vector<double>& prev_action);
-  std::vector<double> PolicyWeights(const market::PricePanel& panel,
                                     int64_t day, int64_t k,
                                     const std::vector<double>& prev_action);
 
@@ -117,13 +104,23 @@ class CrossInsightTrader : public env::TradingAgent {
   DayFeatures ComputeFeatures(const market::PanelView& panel,
                               int64_t day) const;
 
-  // Deterministic Gaussian mean of policy k for (band, prev_action),
-  // served through the policy's compiled plan: the first call per input
-  // shape records the forward, later calls replay it allocation-free.
-  // Shared by DecideWeights and PolicyWeights so both paths hit the same
-  // plan cache.
-  Tensor ActorMean(int64_t k, const Tensor& band,
-                   const std::vector<double>& prev_action);
+  // Deterministic Gaussian means of policy k for stacked (bands, prev)
+  // ([B*m, 1, z], [B*m, 1]), served through the policy's compiled plan:
+  // the first call per input shape records the forward, later calls
+  // replay it allocation-free. Shared by every decide path so all of them
+  // hit the same plan cache.
+  Tensor PolicyMean(int64_t k, const Tensor& bands, const Tensor& prev);
+
+  // The one decide path (paper Sec. IV-B): B requests' band windows,
+  // stacked along axis 0, through each policy's plan, then the fusion over
+  // the stacked market windows and pre-decisions. prev[k] stacks policy
+  // k's previous actions ([B*m, 1]). Returns each request's final weights
+  // and fills (*pre)[b][k] with request b's policy-k pre-decision. A batch
+  // of one stacks nothing: its windows pass through as they are.
+  std::vector<std::vector<double>> DecideStacked(
+      const std::vector<const DayFeatures*>& feats,
+      const std::vector<Tensor>& prev,
+      std::vector<std::vector<std::vector<double>>>* pre);
 
   // All networks flattened under stable name prefixes — the parameter set
   // for SaveModel/LoadModel and checkpoints.
@@ -145,19 +142,13 @@ class CrossInsightTrader : public env::TradingAgent {
   std::vector<std::vector<double>> held_actions_;
 
   // Compiled-forward caches for the deterministic inference path: one per
-  // horizon policy plus one for the cross-insight policy. Parameter
+  // horizon policy plus one for the cross-insight policy. Batch size is
+  // part of the input-shape key, so the caches are widened to one live
+  // key per batch size (serving mixes sizes 1..max_batch). Parameter
   // staleness is handled inside the plans (per-parameter version
   // snapshots), so training between backtests just re-records.
   std::vector<plan::CompiledFn> actor_plans_;
   plan::CompiledFn cross_plan_;
-
-  // Separate compiled caches for the batched serving path: batch size is
-  // part of the input-shape key, so a serving mix of batch sizes would
-  // thrash the 8-entry single-request caches above. These get a widened
-  // capacity (one live key per batch size per policy) and keep the
-  // single-request plans untouched.
-  std::vector<plan::CompiledFn> actor_batch_plans_;
-  plan::CompiledFn cross_batch_plan_;
 
   // In-flight training progress; checkpointed and restored on resume.
   rl::TrainProgress progress_;

@@ -8,13 +8,6 @@
 
 namespace cit::env {
 
-std::vector<double> TradingAgent::DecideWeights(
-    const market::PricePanel& panel, int64_t day) {
-  market::InMemorySource source(&panel);
-  const market::PanelView view(&source);
-  return DecideWeights(view, day);
-}
-
 BacktestResult RunBacktest(TradingAgent& agent,
                            const market::PanelView& view,
                            const EnvConfig& config) {
@@ -54,13 +47,6 @@ BacktestResult RunBacktest(TradingAgent& agent,
   return result;
 }
 
-BacktestResult RunBacktest(TradingAgent& agent,
-                           const market::PricePanel& panel,
-                           const EnvConfig& config) {
-  market::InMemorySource source(&panel);
-  return RunBacktest(agent, market::PanelView(&source), config);
-}
-
 BacktestResult RunTestBacktest(TradingAgent& agent,
                                const market::PanelView& view,
                                int64_t window, double transaction_cost) {
@@ -71,14 +57,6 @@ BacktestResult RunTestBacktest(TradingAgent& agent,
   config.start_day = view.train_end();
   config.end_day = view.num_days() - 1;
   return RunBacktest(agent, view, config);
-}
-
-BacktestResult RunTestBacktest(TradingAgent& agent,
-                               const market::PricePanel& panel,
-                               int64_t window, double transaction_cost) {
-  market::InMemorySource source(&panel);
-  return RunTestBacktest(agent, market::PanelView(&source), window,
-                         transaction_cost);
 }
 
 }  // namespace cit::env

@@ -29,14 +29,6 @@ class TradingAgent {
   // The view's source must outlive the call.
   virtual std::vector<double> DecideWeights(const market::PanelView& panel,
                                             int64_t day) = 0;
-
-  // Convenience for callers holding a bare panel: wraps it in a temporary
-  // InMemorySource. Implementations that cache by source id see a fresh
-  // id per call, so this path never hits (or pollutes) cross-call caches.
-  // Derived classes re-expose it with
-  //   using env::TradingAgent::DecideWeights;
-  std::vector<double> DecideWeights(const market::PricePanel& panel,
-                                    int64_t day);
 };
 
 // Outcome of one backtest pass.
@@ -59,23 +51,14 @@ struct BacktestResult {
 // Runs `agent` through the env's day range and records the wealth curve.
 // Off-simplex agent actions are projected back via NormalizeToSimplex and
 // counted in BacktestResult::repaired_steps rather than aborting the run.
-// The view's source must outlive the call; a PricePanel argument is
-// wrapped in a temporary InMemorySource (bitwise identical to the
-// pre-data-plane path).
+// The view's source must outlive the call.
 BacktestResult RunBacktest(TradingAgent& agent,
                            const market::PanelView& view,
-                           const EnvConfig& config);
-BacktestResult RunBacktest(TradingAgent& agent,
-                           const market::PricePanel& panel,
                            const EnvConfig& config);
 
 // Convenience: backtests over the panel's test split (days >= train_end).
 BacktestResult RunTestBacktest(TradingAgent& agent,
                                const market::PanelView& view,
-                               int64_t window = 32,
-                               double transaction_cost = 1e-3);
-BacktestResult RunTestBacktest(TradingAgent& agent,
-                               const market::PricePanel& panel,
                                int64_t window = 32,
                                double transaction_cost = 1e-3);
 

@@ -35,18 +35,6 @@ std::vector<double> NormalizeToSimplex(std::vector<double> w) {
 PortfolioEnv::PortfolioEnv(market::PanelView view, EnvConfig config)
     : view_(view), config_(config) {
   CIT_CHECK(view_.valid());
-  InitRange();
-}
-
-PortfolioEnv::PortfolioEnv(const market::PricePanel* panel, EnvConfig config)
-    : config_(config) {
-  CIT_CHECK(panel != nullptr);
-  owned_source_ = std::make_shared<market::InMemorySource>(panel);
-  view_ = market::PanelView(owned_source_.get());
-  InitRange();
-}
-
-void PortfolioEnv::InitRange() {
   CIT_CHECK_GE(config_.window, 2);
   start_day_ =
       config_.start_day >= 0 ? config_.start_day : config_.window;

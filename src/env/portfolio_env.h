@@ -2,7 +2,6 @@
 #define CIT_ENV_PORTFOLIO_ENV_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -44,11 +43,6 @@ class PortfolioEnv {
  public:
   // The source behind `view` must outlive the env and all its clones.
   PortfolioEnv(market::PanelView view, EnvConfig config);
-
-  // Compatibility: wraps `panel` in an internally-owned InMemorySource
-  // (shared across clones). The panel must outlive the env, exactly as
-  // before the data-plane refactor.
-  PortfolioEnv(const market::PricePanel* panel, EnvConfig config);
 
   // Moves to `start_day` (or the default) and resets wealth and weights.
   void Reset();
@@ -102,12 +96,7 @@ class PortfolioEnv {
   const market::PanelView& view() const { return view_; }
 
  private:
-  void InitRange();
-
   market::PanelView view_;
-  // Set only by the PricePanel* compatibility constructor; shared by
-  // clones so the wrapping source lives as long as any env using it.
-  std::shared_ptr<market::PanelSource> owned_source_;
   EnvConfig config_;
   int64_t start_day_;
   int64_t end_day_;

@@ -80,8 +80,7 @@ inline double HaltAwareRelative(double prev, double cur) {
 //  * source_id() is allocated from a process-global counter and never
 //    recycled, so downstream caches keyed by (source_id, day) can never
 //    confuse two sources the way address-keyed caches could when a
-//    short-lived panel's address was reused (the serving-path staleness
-//    hazard ClearFeatureCache used to paper over).
+//    short-lived panel's address was reused.
 class PanelSource {
  public:
   PanelSource();

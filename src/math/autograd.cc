@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -16,14 +15,7 @@ namespace kernels = math::kernels;
 
 namespace {
 
-// CIT_NOGRAD=0 disables the inference fast path process-wide; any other
-// value (or unset) leaves it available.
-bool InitialNoGradAllowed() {
-  const char* v = std::getenv("CIT_NOGRAD");
-  return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-}
-
-std::atomic<bool> g_nograd_allowed{InitialNoGradAllowed()};
+std::atomic<bool> g_nograd_allowed{true};
 
 }  // namespace
 

@@ -40,9 +40,9 @@ inline bool& GradEnabledFlag() {
 // True when ops on the calling thread build the backward graph (default).
 inline bool GradEnabled() { return detail::GradEnabledFlag(); }
 
-// Process-wide kill switch for the no-grad fast path (also CIT_NOGRAD=0 in
-// the environment): when disallowed, NoGradGuard is a no-op and every
-// forward builds the full graph. Exists so benches and A/B checks can
+// Process-wide kill switch for the no-grad fast path: when disallowed,
+// NoGradGuard is a no-op and every forward builds the full graph. Exists
+// so tests and benches (tests/test_inference.cc, bench/bench_infer) can
 // drive the graph path through unchanged call sites.
 void SetNoGradAllowed(bool allowed);
 bool NoGradAllowed();

@@ -1,7 +1,6 @@
 #include "math/plan.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -16,14 +15,7 @@ using math::Shape;
 
 namespace {
 
-// CIT_COMPILE=0 disables compiled replay process-wide; any other value (or
-// unset) leaves it available. Same contract as CIT_NOGRAD.
-bool InitialCompileAllowed() {
-  const char* v = std::getenv("CIT_COMPILE");
-  return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-}
-
-std::atomic<bool> g_compile_allowed{InitialCompileAllowed()};
+std::atomic<bool> g_compile_allowed{true};
 
 }  // namespace
 

@@ -31,10 +31,10 @@ namespace cit::plan {
 
 using math::Tensor;
 
-// Process-wide kill switch for compiled replay (also CIT_COMPILE=0 in the
-// environment, mirroring CIT_NOGRAD): when disallowed, CompiledFn::Run
-// simply executes the wrapped forward interpreted, so A/B checks can drive
-// both paths through unchanged call sites.
+// Process-wide kill switch for compiled replay, mirroring
+// ag::SetNoGradAllowed: when disallowed, CompiledFn::Run simply executes
+// the wrapped forward interpreted, so tests and benches (tests/test_plan.cc,
+// bench/bench_infer) can drive both paths through unchanged call sites.
 bool CompileAllowed();
 void SetCompileAllowed(bool allowed);
 

@@ -265,30 +265,33 @@ class TelemetrySession {
 // Instrumentation macros. Each site pays one static-local lookup on first
 // execution; afterwards the disabled-at-runtime cost is a relaxed load and
 // a predictable branch. With CIT_OBS_DISABLED they expand to nothing.
+// Because the lookup is cached per site, `name` must be a string literal
+// (`"" name` rejects anything else at compile time): a computed name would
+// register only the first value the site sees.
 #ifndef CIT_OBS_DISABLED
 #define CIT_OBS_COUNT(name, delta)                                        \
   do {                                                                    \
     static ::cit::obs::Counter& cit_obs_c =                               \
-        ::cit::obs::Registry::Global().GetCounter(name);                  \
+        ::cit::obs::Registry::Global().GetCounter("" name);               \
     cit_obs_c.Add(static_cast<uint64_t>(delta));                          \
   } while (0)
 #define CIT_OBS_GAUGE(name, value)                                        \
   do {                                                                    \
     static ::cit::obs::Gauge& cit_obs_g =                                 \
-        ::cit::obs::Registry::Global().GetGauge(name);                    \
+        ::cit::obs::Registry::Global().GetGauge("" name);                 \
     cit_obs_g.Set(static_cast<double>(value));                            \
   } while (0)
 // Records one sample into histogram `name` (no timing, no trace event).
 #define CIT_OBS_HIST(name, value)                                         \
   do {                                                                    \
     static ::cit::obs::Histogram& cit_obs_hm =                            \
-        ::cit::obs::Registry::Global().GetHistogram(name);                \
+        ::cit::obs::Registry::Global().GetHistogram("" name);             \
     cit_obs_hm.Record(static_cast<uint64_t>(value));                      \
   } while (0)
 // Times the enclosing scope into histogram `name` (+ trace event).
 #define CIT_OBS_SPAN(name)                                                \
   static ::cit::obs::Histogram& CIT_OBS_CAT_(cit_obs_h_, __LINE__) =      \
-      ::cit::obs::Registry::Global().GetHistogram(name);                  \
+      ::cit::obs::Registry::Global().GetHistogram("" name);               \
   ::cit::obs::ScopedTimer CIT_OBS_CAT_(cit_obs_t_, __LINE__)(             \
       name, CIT_OBS_CAT_(cit_obs_h_, __LINE__))
 #define CIT_OBS_CAT_(a, b) CIT_OBS_CAT2_(a, b)

@@ -19,7 +19,6 @@ class OlpsStrategy : public env::TradingAgent {
  public:
   void Reset() override;
 
-  using env::TradingAgent::DecideWeights;
   std::vector<double> DecideWeights(const market::PanelView& panel,
                                     int64_t day) final;
 
@@ -44,7 +43,6 @@ class BuyAndHold : public env::TradingAgent {
  public:
   std::string name() const override { return "Market"; }
   void Reset() override { start_day_ = -1; }
-  using env::TradingAgent::DecideWeights;
   std::vector<double> DecideWeights(const market::PanelView& panel,
                                     int64_t day) override;
 

@@ -62,12 +62,6 @@ ag::Var A2cAgent::PolicyInput(const market::PanelView& panel, int64_t day,
   return ag::Concat(parts, /*axis=*/0);
 }
 
-std::vector<double> A2cAgent::Train(const market::PricePanel& panel,
-                                    int64_t curve_points) {
-  market::InMemorySource source(&panel);
-  return Train(market::PanelView(&source), curve_points);
-}
-
 std::vector<double> A2cAgent::Train(const market::PanelView& panel,
                                     int64_t curve_points) {
   CIT_CHECK_GT(panel.train_end(), config_.window + config_.rollout_len + 2);

@@ -31,16 +31,12 @@ class A2cAgent : public env::TradingAgent {
 
   // Trains on the panel's training split (days < train_end). Returns the
   // average training reward per rollout (a learning-curve sample per
-  // `curve_points` evenly spaced checkpoints). The PricePanel overload
-  // wraps the panel in a temporary InMemorySource.
+  // `curve_points` evenly spaced checkpoints).
   std::vector<double> Train(const market::PanelView& panel,
-                            int64_t curve_points = 20);
-  std::vector<double> Train(const market::PricePanel& panel,
                             int64_t curve_points = 20);
 
   std::string name() const override { return "A2C"; }
   void Reset() override;
-  using env::TradingAgent::DecideWeights;
   std::vector<double> DecideWeights(const market::PanelView& panel,
                                     int64_t day) override;
 

@@ -114,12 +114,6 @@ void DdpgAgent::UpdateFromReplay() {
                            static_cast<float>(config_.tau));
 }
 
-std::vector<double> DdpgAgent::Train(const market::PricePanel& panel,
-                                     int64_t curve_points) {
-  market::InMemorySource source(&panel);
-  return Train(market::PanelView(&source), curve_points);
-}
-
 std::vector<double> DdpgAgent::Train(const market::PanelView& panel,
                                      int64_t curve_points) {
   env::EnvConfig env_config;

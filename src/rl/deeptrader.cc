@@ -93,12 +93,6 @@ double DeepTraderAgent::RiskAppetite(const market::PanelView& panel,
   return MarketRho(panel, day).value().Item();
 }
 
-std::vector<double> DeepTraderAgent::Train(const market::PricePanel& panel,
-                                           int64_t curve_points) {
-  market::InMemorySource source(&panel);
-  return Train(market::PanelView(&source), curve_points);
-}
-
 std::vector<double> DeepTraderAgent::Train(const market::PanelView& panel,
                                            int64_t curve_points) {
   CIT_CHECK_GT(panel.train_end(),

@@ -37,12 +37,9 @@ class DeepTraderAgent : public env::TradingAgent {
 
   std::vector<double> Train(const market::PanelView& panel,
                             int64_t curve_points = 20);
-  std::vector<double> Train(const market::PricePanel& panel,
-                            int64_t curve_points = 20);
 
   std::string name() const override { return "DeepTrader"; }
   void Reset() override;
-  using env::TradingAgent::DecideWeights;
   std::vector<double> DecideWeights(const market::PanelView& panel,
                                     int64_t day) override;
 

@@ -50,12 +50,6 @@ ag::Var EiieAgent::ScoresFromWindow(const Tensor& window,
   return ag::Reshape(head_->Forward(features), {num_assets_});
 }
 
-std::vector<double> EiieAgent::Train(const market::PricePanel& panel,
-                                     int64_t curve_points) {
-  market::InMemorySource source(&panel);
-  return Train(market::PanelView(&source), curve_points);
-}
-
 std::vector<double> EiieAgent::Train(const market::PanelView& panel,
                                      int64_t curve_points) {
   CIT_CHECK_GT(panel.train_end(),

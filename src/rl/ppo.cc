@@ -46,12 +46,6 @@ Tensor PpoAgent::StateTensor(const market::PanelView& panel, int64_t day,
   return state;
 }
 
-std::vector<double> PpoAgent::Train(const market::PricePanel& panel,
-                                    int64_t curve_points) {
-  market::InMemorySource source(&panel);
-  return Train(market::PanelView(&source), curve_points);
-}
-
 std::vector<double> PpoAgent::Train(const market::PanelView& panel,
                                     int64_t curve_points) {
   CIT_CHECK_GT(panel.train_end(), config_.window + config_.rollout_len + 2);

@@ -61,12 +61,6 @@ void SarlAgent::TrainPredictor(const market::PanelView& panel) {
   }
 }
 
-std::vector<double> SarlAgent::Train(const market::PricePanel& panel,
-                                     int64_t curve_points) {
-  market::InMemorySource source(&panel);
-  return Train(market::PanelView(&source), curve_points);
-}
-
 std::vector<double> SarlAgent::Train(const market::PanelView& panel,
                                      int64_t curve_points) {
   TrainPredictor(panel);

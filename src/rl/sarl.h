@@ -26,8 +26,6 @@ class SarlAgent : public A2cAgent {
   // Pre-trains the movement predictor, then runs A2C training.
   std::vector<double> Train(const market::PanelView& panel,
                             int64_t curve_points = 20);
-  std::vector<double> Train(const market::PricePanel& panel,
-                            int64_t curve_points = 20);
 
   // Exposed for tests: predicted up-probabilities for all assets at `day`.
   Tensor PredictMovement(const market::PanelView& panel, int64_t day) const;

@@ -20,30 +20,21 @@ class CitServedModel : public ServedModel {
   // decide at the panel's last day.
   int64_t min_days() const override { return trader_.config().window; }
 
-  Result<std::vector<double>> Decide(
-      const market::PricePanel& panel) override {
-    // Each request panel gets a fresh source (and monotonic source id), so
-    // the source-keyed feature cache never serves a previous request's
-    // features even though the panel's stack address recycles. Reset()
-    // drops the held actions, making every request an independent first
-    // decision.
-    market::InMemorySource source(&panel);
-    trader_.Reset();
-    return trader_.DecideWeights(market::PanelView(&source),
-                                 panel.num_days() - 1);
-  }
-
   std::vector<Result<std::vector<double>>> DecideBatch(
       const std::vector<const market::PricePanel*>& panels) override {
-    // DecideWeightsBatch is stateless by construction (uniform previous
-    // actions, feature cache bypassed), so no ClearFeatureCache/Reset
-    // dance is needed; each returned vector is bitwise identical to
-    // Decide on that panel alone.
-    std::vector<std::vector<double>> weights =
-        trader_.DecideWeightsBatch(panels);
+    // Each panel gets a fresh source (and source id) for the call; the
+    // views borrow the panels, so nothing is copied. DecideWeightsBatch
+    // is stateless by construction (uniform previous actions, feature
+    // cache bypassed), so each result is bitwise identical to Reset() +
+    // DecideWeights on that panel alone.
+    std::vector<market::PanelView> views;
+    views.reserve(panels.size());
+    for (const market::PricePanel* p : panels) views.emplace_back(*p);
     std::vector<Result<std::vector<double>>> out;
-    out.reserve(weights.size());
-    for (std::vector<double>& w : weights) out.push_back(std::move(w));
+    out.reserve(panels.size());
+    for (std::vector<double>& w : trader_.DecideWeightsBatch(views)) {
+      out.push_back(std::move(w));
+    }
     return out;
   }
 

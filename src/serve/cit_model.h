@@ -14,11 +14,10 @@ namespace cit::serve {
 // `initial_weights_path` is non-empty, loaded from that weights file
 // before the server starts accepting.
 //
-// The adapter makes serving stateless and address-safe: every Decide
-// clears the per-panel feature cache (request panels are short-lived and
-// their addresses recycle) and resets the held-action execution state, so
-// a served decision is bitwise-identical to ClearFeatureCache() + Reset()
-// + DecideWeights(panel, last_day) on a library-held trader with the same
+// The adapter makes serving stateless: every flush goes through
+// DecideWeightsBatch, which uses uniform previous actions and skips the
+// feature cache, so a served decision is bitwise-identical to Reset() +
+// DecideWeights(panel, last_day) on a library-held trader with the same
 // weights — the equivalence the serve soak test pins down.
 ModelFactory MakeCitModelFactory(int64_t num_assets,
                                  const core::CrossInsightConfig& config,

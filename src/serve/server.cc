@@ -349,11 +349,10 @@ static Conn* FindConn(std::vector<Conn>& conns, uint64_t id) {
   return nullptr;
 }
 
-// Pops and executes one batch of up to max_batch queued decides: one
-// DecideBatch forward (or the plain single-request Decide when only one
-// request is pending), then de-interleaves the responses back onto each
-// connection's first unanswered slot — queue order and per-connection slot
-// order agree, both are request order.
+// Pops and executes one batch of up to max_batch queued decides (a lone
+// request is a batch of one): one DecideBatch forward, then de-interleaves
+// the responses back onto each connection's first unanswered slot — queue
+// order and per-connection slot order agree, both are request order.
 void Server::Impl::ExecuteBatch(Impl::Worker& w, std::vector<Conn>& conns,
                                 BatchState& bs) {
   const size_t k = std::min(bs.queue.size(),
@@ -371,18 +370,9 @@ void Server::Impl::ExecuteBatch(Impl::Worker& w, std::vector<Conn>& conns,
     for (std::string& t : texts) {
       t = FormatError("model", "weight reload failed: " + reload_error);
     }
-  } else if (k == 1) {
-    // Single-request fast path: the same call the unbatched daemon made.
-    Result<std::vector<double>> r = w.replica->Decide(items[0].panel);
-    if (!r.ok()) {
-      CIT_OBS_COUNT("serve.input_errors", 1);
-      texts[0] = FormatError("input", r.status().message());
-    } else {
-      texts[0] = FormatDecideResponse(w.local_gen, r.value());
-    }
   } else {
     CIT_OBS_SPAN("serve.batch_us");
-    CIT_OBS_COUNT("serve.batched_requests", k);
+    if (k > 1) CIT_OBS_COUNT("serve.batched_requests", k);
     std::vector<const market::PricePanel*> panels;
     panels.reserve(k);
     for (const PendingDecide& pd : items) panels.push_back(&pd.panel);
@@ -420,8 +410,8 @@ void Server::Impl::FlushBatches(Impl::Worker& w, std::vector<Conn>& conns,
     bs.deadline_us = -1;
     return;
   }
-  // A lone request never waits (low-load p50 must match the unbatched
-  // daemon); a partial batch may hold on for up to batch_window_us.
+  // A lone request never waits (it runs as a batch of one); a partial
+  // batch may hold on for up to batch_window_us.
   if (bs.queue.size() == 1 || NowUs() >= bs.deadline_us) {
     while (!bs.queue.empty()) ExecuteBatch(w, conns, bs);
     bs.deadline_us = -1;
@@ -473,9 +463,11 @@ void Server::Impl::HandleLine(Impl::Worker& w, Conn& c, std::string_view line,
       return;
     case Request::kBad:
     default:
-      CIT_OBS_COUNT(req.error_code == "input" ? "serve.input_errors"
-                                              : "serve.proto_errors",
-                    1);
+      if (req.error_code == "input") {
+        CIT_OBS_COUNT("serve.input_errors", 1);
+      } else {
+        CIT_OBS_COUNT("serve.proto_errors", 1);
+      }
       Respond(c, FormatError(req.error_code, req.error));
       return;
   }
@@ -500,8 +492,7 @@ void Server::Impl::WorkerMain() {
   BatchState bs;
   uint64_t next_conn_id = 1;
 
-  auto drop = [&](size_t i, const char* counter) {
-    CIT_OBS_COUNT(counter, 1);
+  auto drop = [&](size_t i) {
     CloseFd(conns[i].fd);
     conns.erase(conns.begin() + static_cast<ptrdiff_t>(i));
   };
@@ -623,18 +614,13 @@ void Server::Impl::WorkerMain() {
       DrainReadySlots(c);
       bool alive = !c.io_dead;
       if (alive) alive = FlushOut(c);
-
-      if (!alive) {
-        drop(i, "serve.disconnects");
-        continue;
-      }
-      if (c.slots.empty() && c.pending_out() == 0 && c.close_after_flush) {
-        drop(i, "serve.disconnects");
-        continue;
-      }
-      if (c.read_closed && c.in.empty() && c.slots.empty() &&
-          c.pending_out() == 0) {
-        drop(i, "serve.disconnects");  // clean end of session
+      // Dead peer, or nothing left to send after a protocol violation or a
+      // clean end of session.
+      const bool drained = c.slots.empty() && c.pending_out() == 0;
+      if (!alive || (drained && (c.close_after_flush ||
+                                 (c.read_closed && c.in.empty())))) {
+        CIT_OBS_COUNT("serve.disconnects", 1);
+        drop(i);
         continue;
       }
 
@@ -646,7 +632,8 @@ void Server::Impl::WorkerMain() {
         if (c.deadline_ms < 0) c.deadline_ms = t + config.request_deadline_ms;
         c.idle_at_ms = -1;
         if (c.deadline_ms <= t) {
-          drop(i, "serve.deadline_drops");
+          CIT_OBS_COUNT("serve.deadline_drops", 1);
+          drop(i);
           continue;
         }
       } else {
@@ -655,7 +642,8 @@ void Server::Impl::WorkerMain() {
           c.idle_at_ms = t + config.idle_timeout_ms;
         }
         if (c.idle_at_ms >= 0 && c.idle_at_ms <= t) {
-          drop(i, "serve.idle_drops");
+          CIT_OBS_COUNT("serve.idle_drops", 1);
+          drop(i);
           continue;
         }
       }

@@ -46,8 +46,8 @@
 namespace cit::serve {
 
 // One model replica as the server sees it. Implementations must be
-// deterministic and stateless across Decide calls (two calls with equal
-// panels return bitwise-equal weights, before/after unrelated calls).
+// deterministic and stateless across DecideBatch calls (equal panels get
+// bitwise-equal weights, in any batch, before/after unrelated calls).
 class ServedModel {
  public:
   virtual ~ServedModel() = default;
@@ -56,21 +56,16 @@ class ServedModel {
   // Minimum rows a decide request's price window must have.
   virtual int64_t min_days() const = 0;
 
-  // Portfolio weights for the transition panel.last_day -> next day.
-  virtual Result<std::vector<double>> Decide(
-      const market::PricePanel& panel) = 0;
-
-  // Batched decision: one result per panel, each required to be bitwise
-  // identical to Decide on that panel alone. The default loops Decide —
-  // correct for any model; implementations with a genuinely batched
-  // forward (CrossInsightTrader::DecideWeightsBatch) override it so the
-  // batcher amortizes per-op dispatch across the requests.
+  // Portfolio weights for the transition panel.last_day -> next day, one
+  // result per panel. Each result must be bitwise identical to a batch of
+  // one on that panel alone; the server sends every flush here, a lone
+  // request included.
   virtual std::vector<Result<std::vector<double>>> DecideBatch(
-      const std::vector<const market::PricePanel*>& panels) {
-    std::vector<Result<std::vector<double>>> out;
-    out.reserve(panels.size());
-    for (const market::PricePanel* p : panels) out.push_back(Decide(*p));
-    return out;
+      const std::vector<const market::PricePanel*>& panels) = 0;
+
+  // A batch of one.
+  Result<std::vector<double>> Decide(const market::PricePanel& panel) {
+    return std::move(DecideBatch({&panel})[0]);
   }
 
   // Replaces the replica's weights from a weights file; must stage and
@@ -94,11 +89,11 @@ struct ServerConfig {
   int sndbuf_bytes = 0;
   // Request batching (per worker): decide requests land on a queue and
   // execute together through ServedModel::DecideBatch, up to max_batch per
-  // forward. A lone queued request never waits — it takes the
-  // single-request Decide path immediately, so p50 at low load matches the
-  // unbatched daemon — and a full batch flushes at once; a partial batch
+  // forward. A lone queued request never waits — it runs at once as a
+  // batch of one — and a full batch flushes at once; a partial batch
   // (2..max_batch-1 requests) may wait up to batch_window_us for more
-  // arrivals before flushing. max_batch <= 1 disables batching entirely.
+  // arrivals before flushing. max_batch <= 1 makes every decide a batch
+  // of one.
   int64_t batch_window_us = 0;
   int max_batch = 8;
   // Flip the obs runtime switch on at Start so the stats endpoint counts

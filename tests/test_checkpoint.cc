@@ -377,7 +377,7 @@ TEST(EnvCursor, RoundTripAndValidation) {
   auto panel = TinyPanel();
   env::EnvConfig cfg;
   cfg.window = 8;
-  env::PortfolioEnv env(&panel, cfg);
+  env::PortfolioEnv env(panel, cfg);
   env.Reset();
   const std::vector<double> weights(4, 0.25);
   for (int i = 0; i < 3; ++i) env.Step(weights);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/actor.h"
 #include "core/backbone.h"
 #include "core/config.h"
@@ -52,23 +53,13 @@ TEST(Backbone, AllVariantsProducePerAssetFeatures) {
   }
 }
 
-TEST(Backbone, AttentionVariantExposesAttentionMatrix) {
-  math::Rng rng(2);
-  ActorBackbone backbone(BackboneKind::kTcnAttention, 3, 8, 4, 1, 3, rng);
-  Var attn;
-  backbone.Forward(Var::Constant(Tensor::Uniform({3, 1, 8}, rng, -1, 1)),
-                   &attn);
-  ASSERT_TRUE(attn.defined());
-  EXPECT_EQ(attn.shape(), (math::Shape{3, 3}));
-}
-
 TEST(HorizonActorTest, MeanShapeAndIdDiversity) {
   CrossInsightConfig cfg = TinyConfig(3);
   math::Rng rng(4);
   HorizonActor a0(cfg, 4, 0, rng);
   HorizonActor a1(cfg, 4, 1, rng);
   Tensor band = Tensor::Uniform({4, 1, 8}, rng, -1, 1);
-  std::vector<double> prev(4, 0.25);
+  Tensor prev = Tensor::Full({4, 1}, 0.25f);
   Var m0 = a0.Forward(band, prev);
   Var m1 = a1.Forward(band, prev);
   EXPECT_EQ(m0.shape(), (math::Shape{4}));
@@ -196,6 +187,65 @@ TEST(Trader, DecideWeightsOnSimplex) {
   trader.Reset();
   const auto w = trader.DecideWeights(panel, panel.train_end() + 3);
   EXPECT_TRUE(env::IsValidPortfolio(w));
+}
+
+// A request window: `rows` days of `src` ending at `last_day`, all of them
+// history (train_end == rows), the way the daemon builds request panels.
+market::PricePanel RequestWindow(const market::PricePanel& src,
+                                 int64_t last_day, int64_t rows) {
+  market::PricePanel panel(rows, src.num_assets());
+  for (int64_t d = 0; d < rows; ++d) {
+    for (int64_t a = 0; a < src.num_assets(); ++a) {
+      panel.SetClose(d, a, src.Close(last_day - rows + 1 + d, a));
+    }
+  }
+  panel.set_train_end(rows);
+  return panel;
+}
+
+// DecideWeightsBatch and DecideWeights run one stacked forward, so B
+// batched panels must decide bitwise what B independent Reset() +
+// DecideWeights calls do — for every backbone, with and without horizon
+// policies, at batch sizes that share and that do not share a plan with
+// the single path, at 1 and 4 pool threads.
+TEST(StackedDecide, BatchMatchesSingleDecidesBitwise) {
+  const market::PricePanel src = SmallPanel();
+  // Restores the pool size however the test exits.
+  struct RestoreThreads {
+    int n = ThreadPool::Global().num_threads();
+    ~RestoreThreads() { ThreadPool::Global().SetNumThreads(n); }
+  } restore;
+  for (int threads : {1, 4}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (BackboneKind kind :
+         {BackboneKind::kTcnAttention, BackboneKind::kGruAttention,
+          BackboneKind::kGru, BackboneKind::kMlp}) {
+      for (int64_t n : {0, 2}) {
+        CrossInsightConfig cfg = TinyConfig(n);
+        cfg.backbone = kind;
+        CrossInsightTrader trader(src.num_assets(), cfg);
+        for (int64_t batch : {1, 3, 8}) {
+          // Mixed history lengths, each request ending on its own day.
+          std::vector<market::PricePanel> panels;
+          for (int64_t b = 0; b < batch; ++b) {
+            panels.push_back(
+                RequestWindow(src, 60 + 7 * b, cfg.window + b % 3));
+          }
+          const std::vector<market::PanelView> views(panels.begin(),
+                                                     panels.end());
+          const auto batched = trader.DecideWeightsBatch(views);
+          ASSERT_EQ(batched.size(), static_cast<size_t>(batch));
+          for (int64_t b = 0; b < batch; ++b) {
+            trader.Reset();
+            EXPECT_EQ(batched[b], trader.DecideWeights(
+                                      panels[b], panels[b].num_days() - 1))
+                << BackboneKindName(kind) << " n=" << n << " B=" << batch
+                << " b=" << b << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Trader, CounterfactualLearnsPlantedBandSignal) {

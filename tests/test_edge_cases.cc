@@ -95,7 +95,7 @@ TEST(EnvEdge, FullConcentrationPortfolioIsLegal) {
   auto panel = TinyPanel();
   env::EnvConfig cfg;
   cfg.window = 4;
-  env::PortfolioEnv env(&panel, cfg);
+  env::PortfolioEnv env(panel, cfg);
   const env::StepResult r = env.Step({1.0, 0.0, 0.0});
   EXPECT_TRUE(std::isfinite(r.reward));
   EXPECT_NEAR(env.previous_weights()[1], 0.0, 1e-12);
@@ -105,7 +105,7 @@ TEST(EnvEdge, ResetAtOutOfRangeDies) {
   auto panel = TinyPanel();
   env::EnvConfig cfg;
   cfg.window = 4;
-  env::PortfolioEnv env(&panel, cfg);
+  env::PortfolioEnv env(panel, cfg);
   EXPECT_DEATH(env.ResetAt(1), "");                      // before window
   EXPECT_DEATH(env.ResetAt(panel.num_days() + 5), "");   // past end
 }
@@ -115,7 +115,7 @@ TEST(EnvEdge, DoneExactlyAtEndDay) {
   env::EnvConfig cfg;
   cfg.window = 4;
   cfg.start_day = panel.num_days() - 3;
-  env::PortfolioEnv env(&panel, cfg);
+  env::PortfolioEnv env(panel, cfg);
   int steps = 0;
   const std::vector<double> u(3, 1.0 / 3.0);
   while (!env.done()) {

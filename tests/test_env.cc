@@ -182,7 +182,7 @@ TEST(PortfolioEnv, WealthTelescopesWithoutCosts) {
   EnvConfig cfg;
   cfg.window = 8;
   cfg.transaction_cost = 0.0;
-  PortfolioEnv env(&panel, cfg);
+  PortfolioEnv env(panel, cfg);
   math::Rng rng(2);
   double product = 1.0;
   while (!env.done()) {
@@ -199,7 +199,7 @@ TEST(PortfolioEnv, UniformBuyAndHoldMatchesIndexWhenCostFree) {
   EnvConfig cfg;
   cfg.window = 4;
   cfg.transaction_cost = 0.0;
-  PortfolioEnv env(&panel, cfg);
+  PortfolioEnv env(panel, cfg);
   // Rebalancing to the drifted holdings = buy and hold.
   while (!env.done()) {
     env.Step(env.previous_weights());
@@ -215,8 +215,8 @@ TEST(PortfolioEnv, TransactionCostsReduceWealth) {
   cheap_cfg.transaction_cost = 0.0;
   EnvConfig costly_cfg = cheap_cfg;
   costly_cfg.transaction_cost = 0.01;
-  PortfolioEnv cheap(&panel, cheap_cfg);
-  PortfolioEnv costly(&panel, costly_cfg);
+  PortfolioEnv cheap(panel, cheap_cfg);
+  PortfolioEnv costly(panel, costly_cfg);
   math::Rng rng(6);
   while (!cheap.done()) {
     auto w = rng.Dirichlet(4, 0.5);  // high-turnover trading
@@ -235,7 +235,7 @@ TEST(PortfolioEnv, HeldWeightsDriftWithPrices) {
   EnvConfig cfg;
   cfg.window = 2;
   cfg.transaction_cost = 0.0;
-  PortfolioEnv env(&panel, cfg);
+  PortfolioEnv env(panel, cfg);
   env.Step({0.5, 0.5});
   // Asset 0 doubled, so it now holds 2/3 of wealth.
   EXPECT_NEAR(env.previous_weights()[0], 2.0 / 3.0, 1e-9);
@@ -246,7 +246,7 @@ TEST(PortfolioEnv, RejectsOffSimplexAction) {
   auto panel = MakePanel(30, 2, 7);
   EnvConfig cfg;
   cfg.window = 4;
-  PortfolioEnv env(&panel, cfg);
+  PortfolioEnv env(panel, cfg);
   EXPECT_DEATH(env.Step({0.9, 0.9}), "simplex");
 }
 
@@ -254,7 +254,7 @@ TEST(PortfolioEnv, WindowContentsMatchPanel) {
   auto panel = MakePanel(40, 3, 8);
   EnvConfig cfg;
   cfg.window = 6;
-  PortfolioEnv env(&panel, cfg);
+  PortfolioEnv env(panel, cfg);
   const auto window = env.PriceWindow();
   ASSERT_EQ(window.size(), 6u * 3u);
   // Last row of the window is the current day's closes.

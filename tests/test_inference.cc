@@ -2,7 +2,7 @@
 // purely a performance mode. Every number an agent produces — backtest
 // wealth curves, training curves, decided weights — must be bitwise
 // identical whether the guards are honored (default) or disabled via the
-// ag::SetNoGradAllowed kill switch (the same switch CIT_NOGRAD=0 flips).
+// ag::SetNoGradAllowed kill switch.
 // Plus structural tests for the graph-free Var representation, mixed-mode
 // constant lifting, guard nesting, and the per-thread buffer arena.
 #include <cmath>

@@ -1,10 +1,10 @@
 // Compiled-forward (trace-and-replay) tests. The contract under test:
 // plan::CompiledFn is purely a performance mode. Every weight an agent
 // decides must be bitwise identical whether plans replay (default) or the
-// plan::SetCompileAllowed kill switch forces the interpreted path (the
-// same switch CIT_COMPILE=0 flips) — at any thread count, and across
-// parameter mutations (training steps, checkpoint reloads), which must
-// invalidate cached plans rather than replay stale ones. Plus structural
+// plan::SetCompileAllowed kill switch forces the interpreted path — at any
+// thread count, and across parameter mutations (training steps, checkpoint
+// reloads), which must invalidate cached plans rather than replay stale
+// ones. Plus structural
 // tests for the shape-keyed LRU cache, elementwise-chain fusion, and
 // coexistence with taped training.
 #include <memory>

@@ -55,7 +55,7 @@ TEST_P(EnvAccountingSweep, WealthEqualsProductOfNetReturns) {
   env::EnvConfig env_cfg;
   env_cfg.window = 6;
   env_cfg.transaction_cost = 0.002;
-  env::PortfolioEnv env(&panel, env_cfg);
+  env::PortfolioEnv env(panel, env_cfg);
   math::Rng rng(GetParam());
   double product = 1.0;
   while (!env.done()) {

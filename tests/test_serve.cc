@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,16 +247,20 @@ class StubModel : public serve::ServedModel {
   int64_t num_assets() const override { return assets_; }
   int64_t min_days() const override { return 1; }
 
-  Result<std::vector<double>> Decide(
-      const market::PricePanel& panel) override {
-    const int64_t last = panel.num_days() - 1;
-    double sum = 0;
-    for (int64_t a = 0; a < assets_; ++a) sum += panel.Close(last, a);
-    std::vector<double> w(static_cast<size_t>(assets_));
-    for (int64_t a = 0; a < assets_; ++a) {
-      w[static_cast<size_t>(a)] = panel.Close(last, a) / sum + bias_;
+  std::vector<Result<std::vector<double>>> DecideBatch(
+      const std::vector<const market::PricePanel*>& panels) override {
+    std::vector<Result<std::vector<double>>> out;
+    for (const market::PricePanel* panel : panels) {
+      const int64_t last = panel->num_days() - 1;
+      double sum = 0;
+      for (int64_t a = 0; a < assets_; ++a) sum += panel->Close(last, a);
+      std::vector<double> w(static_cast<size_t>(assets_));
+      for (int64_t a = 0; a < assets_; ++a) {
+        w[static_cast<size_t>(a)] = panel->Close(last, a) / sum + bias_;
+      }
+      out.push_back(std::move(w));
     }
-    return w;
+    return out;
   }
 
   Status LoadWeights(const std::string& path) override {
@@ -553,6 +558,48 @@ TEST(ServeDaemon, NonReadingPipelinerIsDroppedNotWaitedOn) {
   EXPECT_EQ(line, "ok pong 0");
 }
 
+// Every error and drop class counts under its own name: one proto error,
+// one parser input error, one clean close and one stalled request must
+// read 1/1/1/1, not collapse into whichever name a site saw first.
+TEST(ServeDaemon, ErrorAndDropCountersStaySeparate) {
+  serve::ServerConfig cfg;
+  cfg.socket_path = SockPath("serve_counters.sock");
+  cfg.request_deadline_ms = 100;
+  cfg.idle_timeout_ms = 0;  // isolate the deadline path
+  serve::Server server(cfg, StubFactory(2));
+  ASSERT_TRUE(server.Start().ok());
+  obs::SetEnabled(true);
+  obs::Registry::Global().ResetAll();
+
+  {
+    Client c(cfg.socket_path);
+    ASSERT_TRUE(c.ok());
+    std::string line;
+    ASSERT_TRUE(c.Send("what\n"));
+    ASSERT_TRUE(c.RecvLine(&line));
+    EXPECT_EQ(line.rfind("err proto", 0), 0u) << line;
+    ASSERT_TRUE(c.Send(DecideLine(1, 2, {1.0, -1.0})));
+    ASSERT_TRUE(c.RecvLine(&line));
+    EXPECT_EQ(line.rfind("err input", 0), 0u) << line;
+    c.ShutdownWrite();  // clean end of session
+    EXPECT_TRUE(c.WaitForClose(3000));
+  }
+  Client stalled(cfg.socket_path);
+  ASSERT_TRUE(stalled.ok());
+  ASSERT_TRUE(stalled.Send("decide 1 2 1.0"));  // never sends the newline
+  EXPECT_TRUE(stalled.WaitForClose(3000));
+
+  auto count = [](const char* name) {
+    return obs::Registry::Global().GetCounter(name).Total();
+  };
+  EXPECT_EQ(count("serve.proto_errors"), 1u);
+  EXPECT_EQ(count("serve.input_errors"), 1u);
+  EXPECT_EQ(count("serve.disconnects"), 1u);
+  EXPECT_EQ(count("serve.deadline_drops"), 1u);
+  obs::SetEnabled(false);
+  server.Stop();
+}
+
 TEST(ServeDaemon, SwapValidatesBeforeCommitting) {
   serve::ServerConfig cfg;
   cfg.socket_path = SockPath("serve_swapfail.sock");
@@ -619,10 +666,10 @@ market::PricePanel SoakWindow(int64_t rows, int64_t assets, int variant) {
 }
 
 // What the daemon must reproduce bitwise: a stateless decision from a
-// library-held trader on the same window.
+// library-held trader on the same window (each call wraps the panel in a
+// fresh source, so the feature cache never serves a previous window).
 std::vector<double> LibraryDecide(core::CrossInsightTrader& trader,
                                   const market::PricePanel& panel) {
-  trader.ClearFeatureCache();
   trader.Reset();
   return trader.DecideWeights(panel, panel.num_days() - 1);
 }
@@ -809,8 +856,8 @@ TEST(ServeBatch, PipelinedMixedSizePanelsBatchBitwiseAndInOrder) {
   obs::SetEnabled(true);
 
   // The burst almost always lands in one read and batches as 4; if the
-  // kernel splits delivery so the first decide arrives alone, it takes the
-  // lone-request fast path and the batch shrinks. Retry until a genuinely
+  // kernel splits delivery so the first decide arrives alone, it runs as a
+  // batch of one and the batch shrinks. Retry until a genuinely
   // batched forward (k >= 2) was observed; correctness is asserted on
   // every attempt either way.
   bool saw_batch = false;
@@ -981,8 +1028,8 @@ TEST(ServeBatch, ConcurrentMixedSizeClientsDeinterleaveBitwise) {
 }
 
 // max_batch=1 must behave exactly like the pre-batching daemon: every
-// decide takes the single-request path, pipelined bursts still answer in
-// order, and nothing waits on a window.
+// decide runs as a batch of one, pipelined bursts still answer in order,
+// and nothing waits on a window.
 TEST(ServeBatch, MaxBatchOneDisablesBatching) {
   serve::ServerConfig cfg;
   cfg.socket_path = SockPath("serve_batch_off.sock");
