@@ -21,10 +21,10 @@ int NumThreads();
 // True when CIT_OVERSUBSCRIBE is set: the ThreadPool then honors thread
 // counts above hardware_concurrency() instead of clamping them. Off by
 // default because oversubscribing a small host makes every fork/join
-// strictly slower (BENCH_math.json once recorded 4-thread GEMM losing to
-// 1-thread on a 1-core box); the determinism contract makes the clamp
-// result-invariant. TSan runs enable it to exercise real cross-thread
-// interleavings regardless of host size.
+// strictly slower (4-thread GEMM once measured slower than 1-thread on a
+// 1-core box); the determinism contract makes the clamp result-invariant.
+// TSan runs enable it to exercise real cross-thread interleavings
+// regardless of host size.
 bool AllowOversubscribe();
 
 // Kernel backend requested via CIT_KERNEL, read once: "scalar" or "simd"

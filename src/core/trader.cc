@@ -95,12 +95,6 @@ CrossInsightTrader::CrossInsightTrader(int64_t num_assets,
       std::move(critic_params), static_cast<float>(config_.lr), 0.9f,
       0.999f, 1e-8f, static_cast<float>(config_.weight_decay));
   actor_plans_ = std::vector<plan::CompiledFn>(config_.num_policies);
-  // The caches see one shape key per live batch size (1..max_batch,
-  // typically), per policy — widen them so mixed batch sizes don't churn
-  // hot plans through the default 8 slots.
-  constexpr int64_t kPlanCapacity = 32;
-  for (auto& p : actor_plans_) p.SetCapacity(kPlanCapacity);
-  cross_plan_.SetCapacity(kPlanCapacity);
   Reset();
 }
 
@@ -365,6 +359,9 @@ std::vector<double> CrossInsightTrader::Train(
       SlotData& sd = slots[slot];
       env::PortfolioEnv senv = env.CloneAt(
           lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
+      // A PanelView is single-threaded (its chunk ring is mutable), so
+      // the slot reads prices through its own env clone's view.
+      const market::PanelView& view = senv.view();
       std::vector<std::vector<double>> held(
           std::max<int64_t>(n, 1),
           std::vector<double>(num_assets_,
@@ -372,7 +369,7 @@ std::vector<double> CrossInsightTrader::Train(
       while (static_cast<int64_t>(sd.rollout.size()) < config_.rollout_len &&
              !senv.done()) {
         const int64_t day = senv.current_day();
-        const DayFeatures& f = FeaturesAt(panel, day);
+        const DayFeatures& f = FeaturesAt(view, day);
         StepRecord rec;
         rec.day = day;
         rec.pre.resize(n);
@@ -410,7 +407,7 @@ std::vector<double> CrossInsightTrader::Train(
       sd.boot_pre = Tensor({std::max<int64_t>(n, 0) * num_assets_});
       if (!senv.done()) {
         sd.boot_day = senv.current_day();
-        const DayFeatures& f = FeaturesAt(panel, sd.boot_day);
+        const DayFeatures& f = FeaturesAt(view, sd.boot_day);
         std::vector<std::vector<double>> pre(n);
         for (int64_t k = 0; k < n; ++k) {
           Var mean = actors_[k]->Forward(f.bands[k], PrevTensor(held[k]));
@@ -427,7 +424,7 @@ std::vector<double> CrossInsightTrader::Train(
         std::vector<double> values(len + 1, 0.0);
         for (int64_t t = 0; t < len; ++t) {
           const StepRecord& rec = sd.rollout[t];
-          const DayFeatures& f = FeaturesAt(panel, rec.day);
+          const DayFeatures& f = FeaturesAt(view, rec.day);
           Var q;
           if (dec) {
             if (c < n) {
@@ -444,7 +441,7 @@ std::vector<double> CrossInsightTrader::Train(
           values[t] = q.value().Item();
         }
         if (sd.boot_day >= 0) {
-          const DayFeatures& f = FeaturesAt(panel, sd.boot_day);
+          const DayFeatures& f = FeaturesAt(view, sd.boot_day);
           Var q;
           if (dec) {
             if (c < n) {

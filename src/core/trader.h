@@ -143,8 +143,9 @@ class CrossInsightTrader : public env::TradingAgent {
 
   // Compiled-forward caches for the deterministic inference path: one per
   // horizon policy plus one for the cross-insight policy. Batch size is
-  // part of the input-shape key, so the caches are widened to one live
-  // key per batch size (serving mixes sizes 1..max_batch). Parameter
+  // the only varying part of the input-shape key, so each cache holds one
+  // live key per batch size (serving mixes sizes 1..max_batch, within
+  // plan::CompiledFn::kMaxEntries). Parameter
   // staleness is handled inside the plans (per-parameter version
   // snapshots), so training between backtests just re-records.
   std::vector<plan::CompiledFn> actor_plans_;

@@ -8,12 +8,14 @@
 #include "math/tensor.h"
 
 namespace cit::plan::detail {
-// Trace-recorder hooks, defined in math/plan.cc. While a CompiledFn is
-// recording on a thread, MakeOp/MakeOpVec ping NoteOp() for every op
-// executed so the recorder can verify it saw a matching Record* call for
-// each one — an op added without a recording hook then poisons the plan
-// (permanent interpreted fallback) instead of replaying garbage.
-extern thread_local bool t_recording;
+// Trace-recorder hooks. t_recording is true while the calling thread is
+// recording a plan (math/plan.cc sets and clears it; NoteOp is defined
+// there). While a CompiledFn is recording on a thread, MakeOp/MakeOpVec
+// ping NoteOp() for every op executed so the recorder can verify it saw a
+// matching Record* call for each one — an op added without a recording
+// hook then poisons the plan (permanent interpreted fallback) instead of
+// replaying garbage.
+inline thread_local bool t_recording = false;
 void NoteOp();
 }  // namespace cit::plan::detail
 
@@ -42,8 +44,8 @@ inline bool GradEnabled() { return detail::GradEnabledFlag(); }
 
 // Process-wide kill switch for the no-grad fast path: when disallowed,
 // NoGradGuard is a no-op and every forward builds the full graph. Exists
-// so tests and benches (tests/test_inference.cc, bench/bench_infer) can
-// drive the graph path through unchanged call sites.
+// so tests/test_inference.cc can drive the graph path through unchanged
+// call sites and check it against the graph-free path bitwise.
 void SetNoGradAllowed(bool allowed);
 bool NoGradAllowed();
 

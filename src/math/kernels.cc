@@ -174,9 +174,10 @@ void ScalarGemmTile(const float* a, int64_t lda, const float* pack,
 
 void GemmRowRange(const float* a, const float* b, float* c, int64_t i_lo,
                   int64_t i_hi, int64_t q, int64_t r, bool use_simd) {
+  if (r == 0) return;  // C has no columns (and may be null)
   std::memset(c + i_lo * r, 0,
               sizeof(float) * static_cast<size_t>((i_hi - i_lo) * r));
-  if (q == 0 || r == 0) return;
+  if (q == 0) return;
   float* pack = PackBuffer();
   for (int64_t j0 = 0; j0 < r; j0 += kGemmNr) {
     const int64_t nr = std::min<int64_t>(kGemmNr, r - j0);

@@ -50,7 +50,7 @@ enum class Backend { kScalar, kSimd };
 
 // The backend every kernel currently dispatches to.
 Backend ActiveBackend();
-// Overrides the backend at runtime (tests and benches; not thread-safe
+// Overrides the backend at runtime (tests; not thread-safe
 // against in-flight kernels — call it between kernel invocations only).
 // kSimd is clamped to kScalar when no ISA path was compiled in. Returns
 // the previously active backend so callers can restore it.

@@ -27,10 +27,6 @@ void SetCompileAllowed(bool allowed) {
   g_compile_allowed.store(allowed, std::memory_order_relaxed);
 }
 
-namespace detail {
-thread_local bool t_recording = false;
-}  // namespace detail
-
 namespace {
 
 // ---- Plan data model -------------------------------------------------------
@@ -351,7 +347,6 @@ struct CompiledFn::Impl {
   std::vector<Entry> entries;
   PlanStats stats;
   uint64_t tick = 0;
-  int64_t capacity = kMaxEntries;
 
   // Shape keys the LRU has dropped, so a later miss on the same key can be
   // attributed to the eviction (plan.misses_evicted — the thrash signal)
@@ -540,10 +535,6 @@ void CompiledFn::Clear() {
   impl_->owner.store(std::thread::id(), std::memory_order_relaxed);
 }
 
-void CompiledFn::SetCapacity(int64_t capacity) {
-  impl_->capacity = capacity < 1 ? 1 : capacity;
-}
-
 Tensor CompiledFn::Run(std::initializer_list<const Tensor*> inputs,
                        const std::function<ag::Var()>& forward) {
   Impl& im = *impl_;
@@ -574,7 +565,7 @@ Tensor CompiledFn::Run(std::initializer_list<const Tensor*> inputs,
       }
     }
   } else {
-    while (im.entries.size() >= static_cast<size_t>(im.capacity)) {
+    while (im.entries.size() >= static_cast<size_t>(kMaxEntries)) {
       size_t victim = 0;
       for (size_t i = 1; i < im.entries.size(); ++i) {
         if (im.entries[i].last_used < im.entries[victim].last_used) {

@@ -33,17 +33,10 @@ using math::Tensor;
 
 // Process-wide kill switch for compiled replay, mirroring
 // ag::SetNoGradAllowed: when disallowed, CompiledFn::Run simply executes
-// the wrapped forward interpreted, so tests and benches (tests/test_plan.cc,
-// bench/bench_infer) can drive both paths through unchanged call sites.
+// the wrapped forward interpreted, so tests/test_plan.cc can drive both
+// paths through unchanged call sites and check them against each other.
 bool CompileAllowed();
 void SetCompileAllowed(bool allowed);
-
-namespace detail {
-// Declared in math/autograd.h too (for MakeOp's NoteOp ping); defined in
-// plan.cc. True while the calling thread is recording a plan.
-extern thread_local bool t_recording;
-void NoteOp();
-}  // namespace detail
 
 // True while the calling thread is recording: op bodies in autograd.cc
 // guard their Record* calls on this so the non-recording path never builds
@@ -129,16 +122,11 @@ class CompiledFn {
   // persist). After Clear() the next Run may come from any one thread.
   void Clear();
 
-  // LRU capacity per CompiledFn. Small on purpose: an agent sees one or two
-  // live shape keys; the cap exists to bound a shape-churning caller.
-  static constexpr int kMaxEntries = 8;
-
-  // Overrides the LRU capacity for this instance (clamped to >= 1; cached
-  // entries beyond the new capacity are evicted lazily on the next miss).
-  // Callers with a legitimately wide shape working set — the serving
-  // batcher sees one key per live batch size per policy — raise this so
-  // hot plans are not churned through the default 8 slots.
-  void SetCapacity(int64_t capacity);
+  // LRU capacity per CompiledFn. The widest working set is the trader's:
+  // one shape key per live batch size (1..max_batch when serving) per plan.
+  // Most agents see one or two keys; the cap bounds a shape-churning
+  // caller and allocates nothing up front.
+  static constexpr int kMaxEntries = 32;
 
  private:
   struct Impl;

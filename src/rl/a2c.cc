@@ -118,10 +118,13 @@ std::vector<double> A2cAgent::Train(const market::PanelView& panel,
       SlotData& sd = slots[slot];
       env::PortfolioEnv senv = env.CloneAt(
           lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
+      // A PanelView is single-threaded (its chunk ring is mutable), so
+      // the slot reads prices through its own env clone's view.
+      const market::PanelView& view = senv.view();
       std::vector<double> held(num_assets_,
                                1.0 / static_cast<double>(num_assets_));
       for (int64_t t = 0; t < config_.rollout_len && !senv.done(); ++t) {
-        ag::Var input = PolicyInput(panel, senv.current_day(), held);
+        ag::Var input = PolicyInput(view, senv.current_day(), held);
         ag::Var mean = actor_->Forward(input);
         GaussianAction action = SampleGaussianSimplex(mean, log_std_, &rng);
         sd.values.push_back(critic_->Forward(input));
@@ -137,7 +140,7 @@ std::vector<double> A2cAgent::Train(const market::PanelView& panel,
       double bootstrap = 0.0;
       if (!senv.done()) {
         ag::NoGradGuard no_grad;
-        ag::Var input = PolicyInput(panel, senv.current_day(), held);
+        ag::Var input = PolicyInput(view, senv.current_day(), held);
         bootstrap = critic_->Forward(input).value().Item();
       }
       sd.targets = DiscountedReturns(sd.rewards, config_.gamma, bootstrap);

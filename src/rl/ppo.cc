@@ -106,11 +106,14 @@ std::vector<double> PpoAgent::Train(const market::PanelView& panel,
       SlotData& sd = slots[slot];
       env::PortfolioEnv senv = env.CloneAt(
           lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
+      // A PanelView is single-threaded (its chunk ring is mutable), so
+      // the slot reads prices through its own env clone's view.
+      const market::PanelView& view = senv.view();
       std::vector<double> held(num_assets_,
                                1.0 / static_cast<double>(num_assets_));
       std::vector<double> values;
       for (int64_t t = 0; t < config_.rollout_len && !senv.done(); ++t) {
-        Tensor state = StateTensor(panel, senv.current_day(), held);
+        Tensor state = StateTensor(view, senv.current_day(), held);
         ag::Var input = ag::Var::Constant(state);
         ag::Var mean = actor_->Forward(input);
         GaussianAction action = SampleGaussianSimplex(mean, log_std_, &rng);
@@ -127,7 +130,7 @@ std::vector<double> PpoAgent::Train(const market::PanelView& panel,
         bootstrap =
             critic_
                 ->Forward(ag::Var::Constant(
-                    StateTensor(panel, senv.current_day(), held)))
+                    StateTensor(view, senv.current_day(), held)))
                 .value()
                 .Item();
       }

@@ -11,6 +11,7 @@
 #include "core/trader.h"
 #include "env/backtest.h"
 #include "market/simulator.h"
+#include "obs/telemetry.h"
 #include "rl/features.h"
 
 namespace cit::core {
@@ -246,6 +247,43 @@ TEST(StackedDecide, BatchMatchesSingleDecidesBitwise) {
       }
     }
   }
+}
+
+// Batch size is the only varying part of a plan's shape key: request
+// history length adds no key, and a serving mix of every batch size up to
+// citd's default max_batch (8) fits each of the n+1 plan caches. The first
+// pass records each (plan, B) once; the second replays all of them.
+TEST(StackedDecide, EveryBatchSizeRecordsOnceAndReplays) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with CIT_OBS=OFF";
+  const market::PricePanel src = SmallPanel();
+  const int64_t n = 2;
+  const int64_t max_batch = 8;
+  CrossInsightConfig cfg = TinyConfig(n);
+  CrossInsightTrader trader(src.num_assets(), cfg);
+  obs::SetEnabled(true);
+  obs::Registry::Global().ResetAll();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t batch = 1; batch <= max_batch; ++batch) {
+      // Mixed history lengths, each request ending on its own day.
+      std::vector<market::PricePanel> panels;
+      for (int64_t b = 0; b < batch; ++b) {
+        panels.push_back(RequestWindow(src, 60 + 7 * b + pass,
+                                       cfg.window + (b + pass) % 3));
+      }
+      const std::vector<market::PanelView> views(panels.begin(),
+                                                 panels.end());
+      ASSERT_EQ(trader.DecideWeightsBatch(views).size(),
+                static_cast<size_t>(batch));
+    }
+  }
+  obs::SetEnabled(false);
+  auto count = [](const char* name) {
+    return obs::Registry::Global().GetCounter(name).Total();
+  };
+  const uint64_t keys = static_cast<uint64_t>((n + 1) * max_batch);
+  EXPECT_EQ(count("plan.misses"), keys);
+  EXPECT_EQ(count("plan.hits"), keys);
+  EXPECT_EQ(count("plan.misses_evicted"), 0u);
 }
 
 TEST(Trader, CounterfactualLearnsPlantedBandSignal) {

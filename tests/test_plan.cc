@@ -404,29 +404,6 @@ TEST(CompiledCache, MissSplitDistinguishesColdFromEvicted) {
             fn.stats().misses_cold + fn.stats().misses_evicted);
 }
 
-// SetCapacity widens the LRU so a shape working set that would thrash the
-// default 8 entries (the serving batcher's live batch sizes) replays.
-TEST(CompiledCache, WidenedCapacityStopsThrash) {
-  plan::CompiledFn fn;
-  fn.SetCapacity(32);
-  ag::NoGradGuard no_grad;
-  auto run_len = [&](int64_t n) {
-    Tensor x = Tensor::Full({n}, 1.0f);
-    (void)fn.Run({&x},
-                 [&] { return ag::Relu(ag::Var::Constant(x)); });
-  };
-  const int64_t shapes = plan::CompiledFn::kMaxEntries + 3;  // > default cap
-  for (int round = 0; round < 3; ++round) {
-    for (int64_t n = 1; n <= shapes; ++n) run_len(n);
-  }
-  EXPECT_EQ(fn.stats().misses, shapes);  // one record per shape, ever
-  EXPECT_EQ(fn.stats().misses_cold, shapes);
-  EXPECT_EQ(fn.stats().misses_evicted, 0);
-  EXPECT_EQ(fn.stats().evictions, 0);
-  EXPECT_EQ(fn.stats().hits, 2 * shapes);
-  EXPECT_EQ(fn.stats().entries, shapes);
-}
-
 // ---- Elementwise fusion ------------------------------------------------------
 
 TEST(CompiledFusion, FusedChainMatchesInterpreted) {
