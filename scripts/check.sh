@@ -25,13 +25,17 @@
 #      tests with CIT_OVERSUBSCRIBE=1 so real multi-thread interleavings
 #      are exercised even on small hosts.
 #   5. A CIT_OBS=OFF build, proving the instrumentation compiles out.
+#   6. A portable (-DCIT_NATIVE_ARCH=OFF) build running test_kernels at 1
+#      and 4 threads: the direct conv's bitwise reference test must also
+#      hold where the compiler emits no FMA.
 #
 # Performance is measured by one harness, the end-to-end benchmark
 # (bash bench/e2e/run.sh, see bench/e2e/README.md); tier-1 ctest already
 # runs its unit tests and smoke runs, so no step here asserts a number.
 #
 # Usage: scripts/check.sh [--quick]
-#   --quick stops after step 2 (no sanitizer or CIT_OBS=OFF builds).
+#   --quick stops after step 2 (no sanitizer, CIT_OBS=OFF or portable
+#   builds).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,8 +61,9 @@ run cmake --build build -j"$(nproc)"
 echo "=== kernel-backend gate (dispatch matrix at 1 and 4 threads) ==="
 # test_kernels runs the adversarial GEMM/conv shape matrix (prime and tail
 # dims straddling every microkernel boundary), per-backend bitwise thread
-# invariance, simd-vs-scalar agreement, the pack-buffer steady-state
-# allocation check, and the byte-accounting formula pins.
+# invariance, simd-vs-scalar agreement, the direct conv against its
+# bitwise reference loop, the pack-buffer steady-state allocation check,
+# and the byte-accounting formula pins.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_kernels)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_kernels)
 
@@ -227,5 +232,15 @@ echo "=== CIT_OBS=OFF build (instrumentation compiles out) ==="
 run cmake -B build-noobs -S . -DCMAKE_BUILD_TYPE=Release -DCIT_OBS=OFF
 run cmake --build build-noobs -j"$(nproc)" --target test_obs
 (cd build-noobs && run ./tests/test_obs)
+
+echo "=== portable build (CIT_NATIVE_ARCH=OFF) + kernel tests ==="
+# No -march=native: on x86 there is no SIMD path and no FMA contraction,
+# so the kernels and their bitwise references round every multiply-add
+# twice.
+run cmake -B build-portable -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCIT_NATIVE_ARCH=OFF
+run cmake --build build-portable -j"$(nproc)" --target test_kernels
+(cd build-portable && run env CIT_NUM_THREADS=1 ./tests/test_kernels)
+(cd build-portable && run env CIT_NUM_THREADS=4 ./tests/test_kernels)
 
 echo "ALL CHECKS PASSED"

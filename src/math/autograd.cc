@@ -741,22 +741,24 @@ Var Reshape(const Var& a, Shape shape) {
 
 namespace {
 
-// Raw strided-copy core shared by the interpreted path and replay closures.
+// Raw strided-copy core shared by the interpreted path, replay closures and
+// the backward: one strided triple loop over the output, with ranks below 3
+// lifted to rank 3 by leading unit dims.
 void PermuteRaw(const float* src, float* dst, const Shape& out_shape,
                 const std::vector<int64_t>& in_strides,
                 const std::vector<int64_t>& perm) {
-  const int64_t nd = static_cast<int64_t>(out_shape.size());
-  std::vector<int64_t> idx(nd, 0);
-  int64_t n = 1;
-  for (int64_t d : out_shape) n *= d;
-  for (int64_t flat = 0; flat < n; ++flat) {
-    int64_t s = 0;
-    for (int64_t i = 0; i < nd; ++i) s += idx[i] * in_strides[perm[i]];
-    dst[flat] = src[s];
-    // Advance the multi-index over the *output* shape.
-    for (int64_t i = nd - 1; i >= 0; --i) {
-      if (++idx[i] < out_shape[i]) break;
-      idx[i] = 0;
+  const size_t nd = out_shape.size();
+  CIT_CHECK_LE(nd, 3u);
+  int64_t dims[3] = {1, 1, 1};
+  int64_t strides[3] = {0, 0, 0};
+  for (size_t i = 0; i < nd; ++i) {
+    dims[3 - nd + i] = out_shape[i];
+    strides[3 - nd + i] = in_strides[perm[i]];
+  }
+  for (int64_t i0 = 0; i0 < dims[0]; ++i0) {
+    for (int64_t i1 = 0; i1 < dims[1]; ++i1) {
+      const float* row = src + i0 * strides[0] + i1 * strides[1];
+      for (int64_t i2 = 0; i2 < dims[2]; ++i2) *dst++ = row[i2 * strides[2]];
     }
   }
 }

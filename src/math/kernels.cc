@@ -512,30 +512,64 @@ void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n) {
 
 namespace {
 
-// Direct triple loop, one (batch, cout) output row at a time. Accumulation
-// over (cin, tap) ascends exactly like the im2col GEMM's k dimension.
+// Per-thread scratch of the direct conv, grown to the largest call the
+// thread has run and reused after, so steady-state convs are
+// allocation-free (like the GEMM pack panel).
+float* ConvScratch(int64_t floats) {
+  thread_local std::vector<float> scratch;
+  if (scratch.size() < static_cast<size_t>(floats)) {
+    scratch = std::vector<float>(static_cast<size_t>(floats));
+  }
+  return scratch.data();
+}
+
+// Time-major direct conv. x is regrouped to xt:[cin, len, batch], so one
+// (co, ci, tap) term is a single contiguous acc += w * x pass over
+// (len - shift) * batch floats of the [cout, len, batch] accumulator; the
+// result is written back to [batch, cout, len] with the bias added last.
+// Every output element starts at +0 and accumulates in ascending (cin, tap)
+// order, exactly like the im2col GEMM's k dimension, through the same
+// `+= w * x` expression as a per-row triple loop, so the result equals that
+// loop's bit for bit (FMA contraction included).
 void ConvDirect(const float* x, const float* w, const float* bias, float* out,
                 int64_t batch, int64_t cin, int64_t cout, int64_t len,
                 int64_t k, int64_t dilation) {
+  if (batch * cout * len == 0) return;  // empty output; scratch may be null
+  const int64_t plane = len * batch;  // one channel, time-major
+  float* xt = ConvScratch((cin + cout) * plane);
+  float* acc = xt + cin * plane;
   for (int64_t bi = 0; bi < batch; ++bi) {
-    for (int64_t co = 0; co < cout; ++co) {
-      float* orow = out + (bi * cout + co) * len;
-      std::memset(orow, 0, sizeof(float) * static_cast<size_t>(len));
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        const float* xrow = x + (bi * cin + ci) * len;
-        const float* wrow = w + (co * cin + ci) * k;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const int64_t shift = (k - 1 - kk) * dilation;
-          const float wk = wrow[kk];
-          if (wk == 0.0f) continue;
-          for (int64_t t = shift; t < len; ++t) {
-            orow[t] += wk * xrow[t - shift];
-          }
-        }
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      const float* xrow = x + (bi * cin + ci) * len;
+      float* dst = xt + ci * plane + bi;
+      for (int64_t t = 0; t < len; ++t) dst[t * batch] = xrow[t];
+    }
+  }
+  std::memset(acc, 0, sizeof(float) * static_cast<size_t>(cout * plane));
+  for (int64_t co = 0; co < cout; ++co) {
+    float* arow = acc + co * plane;
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      const float* xplane = xt + ci * plane;
+      const float* wrow = w + (co * cin + ci) * k;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const int64_t shift = (k - 1 - kk) * dilation;
+        const float wk = wrow[kk];
+        if (wk == 0.0f || shift >= len) continue;
+        const int64_t off = shift * batch;
+        for (int64_t i = off; i < plane; ++i) arow[i] += wk * xplane[i - off];
       }
+    }
+  }
+  for (int64_t co = 0; co < cout; ++co) {
+    const float* arow = acc + co * plane;
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      float* orow = out + (bi * cout + co) * len;
+      const float* src = arow + bi;
       if (bias != nullptr) {
         const float bv = bias[co];
-        for (int64_t t = 0; t < len; ++t) orow[t] += bv;
+        for (int64_t t = 0; t < len; ++t) orow[t] = src[t * batch] + bv;
+      } else {
+        for (int64_t t = 0; t < len; ++t) orow[t] = src[t * batch];
       }
     }
   }
@@ -597,22 +631,29 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
     // memcpy body), and the bias add read-modify-writes the output
     // (2*cout*len) — the lowered GEMM's own traffic (including its reads
     // of the patch and of w) lands in kernels.gemm_bytes via the MatMul it
-    // calls. Direct, per batch: output memset (cout*len stores), each
-    // weight read once (cout*cin*k), then per (co, ci, tap) an
-    // output-row read-modify-write against an input-row read
-    // (3*cout*cin*S), plus the bias pass (2*cout*len); the data-dependent
-    // zero-weight skip is ignored, so this is the dense upper bound.
-    // Pinned by tests/test_kernels.cc KernelObs.ConvBytesFormula.
+    // calls. Direct, per batch: the regroup of x into the time-major
+    // scratch (2*cin*len), the accumulator zero-fill (cout*len stores),
+    // per (co, ci, tap) an accumulator read-modify-write against an input
+    // read (3*cout*cin*S), and the regroup out, which reads the
+    // accumulator and writes the output with the bias add fused in
+    // (2*cout*len); per call, each weight and bias value is read once
+    // (cout*cin*k + cout). The data-dependent zero-weight skip is ignored,
+    // so this is the dense upper bound. Pinned by tests/test_kernels.cc
+    // KernelObs.ConvBytesFormulaBothPaths.
     int64_t taps = 0;  // S above
     for (int64_t kk = 0; kk < k; ++kk) {
       taps += std::max<int64_t>(0, len - (k - 1 - kk) * dilation);
     }
-    const int64_t bias_traffic = bias != nullptr ? 2 * cout * len : 0;
-    const int64_t per_batch =
-        im2col ? cin * taps + cin * k * len + bias_traffic
-               : cout * len + cout * cin * k + 3 * cout * cin * taps +
-                     bias_traffic;
-    CIT_OBS_COUNT("kernels.conv_bytes", int64_t{4} * batch * per_batch);
+    int64_t floats = 0;
+    if (im2col) {
+      const int64_t bias_traffic = bias != nullptr ? 2 * cout * len : 0;
+      floats = batch * (cin * taps + cin * k * len + bias_traffic);
+    } else {
+      floats = batch * (2 * cin * len + 3 * cout * len +
+                        3 * cout * cin * taps) +
+               cout * cin * k + (bias != nullptr ? cout : 0);
+    }
+    CIT_OBS_COUNT("kernels.conv_bytes", int64_t{4} * floats);
   }
 #endif
   if (im2col) {

@@ -190,9 +190,17 @@ void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n);
 // x:[batch, cin, len], w:[cout, cin, k], bias:[cout] or nullptr,
 // out:[batch, cout, len] (overwritten). Left-pads implicitly with
 // (k-1)*dilation zeros. Large problems take a fused im2col + GEMM path
-// (reusing the blocked MatMul, hence its parallelism); small ones use a
-// direct loop. The path choice depends only on shapes, so results stay
-// deterministic across thread counts.
+// (reusing the blocked MatMul, hence its parallelism); small ones
+// (2*cout*cin*k*len < 2^16, or len < 8) take a serial time-major direct
+// path: x is regrouped into a grow-only per-thread [cin, len, batch]
+// scratch buffer and each (cout, cin, tap) term is one contiguous
+// `acc += w * x` pass over a [cout, len, batch] accumulator. Each direct
+// output element starts at +0, accumulates in ascending (cin, tap) order
+// (zero weights skipped) and adds the bias last, so the path is bitwise
+// equal to a plain per-row triple loop compiled with the same flags
+// (tests/test_kernels.cc ConvDirectMatchesReferenceBitwise), on both
+// backends and at any thread count. The path choice depends only on
+// shapes, so results stay deterministic across thread counts.
 void CausalConv1dForward(const float* x, const float* w, const float* bias,
                          float* out, int64_t batch, int64_t cin, int64_t cout,
                          int64_t len, int64_t k, int64_t dilation);

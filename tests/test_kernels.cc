@@ -10,6 +10,8 @@
 //  - simd-vs-scalar agreement: 0 ULP on the non-FMA arms the contract
 //    promises exact (plain elementwise ops, FusedElemwise chains), a
 //    documented tolerance on the FMA arms (MatMul, Axpy, conv-via-im2col);
+//  - the time-major direct conv bitwise equal to a plain per-row triple
+//    loop at the model's shapes and on special values;
 //  - the packed-panel buffer staying allocation-free in steady state
 //    (kernels.gemm_pack_allocs);
 //  - the kernels.gemm_bytes / conv_bytes traffic formulas, pinned against
@@ -17,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -347,6 +350,11 @@ const ConvShape kConvShapes[] = {
     {3, 4, 16, 257, 1, 1},    // im2col, k == 1
 };
 
+// The forward's shape gate (kernels.cc CausalConv1dForward).
+bool IsDirectConv(const ConvShape& s) {
+  return 2 * s.cout * s.cin * s.k * s.len < (1 << 16) || s.len < 8;
+}
+
 std::vector<float> RunConv(const ConvShape& s, kn::Backend b, int threads) {
   BackendGuard bg(b);
   ThreadCountGuard tg(threads);
@@ -387,6 +395,123 @@ TEST(KernelDispatch, ConvSimdMatchesScalarWithinTolerance) {
           << " vs scalar " << ref[i];
     }
   }
+}
+
+// Bitwise reference for the direct path: the plain triple loop, one
+// (batch, cout) output row at a time, starting at +0, ascending (cin, tap),
+// zero weights skipped, bias added last. Compiled with the same flags as
+// the kernel, so its `+= w * x` contracts (or not) exactly like the
+// kernel's.
+void ReferenceConvDirect(const float* x, const float* w, const float* bias,
+                         float* out, int64_t batch, int64_t cin, int64_t cout,
+                         int64_t len, int64_t k, int64_t dilation) {
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    for (int64_t co = 0; co < cout; ++co) {
+      float* orow = out + (bi * cout + co) * len;
+      std::memset(orow, 0, sizeof(float) * static_cast<size_t>(len));
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        const float* xrow = x + (bi * cin + ci) * len;
+        const float* wrow = w + (co * cin + ci) * k;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const int64_t shift = (k - 1 - kk) * dilation;
+          const float wk = wrow[kk];
+          if (wk == 0.0f) continue;
+          for (int64_t t = shift; t < len; ++t) {
+            orow[t] += wk * xrow[t - shift];
+          }
+        }
+      }
+      if (bias != nullptr) {
+        const float bv = bias[co];
+        for (int64_t t = 0; t < len; ++t) orow[t] += bv;
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, ConvDirectMatchesReferenceBitwise) {
+  struct Case {
+    ConvShape s;
+    const char* what;
+  };
+  const Case cases[] = {
+      {{20, 1, 6, 24, 3, 1}, "U.S. block 1 conv1"},
+      {{20, 6, 6, 24, 3, 1}, "U.S. block 1 conv2"},
+      {{20, 6, 6, 24, 3, 2}, "U.S. block 2, dilation 2"},
+      {{20, 1, 6, 24, 1, 1}, "U.S. k = 1 projection"},
+      {{8, 1, 6, 16, 3, 1}, "citd batch 8"},
+      {{8, 6, 6, 16, 3, 2}, "citd batch 8, dilation 2"},
+      {{64, 6, 6, 16, 3, 1}, "citd batch 64"},
+      {{64, 1, 6, 16, 1, 1}, "citd batch 64 projection"},
+      {{1, 6, 6, 24, 3, 2}, "batch 1"},
+      {{3, 2, 4, 5, 3, 7}, "shift >= len on two taps"},
+      {{4, 3, 5, 1, 3, 1}, "len 1"},
+      {{5, 3, 7, 13, 2, 3}, "odd dims"},
+  };
+  // Special inputs: the one NaN this hardware generates itself (so every
+  // NaN the two loops can meet has the same bits and propagation order
+  // cannot show), infinities and negative zero.
+  volatile float inf_v = INFINITY;
+  const float nan = inf_v - inf_v;
+  const float specials[] = {nan, INFINITY, -INFINITY, -0.0f};
+  for (const Case& c : cases) {
+    const ConvShape& s = c.s;
+    ASSERT_TRUE(IsDirectConv(s)) << c.what << " takes the im2col path";
+    for (bool special : {false, true}) {
+      Rng rng(71 + s.batch * 13 + s.cin * 5 + s.len + (special ? 1 : 0));
+      std::vector<float> x(static_cast<size_t>(s.batch * s.cin * s.len));
+      std::vector<float> w(static_cast<size_t>(s.cout * s.cin * s.k));
+      std::vector<float> bias(static_cast<size_t>(s.cout));
+      for (float& v : x) {
+        v = rng.Uniform(-1.0f, 1.0f);
+        if (special && rng.Uniform(0.0f, 1.0f) < 0.05f) {
+          v = specials[static_cast<int>(rng.Uniform(0.0f, 4.0f)) % 4];
+        }
+      }
+      // Zero weights, both signs, take the skip.
+      for (float& v : w) {
+        const float u = rng.Uniform(0.0f, 1.0f);
+        v = u < 0.1f ? 0.0f : u < 0.2f ? -0.0f : rng.Uniform(-1.0f, 1.0f);
+      }
+      for (float& v : bias) v = rng.Uniform(-1.0f, 1.0f);
+      bias[0] = -0.0f;
+      for (bool with_bias : {false, true}) {
+        const float* b = with_bias ? bias.data() : nullptr;
+        std::vector<float> ref(static_cast<size_t>(s.batch * s.cout * s.len));
+        ReferenceConvDirect(x.data(), w.data(), b, ref.data(), s.batch, s.cin,
+                            s.cout, s.len, s.k, s.dilation);
+        for (kn::Backend be : AllBackends()) {
+          for (int threads : {1, 4}) {
+            BackendGuard bg(be);
+            ThreadCountGuard tg(threads);
+            std::vector<float> got(ref.size(), 7.25f);
+            kn::CausalConv1dForward(x.data(), w.data(), b, got.data(),
+                                    s.batch, s.cin, s.cout, s.len, s.k,
+                                    s.dilation);
+            ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << c.what << (special ? ", special inputs" : "")
+                << (with_bias ? ", bias" : ", no bias") << ": " << Name(be)
+                << " at " << threads << " threads differs from the reference";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, ConvDirectEmptyOutputTouchesNothing) {
+  // On a fresh thread the direct conv's scratch is still unallocated, so an
+  // empty first call must not hand its null buffer to memset.
+  std::thread([] {
+    float x = 1.0f, w = 1.0f, b = 1.0f, out = 7.25f;
+    kn::CausalConv1dForward(&x, &w, &b, &out, /*batch=*/0, 1, 1, 4, 1, 1);
+    kn::CausalConv1dForward(&x, &w, &b, &out, 1, 1, 1, /*len=*/0, 1, 1);
+    kn::CausalConv1dForward(&x, &w, &b, &out, 1, /*cin=*/0, /*cout=*/0, 4, 1,
+                            1);
+    EXPECT_EQ(out, 7.25f);
+  }).join();
 }
 
 // ---- Packed-panel buffer: allocation-free steady state ---------------------
@@ -466,26 +591,31 @@ TEST(KernelObs, ConvBytesFormulaBothPaths) {
   TelemetryGuard telemetry(true);
   ThreadCountGuard tg(1);
   for (const ConvShape& s : {ConvShape{1, 2, 3, 6, 2, 1},      // direct
+                             ConvShape{4, 2, 3, 6, 2, 1},      // direct
                              ConvShape{2, 8, 16, 127, 3, 3}})  // im2col
   {
-    const bool im2col = 2 * s.cout * s.cin * s.k * s.len >= (1 << 16) &&
-                        s.len >= 8;
+    const bool im2col = !IsDirectConv(s);
     obs::Registry::Global().ResetAll();
     RunConv(s, kn::ActiveBackend(), 1);
     int64_t taps = 0;  // post-pad tap coverage, shared by both formulas
     for (int64_t kk = 0; kk < s.k; ++kk) {
       taps += std::max<int64_t>(0, s.len - (s.k - 1 - kk) * s.dilation);
     }
-    const int64_t bias_traffic = 2 * s.cout * s.len;
-    const int64_t per_batch =
-        im2col
-            ? s.cin * taps + s.cin * s.k * s.len + bias_traffic
-            : s.cout * s.len + s.cout * s.cin * s.k +
-                  3 * s.cout * s.cin * taps + bias_traffic;
+    // Im2col, per batch: tap re-reads + patch writes + the bias RMW pass.
+    // Direct, per batch: regroup in + accumulator zero-fill + per-tap RMW
+    // against an input read + regroup out with the bias fused in; per
+    // call, the weights and the bias read once.
+    const int64_t floats =
+        im2col ? s.batch * (s.cin * taps + s.cin * s.k * s.len +
+                            2 * s.cout * s.len)
+               : s.batch * (2 * s.cin * s.len + 3 * s.cout * s.len +
+                            3 * s.cout * s.cin * taps) +
+                     s.cout * s.cin * s.k + s.cout;
     EXPECT_EQ(
         obs::Registry::Global().GetCounter("kernels.conv_bytes").Total(),
-        static_cast<uint64_t>(4 * s.batch * per_batch))
-        << (im2col ? "im2col" : "direct") << " path, len=" << s.len;
+        static_cast<uint64_t>(4 * floats))
+        << (im2col ? "im2col" : "direct") << " path, batch=" << s.batch
+        << " len=" << s.len;
     // The lowered GEMM books its own traffic under kernels.gemm_bytes —
     // present exactly when the im2col path ran.
     const uint64_t gemm_calls =

@@ -1,6 +1,8 @@
 // Scenario transform semantics + the expected-ordering suite: each stress
 // preset must hurt exactly the strategy class it is designed to hurt, at
-// fixed seeds (DESIGN.md §11).
+// fixed seeds (DESIGN.md §11). ScenarioSweep runs CIT cells through
+// env::RunSweep on the pool and pins the report byte for byte across
+// thread counts.
 #include <cmath>
 #include <memory>
 #include <string>
@@ -8,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+#include "core/trader.h"
 #include "env/backtest.h"
+#include "env/sweep.h"
 #include "market/scenario.h"
 #include "market/simulator.h"
 #include "market/source.h"
@@ -328,6 +333,48 @@ TEST(ScenarioOrdering, CorrelationBreakdownShrinksCrossSectionalEdge) {
       env::RunTestBacktest(bnh_b, view, 16).wealth.back();
   EXPECT_LT(std::abs(crp_crushed - bnh_crushed),
             std::abs(crp_plain - bnh_plain));
+}
+
+// ---- Sweep on pool threads -------------------------------------------------
+
+TEST(ScenarioSweep, CitCellsByteIdenticalAcrossThreadCounts) {
+  // CIT cells run their decides (and so the conv kernel's per-thread
+  // scratch) on pool workers; the report must not depend on which worker
+  // ran which cell.
+  const PricePanel panel = SimulateMarket(ScenarioMarket(5));
+  InMemorySource base(&panel);
+  core::CrossInsightConfig cc;
+  cc.num_policies = 2;
+  cc.window = 16;
+  const int64_t num_assets = panel.num_assets();
+  const std::vector<env::SweepAgentSpec> agents = {
+      {"CIT", [cc, num_assets](uint64_t seed) {
+         core::CrossInsightConfig c = cc;
+         c.seed = seed;
+         return std::make_unique<core::CrossInsightTrader>(num_assets, c);
+       }}};
+  env::SweepConfig config;
+  config.seeds = {3, 4};
+  config.window = cc.window;
+  const std::vector<std::string> stacks = {"", "flash_crash:depth=0.25"};
+
+  auto run = [&](int threads) -> std::string {
+    const int saved = ThreadPool::Global().num_threads();
+    ThreadPool::Global().SetNumThreads(threads);
+    auto report = env::RunSweep(&base, stacks, agents, config);
+    ThreadPool::Global().SetNumThreads(saved);
+    EXPECT_TRUE(report.ok()) << report.status().message();
+    if (!report.ok()) return "";
+    EXPECT_EQ(report.value().cells.size(), 4u);
+    for (const env::SweepCell& c : report.value().cells) {
+      EXPECT_TRUE(std::isfinite(c.final_wealth)) << c.scenario;
+      EXPECT_EQ(c.repaired_steps, 0) << c.scenario;
+    }
+    return report.value().ToJson();
+  };
+  const std::string one_thread = run(1);
+  ASSERT_FALSE(one_thread.empty());
+  EXPECT_EQ(one_thread, run(4));
 }
 
 }  // namespace
