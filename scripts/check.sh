@@ -28,14 +28,18 @@
 #   6. A portable (-DCIT_NATIVE_ARCH=OFF) build running test_kernels at 1
 #      and 4 threads: the direct conv's bitwise reference test must also
 #      hold where the compiler emits no FMA.
+#   7. An AVX2 build (-DCIT_NATIVE_ARCH=OFF -DCMAKE_CXX_FLAGS="-mavx2
+#      -mfma") running test_kernels and test_plan at 1 and 4 threads: the
+#      SIMD backend's AVX2 arms compile only where AVX-512 is absent, so no
+#      other step builds or runs them on an AVX-512 host.
 #
 # Performance is measured by one harness, the end-to-end benchmark
 # (bash bench/e2e/run.sh, see bench/e2e/README.md); tier-1 ctest already
 # runs its unit tests and smoke runs, so no step here asserts a number.
 #
 # Usage: scripts/check.sh [--quick]
-#   --quick stops after step 2 (no sanitizer, CIT_OBS=OFF or portable
-#   builds).
+#   --quick stops after step 2 (no sanitizer, CIT_OBS=OFF, portable or
+#   AVX2 builds).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,8 +65,9 @@ run cmake --build build -j"$(nproc)"
 echo "=== kernel-backend gate (dispatch matrix at 1 and 4 threads) ==="
 # test_kernels runs the adversarial GEMM/conv shape matrix (prime and tail
 # dims straddling every microkernel boundary), per-backend bitwise thread
-# invariance, simd-vs-scalar agreement, the direct conv against its
-# bitwise reference loop, the pack-buffer steady-state allocation check,
+# invariance, simd-vs-scalar agreement, both direct-conv arms against
+# their bitwise reference loop (tile edges, non-finite weights, 6,000
+# seeded random shapes), the pack-buffer steady-state allocation check,
 # and the byte-accounting formula pins.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_kernels)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_kernels)
@@ -242,5 +247,19 @@ run cmake -B build-portable -S . -DCMAKE_BUILD_TYPE=Release \
 run cmake --build build-portable -j"$(nproc)" --target test_kernels
 (cd build-portable && run env CIT_NUM_THREADS=1 ./tests/test_kernels)
 (cd build-portable && run env CIT_NUM_THREADS=4 ./tests/test_kernels)
+
+echo "=== AVX2 build (-mavx2 -mfma) + kernel and plan tests ==="
+# The SIMD backend's AVX2 arms (GEMM tile, elementwise sweeps, Axpy, fused
+# chains) compile only where AVX-512 is absent. Here SimdIsaName() is avx2
+# (KernelDispatch.IsaNameMatchesCompileTarget checks it), the direct conv
+# takes the time-major arm on both backends, and the scalar loops contract
+# to FMA as in a native build.
+run cmake -B build-avx2 -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCIT_NATIVE_ARCH=OFF -DCMAKE_CXX_FLAGS="-mavx2 -mfma"
+run cmake --build build-avx2 -j"$(nproc)" --target test_kernels test_plan
+(cd build-avx2 && run env CIT_NUM_THREADS=1 ./tests/test_kernels)
+(cd build-avx2 && run env CIT_NUM_THREADS=4 ./tests/test_kernels)
+(cd build-avx2 && run env CIT_NUM_THREADS=1 ./tests/test_plan)
+(cd build-avx2 && run env CIT_NUM_THREADS=4 ./tests/test_plan)
 
 echo "ALL CHECKS PASSED"

@@ -504,8 +504,7 @@ Var Max(const Var& a, const Var& b) { return MinMaxImpl(a, b, false); }
 Var Clamp(const Var& a, float lo, float hi) {
   Tensor out(a.value().shape());
   const kernels::ElemOp op{kernels::ElemOpKind::kClamp, lo, hi};
-  kernels::Map(a.value().data(), out.data(), out.numel(),
-               [op](float x) { return kernels::ElemApply(op, x); });
+  kernels::FusedElemwise(a.value().data(), out.data(), out.numel(), &op, 1);
   if (plan::Recording()) plan::RecordElem(out, a, op);
   return MakeOp(std::move(out), {a}, [lo, hi](Node& self) {
     Node* pa = self.parents[0].get();
@@ -520,15 +519,15 @@ Var Clamp(const Var& a, float lo, float hi) {
 
 namespace {
 
-// The forward formula comes from kernels::ElemApply so the interpreted
-// path, an unfused replay, and a fused sweep all evaluate the identical
-// scalar expression.
+// The forward runs the one-op chain through kernels::FusedElemwise, the
+// kernel an unfused plan replay runs, so the interpreted path, an unfused
+// replay and a fused sweep all evaluate the identical expression (exact
+// ops may take the SIMD sweep, libm ops keep the scalar one).
 template <typename Bwd>
 Var UnaryOp(const Var& a, kernels::ElemOpKind kind, Bwd bwd_from_inout) {
   Tensor out(a.value().shape());
   const kernels::ElemOp op{kind};
-  kernels::Map(a.value().data(), out.data(), out.numel(),
-               [op](float x) { return kernels::ElemApply(op, x); });
+  kernels::FusedElemwise(a.value().data(), out.data(), out.numel(), &op, 1);
   if (plan::Recording()) plan::RecordElem(out, a, op);
   return MakeOp(std::move(out), {a}, [bwd_from_inout](Node& self) {
     Node* pa = self.parents[0].get();

@@ -619,48 +619,68 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
   // shapes, keeping the result deterministic for any thread count.
   const int64_t flops = 2 * cout * cin * k * len;
   const bool im2col = flops >= (1 << 16) && len >= 8;
+  // The direct path takes the SIMD backend's register-tiled arm where the
+  // build has one (AVX-512), else the time-major loop below. The backend is
+  // read once per call, as in MatMul.
+  const bool tiled = simd::kHasConvDirect && !im2col && UseSimd();
   CIT_OBS_COUNT("kernels.conv_calls", 1);
   CIT_OBS_COUNT("kernels.conv_flops", batch * flops);
 #ifndef CIT_OBS_DISABLED
   {
     // Logical load/store traffic of the chosen path (mirrors the loops, not
-    // the cache). Both paths share S = sum_kk max(0, len - shift_kk), the
+    // the cache). All paths share S = sum_kk max(0, len - shift_kk), the
     // post-causal-pad tap coverage. Im2col, per batch: each input row is
     // re-read once per tap with the pad removed (cin*S loads), the patch
     // matrix is written exactly once (cin*k*len stores: memset pad +
     // memcpy body), and the bias add read-modify-writes the output
     // (2*cout*len) — the lowered GEMM's own traffic (including its reads
     // of the patch and of w) lands in kernels.gemm_bytes via the MatMul it
-    // calls. Direct, per batch: the regroup of x into the time-major
+    // calls. Time-major direct, per batch: the regroup of x into the
     // scratch (2*cin*len), the accumulator zero-fill (cout*len stores),
     // per (co, ci, tap) an accumulator read-modify-write against an input
     // read (3*cout*cin*S), and the regroup out, which reads the
     // accumulator and writes the output with the bias add fused in
     // (2*cout*len); per call, each weight and bias value is read once
-    // (cout*cin*k + cout). The data-dependent zero-weight skip is ignored,
-    // so this is the dense upper bound. Pinned by tests/test_kernels.cc
-    // KernelObs.ConvBytesFormulaBothPaths.
+    // (cout*cin*k + cout). Tiled direct, per batch: each input row is read
+    // once per channel block and tap with the pad masked off
+    // (ceil(cout/kConvTileCout)*cin*S loads), each output is stored once
+    // with the bias added (cout*len), and each row tile (one batch row's
+    // kConvTileLen time steps) reads every weight and bias value once
+    // (ceil(len/kConvTileLen)*(cout*cin*k + cout)). The data-dependent
+    // zero-weight skip is ignored, so these are dense upper bounds. Pinned
+    // by tests/test_kernels.cc KernelObs.ConvBytesFormulaBothPaths.
     int64_t taps = 0;  // S above
     for (int64_t kk = 0; kk < k; ++kk) {
       taps += std::max<int64_t>(0, len - (k - 1 - kk) * dilation);
     }
+    const int64_t bias_floats = bias != nullptr ? cout : 0;
     int64_t floats = 0;
     if (im2col) {
-      const int64_t bias_traffic = bias != nullptr ? 2 * cout * len : 0;
-      floats = batch * (cin * taps + cin * k * len + bias_traffic);
+      floats = batch * (cin * taps + cin * k * len + 2 * bias_floats * len);
+    } else if (tiled) {
+      const int64_t blocks = (cout + kConvTileCout - 1) / kConvTileCout;
+      const int64_t tiles = (len + kConvTileLen - 1) / kConvTileLen;
+      floats = batch * (blocks * cin * taps + cout * len +
+                        tiles * (cout * cin * k + bias_floats));
     } else {
       floats = batch * (2 * cin * len + 3 * cout * len +
                         3 * cout * cin * taps) +
-               cout * cin * k + (bias != nullptr ? cout : 0);
+               cout * cin * k + bias_floats;
     }
     CIT_OBS_COUNT("kernels.conv_bytes", int64_t{4} * floats);
   }
 #endif
   if (im2col) {
     ConvIm2col(x, w, bias, out, batch, cin, cout, len, k, dilation);
-  } else {
-    ConvDirect(x, w, bias, out, batch, cin, cout, len, k, dilation);
+    return;
   }
+  if constexpr (simd::kHasConvDirect) {
+    if (tiled) {
+      simd::ConvDirect(x, w, bias, out, batch, cin, cout, len, k, dilation);
+      return;
+    }
+  }
+  ConvDirect(x, w, bias, out, batch, cin, cout, len, k, dilation);
 }
 
 void CausalConv1dBackward(const float* x, const float* w, const float* gout,

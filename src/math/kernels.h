@@ -19,10 +19,10 @@
 // each dispatch backend independently: the scalar backend is the bitwise
 // reference, and the SIMD backend matches it exactly on the non-FMA arms
 // (plain elementwise add/sub/mul/div and scalar-parameter ops, plus any
-// FusedElemwise chain) while the FMA arms (MatMul via the register-tiled
-// microkernel, Axpy) may differ from scalar by the usual one-rounding-per-
-// fma tolerance — but never between thread counts or runs within one
-// backend.
+// FusedElemwise chain) and on the direct causal conv, while the FMA arms
+// (MatMul via the register-tiled microkernel, Axpy) may differ from scalar
+// by the usual one-rounding-per-fma tolerance — but never between thread
+// counts or runs within one backend.
 namespace cit::math::kernels {
 
 // Elements below which elementwise kernels stay serial: a fork/join costs
@@ -38,6 +38,13 @@ inline constexpr int64_t kElementwiseGrain = 1 << 15;
 inline constexpr int64_t kGemmMr = 4;
 inline constexpr int64_t kGemmNr = 32;
 inline constexpr int64_t kGemmKc = 256;
+
+// Register tile of the SIMD backend's direct conv (simd::ConvDirect, AVX-512
+// builds only): kConvTileCout output channels x kConvTileLen time steps
+// (two 16-lane vectors) of one batch row. kernels.conv_bytes counts that
+// arm's traffic per tile, so its formula reads this geometry.
+inline constexpr int64_t kConvTileCout = 6;
+inline constexpr int64_t kConvTileLen = 32;
 
 // Which implementation the hot kernels dispatch to. Selected once at
 // startup: CIT_KERNEL=scalar or =simd forces a backend, unset picks the
@@ -113,11 +120,12 @@ void Map3(const float* a, const float* b, const float* c, float* out,
 // A tiny interpreted program over one float: the replayable form of the
 // autodiff unary ops (math/plan.cc fuses adjacent chains into one sweep).
 // ElemApply is the single source of truth for each op's scalar formula —
-// the autodiff forward lambdas route through it too, so the interpreted
-// path, an unfused replay, and a fused sweep all evaluate the identical
-// expression (every op is either IEEE-exact or one libm call, and chaining
-// float-returning calls rounds to float32 at each link exactly like a
-// store/reload, so results are bitwise equal no matter how many ops fuse).
+// the autodiff forwards run their op as a one-op FusedElemwise chain, so
+// the interpreted path, an unfused replay, and a fused sweep all evaluate
+// the identical expression (every op is either IEEE-exact or one libm
+// call, and chaining float-returning calls rounds to float32 at each link
+// exactly like a store/reload, so results are bitwise equal no matter how
+// many ops fuse).
 enum class ElemOpKind : uint8_t {
   kExp,
   kLog,
@@ -163,7 +171,7 @@ void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
 // Serial, double-accumulated full sum (deterministic by construction).
 double Sum(const float* a, int64_t n);
 // out[o, i] = sum_k x[o, k, i] for x viewed as [outer, axis_len, inner].
-// `out` must be zero-initialized by the caller? No: it is overwritten.
+// `out` is overwritten; the caller need not zero it.
 void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
              int64_t inner);
 
@@ -191,16 +199,30 @@ void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n);
 // out:[batch, cout, len] (overwritten). Left-pads implicitly with
 // (k-1)*dilation zeros. Large problems take a fused im2col + GEMM path
 // (reusing the blocked MatMul, hence its parallelism); small ones
-// (2*cout*cin*k*len < 2^16, or len < 8) take a serial time-major direct
-// path: x is regrouped into a grow-only per-thread [cin, len, batch]
-// scratch buffer and each (cout, cin, tap) term is one contiguous
-// `acc += w * x` pass over a [cout, len, batch] accumulator. Each direct
-// output element starts at +0, accumulates in ascending (cin, tap) order
-// (zero weights skipped) and adds the bias last, so the path is bitwise
-// equal to a plain per-row triple loop compiled with the same flags
-// (tests/test_kernels.cc ConvDirectMatchesReferenceBitwise), on both
-// backends and at any thread count. The path choice depends only on
-// shapes, so results stay deterministic across thread counts.
+// (2*cout*cin*k*len < 2^16, or len < 8) take a serial direct path with two
+// arms, chosen by the backend read once per call:
+//  - the SIMD backend of an AVX-512 build runs a register-tiled kernel
+//    (simd::ConvDirect) on x and out in their stored layout: a tile of
+//    kConvTileCout output channels x kConvTileLen time steps of one batch
+//    row stays in vector registers across the whole (cin, tap) loop and is
+//    stored once, with no scratch and no allocation. Lanes before a tap's
+//    shift are masked out of the load and the FMA, lanes past len out of
+//    the loads and stores;
+//  - every other case (scalar backend, AVX2/NEON/portable builds) runs a
+//    time-major loop: x is regrouped into a grow-only per-thread
+//    [cin, len, batch] scratch buffer and each (cout, cin, tap) term is one
+//    contiguous `acc += w * x` pass over a [cout, len, batch] accumulator.
+// Both arms compute each output element as a plain per-row triple loop
+// does: start at +0, accumulate in ascending (cin, tap) order (zero weights
+// skipped), add the bias last. The time-major arm keeps that loop's
+// `+= w * x` expression, so it contracts to FMA exactly where the loop
+// would; the tiled arm issues one explicit FMA per term, which is what the
+// expression contracts to in the builds that have the arm (GCC contracts
+// at -O2 and above; Release and RelWithDebInfo both qualify). The direct
+// path is therefore bitwise equal to the triple loop compiled with the same
+// flags (tests/test_kernels.cc ConvDirectMatchesReferenceBitwise), on both
+// backends and at any thread count. The path choice depends only on shapes
+// and the backend, so results stay deterministic across thread counts.
 void CausalConv1dForward(const float* x, const float* w, const float* bias,
                          float* out, int64_t batch, int64_t cin, int64_t cout,
                          int64_t len, int64_t k, int64_t dilation);

@@ -1,6 +1,7 @@
-// Explicit-SIMD kernel backend: an FMA register-tiled GEMM microkernel and
-// vectorized elementwise sweeps, one implementation per compiled ISA
-// (AVX-512, AVX2+FMA, NEON — see the detection block in math/simd.h). The
+// Explicit-SIMD kernel backend: an FMA register-tiled GEMM microkernel,
+// vectorized elementwise sweeps, and (AVX-512 only) a register-tiled direct
+// causal conv, one implementation per compiled ISA (AVX-512, AVX2+FMA,
+// NEON — see the detection block in math/simd.h). The
 // public kernels:: API dispatches here when Backend::kSimd is active;
 // everything in this TU is serial over its range, with parallel chunking
 // done by the caller so both backends see identical chunk boundaries.
@@ -19,10 +20,19 @@
 //    rejected by FusedChainExact and stay on the scalar ElemApply sweep:
 //    a vector approximation would break the fused == unfused bitwise
 //    identity that plan fusion (math/plan.cc) is tested against.
+//  - The direct conv (ConvDirect, AVX-512 only) is an FMA arm that still
+//    matches the scalar backend bit for bit: each output is the scalar
+//    loop's chain (+0, ascending (cin, tap), zero weights skipped, bias
+//    added last) with one explicit FMA per term, the single rounding the
+//    scalar `+= w * x` contracts to. Lanes before a tap's shift are masked
+//    out of the FMA as well as the load, so a zero-filled lane never meets
+//    a weight (inf * 0 would be NaN, and +0 added to a -0 sum is +0).
 #include "math/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #if defined(CIT_SIMD_AVX512) || defined(CIT_SIMD_AVX2)
 #include <immintrin.h>
@@ -304,6 +314,144 @@ void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
           return x;
         });
 }
+
+// ---- Direct causal conv (AVX-512 only) -------------------------------------
+// A tile is CO output channels x NV vectors of one batch row's time steps;
+// its CO*NV accumulators stay in registers for the whole (cin, tap) loop
+// (at most 6 x 2 = 12 of the 32, plus NV inputs and one broadcast weight).
+// CO and NV are template parameters so channel and time remainders run the
+// same per-output chain as full tiles. The unroll pragmas make GCC unroll
+// the CO/NV loops before it places acc: without them GCC 12 kept the
+// accumulators in stack memory and stored all of them on every (cin, tap)
+// step.
+#if defined(CIT_SIMD_AVX512)
+
+namespace {
+
+using ConvMask = __mmask16;
+constexpr unsigned kAllLanes = (1u << kLanes) - 1u;
+
+// Lanes j with j < n.
+inline ConvMask LanesBelow(int64_t n) {
+  return static_cast<ConvMask>(
+      kAllLanes >> (kLanes - std::clamp<int64_t>(n, 0, kLanes)));
+}
+
+// Output channels [co0, co0 + CO) x time steps [t0, t0 + kLanes*NV) ∩
+// [0, len) of every batch row. kSkipZero is set when the call's weights
+// hold a zero: each zero weight then skips its FMA per output channel, as
+// the scalar loop does; without zeros the FMA sequence tests no weight.
+template <int CO, int NV, bool kSkipZero>
+void ConvTile(const float* x, const float* w, const float* bias, float* out,
+              int64_t batch, int64_t cin, int64_t cout, int64_t len, int64_t k,
+              int64_t dilation, int64_t co0, int64_t t0) {
+  const int64_t wstride = cin * k;  // between output channels
+  const float* wblock = w + co0 * wstride;
+  ConvMask tail[NV];  // lanes before len
+#pragma GCC unroll 4
+  for (int v = 0; v < NV; ++v) tail[v] = LanesBelow(len - t0 - kLanes * v);
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    const float* xb = x + bi * cin * len;
+    VF acc[CO][NV];
+#pragma GCC unroll 8
+    for (int c = 0; c < CO; ++c) {
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) acc[c][v] = VSet1(0.0f);
+    }
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      const float* xrow = xb + ci * len;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const int64_t shift = (k - 1 - kk) * dilation;
+        VF xv[NV];
+        ConvMask head[NV];  // lanes at or after the shift
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+          // Lane j reads x[t + j - shift]. A vector that starts before the
+          // shift expand-loads from the row's start into its lanes
+          // j >= shift - t, so no address before the row is ever formed.
+          const int64_t off = t0 + kLanes * v - shift;
+          head[v] = static_cast<ConvMask>(
+              kAllLanes << std::clamp<int64_t>(-off, 0, kLanes));
+          xv[v] = off >= 0 ? _mm512_maskz_loadu_ps(tail[v], xrow + off)
+                           : _mm512_maskz_expandloadu_ps(
+                                 static_cast<ConvMask>(head[v] & tail[v]),
+                                 xrow);
+        }
+        const float* wp = wblock + ci * k + kk;
+#pragma GCC unroll 8
+        for (int c = 0; c < CO; ++c) {
+          const float wc = wp[c * wstride];
+          if (kSkipZero && wc == 0.0f) continue;
+          const VF wv = VSet1(wc);
+#pragma GCC unroll 4
+          for (int v = 0; v < NV; ++v) {
+            acc[c][v] = _mm512_mask3_fmadd_ps(wv, xv[v], acc[c][v], head[v]);
+          }
+        }
+      }
+    }
+    float* ob = out + (bi * cout + co0) * len + t0;
+#pragma GCC unroll 8
+    for (int c = 0; c < CO; ++c) {
+      const VF bv = VSet1(bias != nullptr ? bias[co0 + c] : 0.0f);
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        _mm512_mask_storeu_ps(ob + c * len + kLanes * v, tail[v],
+                              bias != nullptr ? VAdd(acc[c][v], bv)
+                                              : acc[c][v]);
+      }
+    }
+  }
+}
+
+template <bool kSkipZero>
+void ConvTiles(const float* x, const float* w, const float* bias, float* out,
+               int64_t batch, int64_t cin, int64_t cout, int64_t len,
+               int64_t k, int64_t dilation) {
+  static_assert(kConvTileCout == 6 && kConvTileLen == 2 * kLanes,
+                "the dispatch below covers CO in [1, 6] and NV in [1, 2]");
+  for (int64_t t0 = 0; t0 < len; t0 += kConvTileLen) {
+    const bool two = len - t0 > kLanes;
+    for (int64_t co0 = 0; co0 < cout; co0 += kConvTileCout) {
+      const auto run = [&](auto co) {
+        constexpr int kCo = decltype(co)::value;
+        if (two) {
+          ConvTile<kCo, 2, kSkipZero>(x, w, bias, out, batch, cin, cout, len,
+                                      k, dilation, co0, t0);
+        } else {
+          ConvTile<kCo, 1, kSkipZero>(x, w, bias, out, batch, cin, cout, len,
+                                      k, dilation, co0, t0);
+        }
+      };
+      switch (std::min(kConvTileCout, cout - co0)) {
+        case 6: run(std::integral_constant<int, 6>{}); break;
+        case 5: run(std::integral_constant<int, 5>{}); break;
+        case 4: run(std::integral_constant<int, 4>{}); break;
+        case 3: run(std::integral_constant<int, 3>{}); break;
+        case 2: run(std::integral_constant<int, 2>{}); break;
+        default: run(std::integral_constant<int, 1>{}); break;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void ConvDirect(const float* x, const float* w, const float* bias, float* out,
+                int64_t batch, int64_t cin, int64_t cout, int64_t len,
+                int64_t k, int64_t dilation) {
+  // Decided once per call, so the common all-nonzero case keeps the zero
+  // test out of the tile's FMA sequence.
+  bool has_zero = false;
+  for (int64_t i = 0; i < cout * cin * k; ++i) has_zero |= w[i] == 0.0f;
+  if (has_zero) {
+    ConvTiles<true>(x, w, bias, out, batch, cin, cout, len, k, dilation);
+  } else {
+    ConvTiles<false>(x, w, bias, out, batch, cin, cout, len, k, dilation);
+  }
+}
+
+#endif  // CIT_SIMD_AVX512
 
 #else  // no ISA path compiled: correct scalar fallbacks, never dispatched to
 

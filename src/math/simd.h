@@ -78,6 +78,19 @@ bool FusedChainExact(const ElemOp* ops, int count);
 void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
                    int count);
 
+// Register-tiled direct causal conv: kernels::CausalConv1dForward's direct
+// path on the SIMD backend (see there for the tile, the masks and the
+// bitwise contract). Only the AVX-512 arm compiles it; kHasConvDirect says
+// whether this build has it, and no other build may call it.
+#if defined(CIT_SIMD_AVX512)
+inline constexpr bool kHasConvDirect = true;
+#else
+inline constexpr bool kHasConvDirect = false;
+#endif
+void ConvDirect(const float* x, const float* w, const float* bias, float* out,
+                int64_t batch, int64_t cin, int64_t cout, int64_t len,
+                int64_t k, int64_t dilation);
+
 }  // namespace cit::math::kernels::simd
 
 #endif  // CIT_MATH_SIMD_H_

@@ -10,8 +10,10 @@
 //  - simd-vs-scalar agreement: 0 ULP on the non-FMA arms the contract
 //    promises exact (plain elementwise ops, FusedElemwise chains), a
 //    documented tolerance on the FMA arms (MatMul, Axpy, conv-via-im2col);
-//  - the time-major direct conv bitwise equal to a plain per-row triple
-//    loop at the model's shapes and on special values;
+//  - the direct conv, both the scalar backend's time-major arm and the
+//    SIMD backend's register-tiled AVX-512 arm, bitwise equal to a plain
+//    per-row triple loop at the model's shapes, at every tile edge, on
+//    special inputs and weights, and over thousands of seeded random shapes;
 //  - the packed-panel buffer staying allocation-free in steady state
 //    (kernels.gemm_pack_allocs);
 //  - the kernels.gemm_bytes / conv_bytes traffic formulas, pinned against
@@ -19,6 +21,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -138,6 +141,21 @@ TEST(KernelDispatch, SetBackendRoundTripAndClamp) {
     EXPECT_STREQ(kn::SimdIsaName(), "none");
   }
   kn::SetBackend(original);
+}
+
+// The ISA the build compiled, read from the compiler's own target macros:
+// scripts/check.sh's AVX2 step relies on this to show it ran the AVX2 arms,
+// and the conv byte formula below on "avx512" meaning the tiled conv arm.
+TEST(KernelDispatch, IsaNameMatchesCompileTarget) {
+#if defined(__AVX512F__) && defined(__FMA__)
+  EXPECT_STREQ(kn::SimdIsaName(), "avx512");
+#elif defined(__AVX2__) && defined(__FMA__)
+  EXPECT_STREQ(kn::SimdIsaName(), "avx2");
+#elif defined(__ARM_NEON) || defined(__aarch64__)
+  EXPECT_STREQ(kn::SimdIsaName(), "neon");
+#else
+  EXPECT_STREQ(kn::SimdIsaName(), "none");
+#endif
 }
 
 TEST(KernelDispatch, GemmBitwiseThreadInvariantPerBackend) {
@@ -429,6 +447,67 @@ void ReferenceConvDirect(const float* x, const float* w, const float* bias,
   }
 }
 
+// Inputs for one direct-path case. Special inputs and weights use the one
+// NaN this hardware generates itself (so every NaN the two loops can meet
+// has the same bits and propagation order cannot show), infinities and
+// negative zero. Zero weights of both signs take the skip; non-finite
+// weights expose any lane before a tap's shift that reaches an FMA (the
+// masked loads fill those lanes with zeros, and inf * 0 is NaN).
+struct ConvCase {
+  std::vector<float> x, w, bias;
+};
+
+ConvCase MakeConvCase(const ConvShape& s, Rng& rng, bool special_x,
+                      bool special_w) {
+  volatile float inf_v = INFINITY;
+  const float nan = inf_v - inf_v;
+  const float specials[] = {nan, INFINITY, -INFINITY, -0.0f};
+  ConvCase c;
+  c.x.resize(static_cast<size_t>(s.batch * s.cin * s.len));
+  c.w.resize(static_cast<size_t>(s.cout * s.cin * s.k));
+  c.bias.resize(static_cast<size_t>(s.cout));
+  for (float& v : c.x) {
+    v = rng.Uniform(-1.0f, 1.0f);
+    if (special_x && rng.Uniform(0.0f, 1.0f) < 0.05f) {
+      v = specials[static_cast<int>(rng.Uniform(0.0f, 4.0f)) % 4];
+    }
+  }
+  for (float& v : c.w) {
+    const float u = rng.Uniform(0.0f, 1.0f);
+    v = u < 0.1f ? 0.0f : u < 0.2f ? -0.0f : rng.Uniform(-1.0f, 1.0f);
+    if (special_w && rng.Uniform(0.0f, 1.0f) < 0.1f) {
+      v = specials[static_cast<int>(rng.Uniform(0.0f, 3.0f)) % 3];
+    }
+  }
+  for (float& v : c.bias) v = rng.Uniform(-1.0f, 1.0f);
+  c.bias[0] = -0.0f;
+  return c;
+}
+
+// Runs the direct path on the active backend and memcmps it against the
+// reference loop; returns an empty string on a match.
+std::string ConvAgainstReference(const ConvShape& s, const ConvCase& c,
+                                 bool with_bias) {
+  const float* b = with_bias ? c.bias.data() : nullptr;
+  std::vector<float> ref(static_cast<size_t>(s.batch * s.cout * s.len));
+  ReferenceConvDirect(c.x.data(), c.w.data(), b, ref.data(), s.batch, s.cin,
+                      s.cout, s.len, s.k, s.dilation);
+  std::vector<float> got(ref.size(), 7.25f);
+  kn::CausalConv1dForward(c.x.data(), c.w.data(), b, got.data(), s.batch,
+                          s.cin, s.cout, s.len, s.k, s.dilation);
+  if (std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)) == 0) {
+    return "";
+  }
+  size_t i = 0;
+  while (std::memcmp(&ref[i], &got[i], sizeof(float)) == 0) ++i;
+  return "batch=" + std::to_string(s.batch) + " cin=" + std::to_string(s.cin) +
+         " cout=" + std::to_string(s.cout) + " len=" + std::to_string(s.len) +
+         " k=" + std::to_string(s.k) + " dilation=" +
+         std::to_string(s.dilation) + (with_bias ? " bias" : " no bias") +
+         ": first difference at " + std::to_string(i) + ", " +
+         std::to_string(got[i]) + " vs reference " + std::to_string(ref[i]);
+}
+
 TEST(KernelDispatch, ConvDirectMatchesReferenceBitwise) {
   struct Case {
     ConvShape s;
@@ -447,55 +526,76 @@ TEST(KernelDispatch, ConvDirectMatchesReferenceBitwise) {
       {{3, 2, 4, 5, 3, 7}, "shift >= len on two taps"},
       {{4, 3, 5, 1, 3, 1}, "len 1"},
       {{5, 3, 7, 13, 2, 3}, "odd dims"},
+      // Time-vector edges: lengths around the 16-lane vector and the
+      // kConvTileLen-step tile, so every tail mask and tile count runs.
+      {{3, 2, 6, 7, 3, 1}, "len 7"},
+      {{3, 2, 6, 9, 3, 1}, "len 9"},
+      {{3, 2, 6, 15, 3, 2}, "len 15"},
+      {{3, 2, 6, 17, 3, 1}, "len 17"},
+      {{3, 2, 6, 23, 3, 2}, "len 23"},
+      {{3, 2, 6, 25, 3, 1}, "len 25"},
+      {{3, 2, 6, 31, 4, 3}, "len 31"},
+      {{3, 2, 6, 32, 3, 1}, "len 32"},
+      {{3, 2, 6, 33, 3, 1}, "len 33"},
+      {{2, 2, 6, 100, 4, 2}, "len 100, four time tiles"},
+      // Channel-block remainders: cout 1..9 against the 6-channel tile.
+      {{4, 3, 1, 24, 3, 1}, "cout 1"},
+      {{4, 3, 2, 24, 3, 1}, "cout 2"},
+      {{4, 3, 3, 24, 3, 1}, "cout 3"},
+      {{4, 3, 4, 24, 3, 1}, "cout 4"},
+      {{4, 3, 5, 24, 3, 1}, "cout 5"},
+      {{4, 3, 7, 24, 3, 1}, "cout 7"},
+      {{4, 3, 8, 24, 3, 1}, "cout 8"},
+      {{4, 3, 9, 24, 3, 1}, "cout 9"},
+      // Large shifts: taps with shift >= len, and shifts that cover a
+      // whole vector (shift >= 16) before the first live lane.
+      {{3, 2, 5, 10, 4, 4}, "k 4, three taps with shift >= len"},
+      {{3, 2, 5, 40, 4, 9}, "k 4, shifts 9..27"},
+      {{3, 2, 5, 20, 3, 17}, "shift 34 >= len and 17 > one vector"},
   };
-  // Special inputs: the one NaN this hardware generates itself (so every
-  // NaN the two loops can meet has the same bits and propagation order
-  // cannot show), infinities and negative zero.
-  volatile float inf_v = INFINITY;
-  const float nan = inf_v - inf_v;
-  const float specials[] = {nan, INFINITY, -INFINITY, -0.0f};
   for (const Case& c : cases) {
     const ConvShape& s = c.s;
     ASSERT_TRUE(IsDirectConv(s)) << c.what << " takes the im2col path";
-    for (bool special : {false, true}) {
-      Rng rng(71 + s.batch * 13 + s.cin * 5 + s.len + (special ? 1 : 0));
-      std::vector<float> x(static_cast<size_t>(s.batch * s.cin * s.len));
-      std::vector<float> w(static_cast<size_t>(s.cout * s.cin * s.k));
-      std::vector<float> bias(static_cast<size_t>(s.cout));
-      for (float& v : x) {
-        v = rng.Uniform(-1.0f, 1.0f);
-        if (special && rng.Uniform(0.0f, 1.0f) < 0.05f) {
-          v = specials[static_cast<int>(rng.Uniform(0.0f, 4.0f)) % 4];
-        }
-      }
-      // Zero weights, both signs, take the skip.
-      for (float& v : w) {
-        const float u = rng.Uniform(0.0f, 1.0f);
-        v = u < 0.1f ? 0.0f : u < 0.2f ? -0.0f : rng.Uniform(-1.0f, 1.0f);
-      }
-      for (float& v : bias) v = rng.Uniform(-1.0f, 1.0f);
-      bias[0] = -0.0f;
-      for (bool with_bias : {false, true}) {
-        const float* b = with_bias ? bias.data() : nullptr;
-        std::vector<float> ref(static_cast<size_t>(s.batch * s.cout * s.len));
-        ReferenceConvDirect(x.data(), w.data(), b, ref.data(), s.batch, s.cin,
-                            s.cout, s.len, s.k, s.dilation);
-        for (kn::Backend be : AllBackends()) {
-          for (int threads : {1, 4}) {
-            BackendGuard bg(be);
-            ThreadCountGuard tg(threads);
-            std::vector<float> got(ref.size(), 7.25f);
-            kn::CausalConv1dForward(x.data(), w.data(), b, got.data(),
-                                    s.batch, s.cin, s.cout, s.len, s.k,
-                                    s.dilation);
-            ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                                  ref.size() * sizeof(float)),
-                      0)
-                << c.what << (special ? ", special inputs" : "")
-                << (with_bias ? ", bias" : ", no bias") << ": " << Name(be)
-                << " at " << threads << " threads differs from the reference";
+    for (int mode = 0; mode < 3; ++mode) {
+      const bool special_x = mode >= 1, special_w = mode == 2;
+      Rng rng(71 + s.batch * 13 + s.cin * 5 + s.len + mode);
+      const ConvCase in = MakeConvCase(s, rng, special_x, special_w);
+      for (kn::Backend be : AllBackends()) {
+        for (int threads : {1, 4}) {
+          BackendGuard bg(be);
+          ThreadCountGuard tg(threads);
+          for (bool with_bias : {false, true}) {
+            const std::string diff = ConvAgainstReference(s, in, with_bias);
+            ASSERT_EQ(diff, "")
+                << c.what << (special_x ? ", special inputs" : "")
+                << (special_w ? ", non-finite weights" : "") << ": "
+                << Name(be) << " at " << threads << " threads";
           }
         }
+      }
+    }
+  }
+  // Seeded random shapes over every tile edge at once: batch 1-70, cin 1-8,
+  // cout 1-9, len 1-70 (up to three time tiles), k 1-4 and dilation 1-12
+  // (shifts up to 36). Every shape is on the direct path.
+  Rng shapes(20261017);
+  const auto pick = [&shapes](int64_t lo, int64_t hi) {
+    return lo + shapes.UniformInt(hi - lo + 1);
+  };
+  constexpr int kRandomShapes = 6000;
+  for (int i = 0; i < kRandomShapes; ++i) {
+    const ConvShape s{pick(1, 70), pick(1, 8), pick(1, 9),
+                      pick(1, 70), pick(1, 4), pick(1, 12)};
+    ASSERT_TRUE(IsDirectConv(s));
+    Rng rng(1000 + i);
+    const ConvCase in = MakeConvCase(s, rng, i % 3 != 0, i % 3 == 2);
+    for (kn::Backend be : AllBackends()) {
+      for (int threads : {1, 4}) {
+        BackendGuard bg(be);
+        ThreadCountGuard tg(threads);
+        const std::string diff = ConvAgainstReference(s, in, i % 2 == 0);
+        ASSERT_EQ(diff, "") << "random shape " << i << ": " << Name(be)
+                            << " at " << threads << " threads";
       }
     }
   }
@@ -590,37 +690,58 @@ TEST(KernelObs, ConvBytesFormulaBothPaths) {
 #endif
   TelemetryGuard telemetry(true);
   ThreadCountGuard tg(1);
-  for (const ConvShape& s : {ConvShape{1, 2, 3, 6, 2, 1},      // direct
-                             ConvShape{4, 2, 3, 6, 2, 1},      // direct
-                             ConvShape{2, 8, 16, 127, 3, 3}})  // im2col
-  {
-    const bool im2col = !IsDirectConv(s);
-    obs::Registry::Global().ResetAll();
-    RunConv(s, kn::ActiveBackend(), 1);
-    int64_t taps = 0;  // post-pad tap coverage, shared by both formulas
-    for (int64_t kk = 0; kk < s.k; ++kk) {
-      taps += std::max<int64_t>(0, s.len - (s.k - 1 - kk) * s.dilation);
+  for (kn::Backend be : AllBackends()) {
+    // The SIMD backend's direct path is the register-tiled arm exactly
+    // where the build compiled one (AVX-512).
+    const bool tiled = be == kn::Backend::kSimd &&
+                       std::strcmp(kn::SimdIsaName(), "avx512") == 0;
+    for (const ConvShape& s : {ConvShape{1, 2, 3, 6, 2, 1},      // direct
+                               ConvShape{4, 2, 3, 6, 2, 1},      // direct
+                               ConvShape{3, 2, 7, 40, 3, 2},     // direct
+                               ConvShape{2, 8, 16, 127, 3, 3}})  // im2col
+    {
+      const bool im2col = !IsDirectConv(s);
+      obs::Registry::Global().ResetAll();
+      RunConv(s, be, 1);
+      int64_t taps = 0;  // post-pad tap coverage, shared by every formula
+      for (int64_t kk = 0; kk < s.k; ++kk) {
+        taps += std::max<int64_t>(0, s.len - (s.k - 1 - kk) * s.dilation);
+      }
+      // Im2col, per batch: tap re-reads + patch writes + the bias RMW pass.
+      // Tiled direct, per batch: input rows once per channel block and tap
+      // + each output stored once with its bias + weights and bias once per
+      // row tile. Time-major direct, per batch: regroup in + accumulator
+      // zero-fill + per-tap RMW against an input read + regroup out with
+      // the bias fused in; per call, the weights and the bias read once.
+      const int64_t blocks = (s.cout + kn::kConvTileCout - 1) /
+                             kn::kConvTileCout;
+      const int64_t tiles = (s.len + kn::kConvTileLen - 1) / kn::kConvTileLen;
+      const int64_t floats =
+          im2col ? s.batch * (s.cin * taps + s.cin * s.k * s.len +
+                              2 * s.cout * s.len)
+          : tiled ? s.batch * (blocks * s.cin * taps + s.cout * s.len +
+                               tiles * (s.cout * s.cin * s.k + s.cout))
+                  : s.batch * (2 * s.cin * s.len + 3 * s.cout * s.len +
+                               3 * s.cout * s.cin * taps) +
+                        s.cout * s.cin * s.k + s.cout;
+      const char* path = im2col ? "im2col" : tiled ? "tiled direct" : "direct";
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.conv_bytes").Total(),
+          static_cast<uint64_t>(4 * floats))
+          << Name(be) << " " << path << " path, batch=" << s.batch
+          << " len=" << s.len;
+      // Calls and FLOPs do not depend on the path.
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.conv_calls").Total(), 1u);
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.conv_flops").Total(),
+          static_cast<uint64_t>(2 * s.batch * s.cout * s.cin * s.k * s.len));
+      // The lowered GEMM books its own traffic under kernels.gemm_bytes —
+      // present exactly when the im2col path ran.
+      const uint64_t gemm_calls =
+          obs::Registry::Global().GetCounter("kernels.gemm_calls").Total();
+      EXPECT_EQ(gemm_calls, static_cast<uint64_t>(im2col ? s.batch : 0));
     }
-    // Im2col, per batch: tap re-reads + patch writes + the bias RMW pass.
-    // Direct, per batch: regroup in + accumulator zero-fill + per-tap RMW
-    // against an input read + regroup out with the bias fused in; per
-    // call, the weights and the bias read once.
-    const int64_t floats =
-        im2col ? s.batch * (s.cin * taps + s.cin * s.k * s.len +
-                            2 * s.cout * s.len)
-               : s.batch * (2 * s.cin * s.len + 3 * s.cout * s.len +
-                            3 * s.cout * s.cin * taps) +
-                     s.cout * s.cin * s.k + s.cout;
-    EXPECT_EQ(
-        obs::Registry::Global().GetCounter("kernels.conv_bytes").Total(),
-        static_cast<uint64_t>(4 * floats))
-        << (im2col ? "im2col" : "direct") << " path, batch=" << s.batch
-        << " len=" << s.len;
-    // The lowered GEMM books its own traffic under kernels.gemm_bytes —
-    // present exactly when the im2col path ran.
-    const uint64_t gemm_calls =
-        obs::Registry::Global().GetCounter("kernels.gemm_calls").Total();
-    EXPECT_EQ(gemm_calls, static_cast<uint64_t>(im2col ? s.batch : 0));
   }
 }
 
