@@ -6,8 +6,8 @@
 // Build & run:
 //   cmake --build build
 //   ./build/examples/sweep --out /tmp/sweep.json
-//   ./build/examples/sweep --scenarios 'baseline;flash_crash:depth=0.4' \
-//       --agents OLMAR,CRP,Market --seeds 7,8 --out -
+//   ./build/examples/sweep --scenarios 'baseline;flash_crash:depth=0.4'
+//   ./build/examples/sweep --agents OLMAR,CRP,Market --seeds 7,8 --out -
 //
 // Scenario syntax: ';'-separated stacks, each stack a '|'-separated list
 // of presets "name:key=value,key=value" ("baseline" or "" = untouched

@@ -101,11 +101,11 @@ echo "=== compiled-forward gate (plan replay bitwise) ==="
 
 echo "=== data-plane gate (sources, scenarios, sweep smoke) ==="
 # test_source proves PanelView reads and whole backtests are bitwise
-# identical through InMemorySource, that StreamingCsvSource matches the
-# in-memory panel across chunk sizes / prefetch arms while honoring its
-# resident budget, and that SimulatorSource is access-order free; run it
+# identical through InMemorySource, and that one view read by four
+# threads at once agrees element by element with the panel; run it
 # serial and parallel. test_scenarios pins every stress preset's
-# semantics plus the fixed-seed agent orderings.
+# semantics, checks a deep stack bit for bit against the row-memo
+# reference evaluation, and pins the fixed-seed agent orderings.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_source)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_source)
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_scenarios)
@@ -223,12 +223,12 @@ run cmake --build build-thread -j"$(nproc)" --target test_threading \
 # under real concurrent clients; test_kernels' KernelDispatch suite rides
 # along so the SIMD microkernels, the pack thread-locals, and the backend
 # atomic see genuine 4-worker interleavings (its 1-vs-4-thread bitwise
-# checks are only real under the lifted clamp); the Source/Scenario
-# threaded suites ride along so the StreamingCsvSource LRU + prefetch
-# worker, the ScenarioSource row memo, and concurrent PanelView rings are
-# raced against real workers; test_core's StackedDecide suite rides along
-# so batched and batch-of-one decides share plans under real 4-worker
-# kernel fan-out for every backbone.
+# checks are only real under the lifted clamp); the Source/Scenario/Sweep
+# suites ride along so one PanelView read by four threads at once, and
+# sweep cells building their ScenarioSources from one shared base source
+# on pool workers, are raced for real; test_core's StackedDecide suite
+# rides along so batched and batch-of-one decides share plans under real
+# 4-worker kernel fan-out for every backbone.
 (cd build-thread && run env CIT_FAST=1 CIT_OVERSUBSCRIBE=1 CIT_NUM_THREADS=4 \
     ctest --output-on-failure \
     -R 'ThreadPool|Determinism|RngSplit|RolloutRunner|RolloutDeterminism|InferenceIdentity|GradMode\.|Arena\.|Compiled|ArenaStats\.|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep|StackedDecide')

@@ -50,10 +50,9 @@ class PortfolioEnv {
   void ResetAt(int64_t day);
 
   // An independent copy of this env reset at `day`. The price data is
-  // shared (sources are immutable), all mutable state is private to the
-  // clone — this is how parallel rollout collection gives every slot its
-  // own env. The clone's view keeps a private chunk ring, so clones on
-  // different threads never share view state.
+  // shared (sources and views are immutable), all mutable state is
+  // private to the clone — this is how parallel rollout collection gives
+  // every slot its own env.
   PortfolioEnv CloneAt(int64_t day) const;
 
   // Executes target weights for the transition day -> day+1. `weights` must

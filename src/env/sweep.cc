@@ -107,7 +107,7 @@ std::string SweepReport::ToJson() const {
 }
 
 Result<SweepReport> RunSweep(
-    market::PanelSource* base,
+    const market::PanelSource* base,
     const std::vector<std::string>& scenario_stacks,
     const std::vector<SweepAgentSpec>& agents, const SweepConfig& config) {
   if (base == nullptr) {
@@ -174,9 +174,8 @@ Result<SweepReport> RunSweep(
           const int64_t r = cell % num_seeds;
           const uint64_t seed = config.seeds[static_cast<size_t>(r)];
 
-          // Fresh decorated source per cell: scenario state (memoized
-          // anchors, materialized chunks) stays cell-private, and each
-          // cell's agent sees a distinct source id.
+          // Fresh scenario source per cell: cells share nothing but the
+          // immutable base source.
           std::unique_ptr<market::ScenarioSource> scenario;
           market::PanelView view;
           if (stacks[static_cast<size_t>(s)].empty()) {
@@ -184,8 +183,7 @@ Result<SweepReport> RunSweep(
           } else {
             auto made = market::ScenarioSource::Make(
                 base, stacks[static_cast<size_t>(s)]);
-            // Stacks were validated above; a failure here means the
-            // registry changed mid-sweep.
+            // Stacks were validated above, so this cannot fail.
             CIT_CHECK_MSG(made.ok(), made.status().message().c_str());
             scenario = std::move(made).value();
             view = market::PanelView(scenario.get());

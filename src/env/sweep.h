@@ -18,11 +18,11 @@ namespace cit::env {
 // ---------------------------------------------------------------------------
 // Cross-scenario robustness sweep (DESIGN.md §11). Fans the cross product
 // (scenario stack × agent × seed) over the global ThreadPool, backtesting
-// each cell on a fresh ScenarioSource decorating one shared base source,
+// each cell on a fresh ScenarioSource built from one shared base source,
 // and aggregates a per-agent robustness report. Cells land in
 // preallocated slots indexed by their cross-product position, and every
-// cell is fully independent (own agent instance, own scenario source, own
-// view), so the report is bitwise identical for any CIT_NUM_THREADS.
+// cell is fully independent (own agent instance, own scenario source), so
+// the report is bitwise identical for any CIT_NUM_THREADS.
 // ---------------------------------------------------------------------------
 
 // One agent column of the sweep: a display name plus a factory producing
@@ -78,10 +78,10 @@ struct SweepReport {
 
 // Runs the full sweep. `scenario_stacks` are ParseScenarioStack inputs;
 // the empty string denotes the untransformed baseline. `base` is borrowed,
-// must outlive the call, and is read concurrently (sources are
-// thread-safe by contract). Errors (unknown preset, bad parameter, empty
-// agent list) are reported before any backtest runs.
-Result<SweepReport> RunSweep(market::PanelSource* base,
+// must outlive the call, and is read concurrently (sources are immutable).
+// Errors (unknown preset, bad parameter, empty agent list) are reported
+// before any backtest runs.
+Result<SweepReport> RunSweep(const market::PanelSource* base,
                              const std::vector<std::string>& scenario_stacks,
                              const std::vector<SweepAgentSpec>& agents,
                              const SweepConfig& config);

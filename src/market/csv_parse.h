@@ -9,10 +9,9 @@
 
 #include "common/status.h"
 
-// Hardened cell-level CSV parsing, shared by the load-everything
-// LoadPanelCsv and the chunked StreamingCsvSource so both produce
-// bit-identical doubles from the same file (the streaming-equivalence
-// gate depends on this).
+// Hardened cell-level CSV parsing for LoadPanelCsv: full-string integer
+// and price-cell parses that reject what atoll/strtod would silently
+// accept.
 
 namespace cit::market::csv_internal {
 

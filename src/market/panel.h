@@ -50,8 +50,8 @@ class PricePanel {
   PricePanel SliceDays(int64_t start, int64_t end) const;
 
   // Raw row-major [num_days, num_assets] close storage; stable while the
-  // panel is alive and unmodified. Lets InMemorySource expose the panel
-  // as a zero-copy chunk.
+  // panel is alive and unmodified. Lets InMemorySource use the panel's
+  // storage as its close array without a copy.
   const double* raw_closes() const { return close_.data(); }
 
  private:

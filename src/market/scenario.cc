@@ -187,29 +187,17 @@ class LiquidityHoleTransform : public ScenarioTransform {
     (void)row;
   }
 
-  double CostMultiplier(int64_t day) const override {
-    // The window is resolved against the panel inside ScenarioSource;
-    // here we only see absolute bounds. has_day_=false windows are
-    // resolved lazily via set_resolved_window.
-    if (day < window_start_ || day >= window_end_) return 1.0;
-    return cost_mult_;
-  }
-
-  // Called once by ScenarioSource after the panel dims are known.
-  void ResolveWindow(int64_t train_end, int64_t num_days) {
-    window_start_ = has_day_ ? static_cast<int64_t>(day_)
-                             : train_end + static_cast<int64_t>(test_offset_);
-    window_start_ = std::clamp<int64_t>(window_start_, 0, num_days - 1);
-    window_end_ = length_ > 0.0
-                      ? window_start_ + static_cast<int64_t>(length_)
-                      : num_days;
+  double CostMultiplier(const Input& input, int64_t day) const override {
+    const int64_t start = ResolveDay(input, has_day_, day_, test_offset_);
+    const int64_t end = length_ > 0.0
+                            ? start + static_cast<int64_t>(length_)
+                            : input.num_days();
+    return day < start || day >= end ? 1.0 : cost_mult_;
   }
 
  private:
   bool has_day_;
   double day_, test_offset_, length_, cost_mult_;
-  int64_t window_start_ = 0;
-  int64_t window_end_ = 0;
 };
 
 // --- halt ------------------------------------------------------------------
@@ -300,14 +288,7 @@ class RegimeFlipTransform : public ScenarioTransform {
   double test_offset_;
 };
 
-// --- registry --------------------------------------------------------------
-
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, ScenarioFactory> factories;
-};
-
-Registry& GetRegistry();
+// --- presets ---------------------------------------------------------------
 
 Result<std::unique_ptr<ScenarioTransform>> MakeFlashCrash(
     const ScenarioSpec& spec) {
@@ -395,52 +376,45 @@ Result<std::unique_ptr<ScenarioTransform>> MakeRegimeFlip(
       new RegimeFlipTransform(has_day, day, has_offset, test_offset));
 }
 
-Registry& GetRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    r->factories["flash_crash"] = MakeFlashCrash;
-    r->factories["correlation_breakdown"] = MakeCorrelationBreakdown;
-    r->factories["liquidity_hole"] = MakeLiquidityHole;
-    r->factories["halt"] = MakeHalt;
-    r->factories["regime_flip"] = MakeRegimeFlip;
-    return r;
-  }();
-  return *registry;
+struct Preset {
+  const char* name;
+  Result<std::unique_ptr<ScenarioTransform>> (*make)(const ScenarioSpec&);
+};
+
+// Sorted by name.
+constexpr Preset kPresets[] = {
+    {"correlation_breakdown", MakeCorrelationBreakdown},
+    {"flash_crash", MakeFlashCrash},
+    {"halt", MakeHalt},
+    {"liquidity_hole", MakeLiquidityHole},
+    {"regime_flip", MakeRegimeFlip},
+};
+
+// The fewest significant digits, from 6 up to 17, that parse back to
+// `value`; 17 always does.
+std::string FormatParam(double value) {
+  char buf[32];
+  for (int digits = 6; digits <= 17; ++digits) {
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
 }
 
 }  // namespace
 
-void RegisterScenario(const std::string& name, ScenarioFactory factory) {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.factories[name] = std::move(factory);
-}
-
 std::vector<std::string> RegisteredScenarioNames() {
-  Registry& r = GetRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
   std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, factory] : r.factories) {
-    (void)factory;
-    names.push_back(name);
-  }
+  for (const Preset& preset : kPresets) names.push_back(preset.name);
   return names;
 }
 
 Result<std::unique_ptr<ScenarioTransform>> MakeScenarioTransform(
     const ScenarioSpec& spec) {
-  ScenarioFactory factory;
-  {
-    Registry& r = GetRegistry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.factories.find(spec.name);
-    if (it == r.factories.end()) {
-      return Status::NotFound("unknown scenario preset: '" + spec.name + "'");
-    }
-    factory = it->second;
+  for (const Preset& preset : kPresets) {
+    if (spec.name == preset.name) return preset.make(spec);
   }
-  return factory(spec);
+  return Status::NotFound("unknown scenario preset: '" + spec.name + "'");
 }
 
 Result<std::vector<ScenarioSpec>> ParseScenarioStack(
@@ -510,9 +484,7 @@ std::string FormatScenarioStack(const std::vector<ScenarioSpec>& stack) {
     for (const auto& [key, value] : stack[i].params) {
       out += first ? ":" : ",";
       first = false;
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%g", value);
-      out += key + "=" + buf;
+      out += key + "=" + FormatParam(value);
     }
   }
   return out;
@@ -520,51 +492,69 @@ std::string FormatScenarioStack(const std::vector<ScenarioSpec>& stack) {
 
 // --- ScenarioSource --------------------------------------------------------
 
-// Adapter giving transform k read access to the stack prefix below it.
-class ScenarioSource::LevelInput : public ScenarioTransform::Input {
+namespace {
+
+// One evaluated level of a stack as a transform's Input.
+class LevelInput : public ScenarioTransform::Input {
  public:
-  LevelInput(ScenarioSource* source, size_t level)
-      : source_(source), level_(level) {}
+  LevelInput(const PanelMeta& meta, const double* closes)
+      : meta_(meta), closes_(closes) {}
 
   double Close(int64_t day, int64_t asset) const override {
-    const uint64_t key =
-        (static_cast<uint64_t>(level_) << 40) | static_cast<uint64_t>(day);
-    auto it = source_->anchor_rows_.find(key);
-    if (it == source_->anchor_rows_.end()) {
-      std::vector<double> row(source_->meta_.num_assets);
-      source_->EvalRow(day, level_, row.data());
-      it = source_->anchor_rows_.emplace(key, std::move(row)).first;
-    }
-    return it->second[asset];
+    CIT_CHECK(day >= 0 && day < meta_.num_days);
+    CIT_CHECK(asset >= 0 && asset < meta_.num_assets);
+    return closes_[day * meta_.num_assets + asset];
   }
-
-  int64_t num_days() const override { return source_->meta_.num_days; }
-  int64_t num_assets() const override { return source_->meta_.num_assets; }
-  int64_t train_end() const override { return source_->meta_.train_end; }
+  int64_t num_days() const override { return meta_.num_days; }
+  int64_t num_assets() const override { return meta_.num_assets; }
+  int64_t train_end() const override { return meta_.train_end; }
 
  private:
-  ScenarioSource* source_;
-  size_t level_;
+  const PanelMeta& meta_;
+  const double* closes_;
 };
 
+}  // namespace
+
 ScenarioSource::ScenarioSource(
-    PanelSource* base, std::vector<std::unique_ptr<ScenarioTransform>> stack)
-    : base_(base), stack_(std::move(stack)) {
+    const PanelSource* base,
+    std::vector<std::unique_ptr<ScenarioTransform>> stack) {
   CIT_CHECK(base != nullptr);
   meta_ = base->meta();
-  for (const auto& t : stack_) {
-    meta_.name += "+" + t->name();
-    // Window-based cost transforms need the panel dims to resolve their
-    // relative anchors once.
-    if (auto* lh = dynamic_cast<LiquidityHoleTransform*>(t.get())) {
-      lh->ResolveWindow(meta_.train_end, meta_.num_days);
+  for (const auto& t : stack) meta_.name += "+" + t->name();
+  const int64_t days = meta_.num_days;
+  const int64_t m = meta_.num_assets;
+
+  // Level k + 1 starts as a copy of level k and transform k rewrites it
+  // row by row, reading level k: level 0 is the base array itself, and
+  // from level 1 on `input_level` holds a copy of the previous level.
+  const double* base_closes = base->closes();
+  owned_closes_.assign(base_closes, base_closes + days * m);
+  std::vector<double> cost(static_cast<size_t>(days));
+  for (int64_t day = 0; day < days; ++day) {
+    cost[static_cast<size_t>(day)] = base->CostMultiplier(day);
+  }
+  std::vector<double> input_level;
+  for (size_t k = 0; k < stack.size(); ++k) {
+    if (k > 0) input_level = owned_closes_;
+    const LevelInput input(meta_,
+                           k == 0 ? base_closes : input_level.data());
+    for (int64_t day = 0; day < days; ++day) {
+      stack[k]->Apply(input, day, owned_closes_.data() + day * m);
+      cost[static_cast<size_t>(day)] *= stack[k]->CostMultiplier(input, day);
     }
   }
-  base_view_ = PanelView(base_);
+  closes_ = owned_closes_.data();
+  for (const double c : cost) {
+    if (c != 1.0) {
+      cost_mult_ = std::move(cost);
+      break;
+    }
+  }
 }
 
 Result<std::unique_ptr<ScenarioSource>> ScenarioSource::Make(
-    PanelSource* base, const std::vector<ScenarioSpec>& stack) {
+    const PanelSource* base, const std::vector<ScenarioSpec>& stack) {
   std::vector<std::unique_ptr<ScenarioTransform>> transforms;
   transforms.reserve(stack.size());
   for (const ScenarioSpec& spec : stack) {
@@ -573,42 +563,6 @@ Result<std::unique_ptr<ScenarioSource>> ScenarioSource::Make(
     transforms.push_back(std::move(made).value());
   }
   return std::make_unique<ScenarioSource>(base, std::move(transforms));
-}
-
-void ScenarioSource::EvalRow(int64_t day, size_t level, double* row) {
-  const int64_t m = meta_.num_assets;
-  for (int64_t i = 0; i < m; ++i) row[i] = base_view_.Close(day, i);
-  for (size_t k = 0; k < level; ++k) {
-    LevelInput input(this, k);
-    stack_[k]->Apply(input, day, row);
-  }
-}
-
-std::shared_ptr<const PanelChunk> ScenarioSource::FetchChunk(int64_t index) {
-  CIT_CHECK(index >= 0 && index < num_chunks());
-  const int64_t cd = chunk_days();
-  const int64_t start_day = index * cd;
-  const int64_t days = std::min(cd, meta_.num_days - start_day);
-  const int64_t m = meta_.num_assets;
-
-  auto chunk = std::make_shared<PanelChunk>();
-  chunk->start_day = start_day;
-  chunk->num_days = days;
-  chunk->num_assets = m;
-  chunk->owned.resize(static_cast<size_t>(days * m));
-
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int64_t r = 0; r < days; ++r) {
-    EvalRow(start_day + r, stack_.size(), chunk->owned.data() + r * m);
-  }
-  chunk->data = chunk->owned.data();
-  return chunk;
-}
-
-double ScenarioSource::CostMultiplier(int64_t day) const {
-  double mult = base_->CostMultiplier(day);
-  for (const auto& t : stack_) mult *= t->CostMultiplier(day);
-  return mult;
 }
 
 }  // namespace cit::market

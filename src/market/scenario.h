@@ -2,12 +2,9 @@
 #define CIT_MARKET_SCENARIO_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -17,10 +14,9 @@ namespace cit::market {
 
 // ---------------------------------------------------------------------------
 // Named stress scenarios as composable, deterministic panel transforms.
-// A ScenarioSource decorates any PanelSource with a stack of transforms;
-// each transform rewrites one day's close row as a pure function of the
-// stack-input data (no RNG), so chunks are identical regardless of access
-// order or thread — the same determinism contract as every other source.
+// A ScenarioSource applies a stack of transforms to any PanelSource; each
+// transform rewrites one day's close row as a pure function of the
+// stack-input data (no RNG), so a stack's output is fixed by its input.
 //
 // Built-in presets (see README for the parameter table):
 //   flash_crash            multi-day slide on a subset of assets, with
@@ -50,8 +46,8 @@ struct ScenarioSpec {
 // row of `day` in place; on entry `row` holds the stack-input values for
 // that day, and `input` reads the stack-input panel at *other* days
 // (reference anchors). Implementations must be pure functions of
-// (input, day, params) — no RNG, no mutable state — so the decorated
-// source stays deterministic under any access order.
+// (input, day, params) — no RNG, no mutable state — so a stack's output
+// depends only on its input panel.
 class ScenarioTransform {
  public:
   // Read access to the transform's input level (the base source with all
@@ -70,21 +66,14 @@ class ScenarioTransform {
   virtual void Apply(const Input& input, int64_t day, double* row) const = 0;
   // Scales the env's proportional transaction cost at `day` (liquidity
   // stress); multiplicative across the stack.
-  virtual double CostMultiplier(int64_t day) const {
+  virtual double CostMultiplier(const Input& input, int64_t day) const {
+    (void)input;
     (void)day;
     return 1.0;
   }
 };
 
-using ScenarioFactory =
-    std::function<Result<std::unique_ptr<ScenarioTransform>>(
-        const ScenarioSpec&)>;
-
-// Registers a named scenario preset (replaces an existing registration).
-// The built-in presets above are pre-registered.
-void RegisterScenario(const std::string& name, ScenarioFactory factory);
-
-// Sorted names of all registered presets.
+// Sorted names of the built-in presets.
 std::vector<std::string> RegisteredScenarioNames();
 
 // Instantiates one transform; rejects unknown presets and unknown or
@@ -97,48 +86,28 @@ Result<std::unique_ptr<ScenarioTransform>> MakeScenarioTransform(
 // (empty text = empty stack). Values are doubles.
 Result<std::vector<ScenarioSpec>> ParseScenarioStack(const std::string& text);
 
-// Canonical text form of a stack (inverse of ParseScenarioStack).
+// Canonical text form of a stack, the inverse of ParseScenarioStack: each
+// value is printed with the fewest significant digits (6 to 17) that
+// parse back to the same double.
 std::string FormatScenarioStack(const std::vector<ScenarioSpec>& stack);
 
-// Decorates `base` with a transform stack. Chunking mirrors the base
-// source; each fetched chunk is materialized by evaluating the stack
-// day-by-day, memoizing reference-anchor rows. `base` is borrowed and
-// must outlive the ScenarioSource; it may be shared with other consumers
-// (FetchChunk is thread-safe all the way down).
+// A base source with a transform stack applied, evaluated once in the
+// constructor, level by level: transform k reads the panel after
+// transforms 0..k-1 and rewrites every day of it. The result is one owned
+// close array (plus a cost-multiplier array when some day's multiplier is
+// not 1.0); afterwards the source keeps neither `base` nor the
+// transforms, so `base` need only outlive the constructor.
 class ScenarioSource : public PanelSource {
  public:
-  ScenarioSource(PanelSource* base,
+  ScenarioSource(const PanelSource* base,
                  std::vector<std::unique_ptr<ScenarioTransform>> stack);
 
-  // Convenience: parse + instantiate + decorate.
+  // Convenience: instantiate + evaluate.
   static Result<std::unique_ptr<ScenarioSource>> Make(
-      PanelSource* base, const std::vector<ScenarioSpec>& stack);
-
-  const PanelMeta& meta() const override { return meta_; }
-  int64_t chunk_days() const override { return base_->chunk_days(); }
-  std::shared_ptr<const PanelChunk> FetchChunk(int64_t index) override;
-  void Prefetch(int64_t first_day, int64_t last_day) override {
-    base_->Prefetch(first_day, last_day);
-  }
-  double CostMultiplier(int64_t day) const override;
+      const PanelSource* base, const std::vector<ScenarioSpec>& stack);
 
  private:
-  class LevelInput;
-
-  // Fills `row` with the close row of `day` after the first `level`
-  // transforms. mu_ held.
-  void EvalRow(int64_t day, size_t level, double* row);
-
-  PanelSource* base_;  // not owned
-  std::vector<std::unique_ptr<ScenarioTransform>> stack_;
-  PanelMeta meta_;
-
-  std::mutex mu_;
-  PanelView base_view_;  // guarded by mu_
-  // Memoized anchor rows requested through Input::Close, keyed by
-  // (level, day). Anchors are a handful of fixed days per transform, so
-  // this stays small.
-  std::unordered_map<uint64_t, std::vector<double>> anchor_rows_;
+  std::vector<double> owned_closes_;
 };
 
 }  // namespace cit::market

@@ -98,6 +98,35 @@ MarketConfig ChinaMarketConfig() {
   return ApplyScale(c);
 }
 
+namespace {
+
+// The generator as a day-stepper: construction draws the static
+// per-asset structure, each StepDay emits one day's closes and advances
+// the dynamic state (RNG included).
+class MarketSim {
+ public:
+  explicit MarketSim(const MarketConfig& config);
+
+  // Writes `num_assets` closes for the next day into `out_row` and
+  // advances to the day after.
+  void StepDay(double* out_row);
+
+ private:
+  MarketConfig config_;
+  int64_t days_;
+  Rng rng_;
+  double rho_event_;
+  double rho_sector_;
+  std::vector<double> beta_;
+  std::vector<int64_t> sector_;
+  std::vector<double> comp_long_, comp_mid_, comp_short_;
+  std::vector<double> drift_, event_drift_;
+  std::vector<double> sector_level_;
+  std::vector<double> log_price_;
+  bool bull_ = true;
+  int64_t t_ = 0;
+};
+
 MarketSim::MarketSim(const MarketConfig& config)
     : config_(config),
       days_(config.num_days()),
@@ -185,6 +214,8 @@ void MarketSim::StepDay(double* out_row) {
   }
   ++t_;
 }
+
+}  // namespace
 
 PricePanel SimulateMarket(const MarketConfig& config) {
   const int64_t days = config.num_days();

@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "market/panel.h"
-#include "math/rng.h"
 
 namespace cit::market {
 
@@ -86,40 +84,6 @@ struct MarketConfig {
 MarketConfig UsMarketConfig();
 MarketConfig HkMarketConfig();
 MarketConfig ChinaMarketConfig();
-
-// The generator as an explicit day-stepper: construction draws the static
-// per-asset structure, each StepDay emits one day's closes and advances
-// the dynamic state. The RNG draw order is exactly SimulateMarket's, so
-// stepping day 0..T-1 reproduces SimulateMarket(config) bitwise. The
-// whole state (RNG included) is a small value type — copies are
-// checkpoints, which is how SimulatorSource serves random chunk access
-// deterministically without regenerating from day 0 every time.
-class MarketSim {
- public:
-  explicit MarketSim(const MarketConfig& config);
-
-  // Writes `num_assets` closes for day `next_day()` into `out_row` and
-  // advances to the next day.
-  void StepDay(double* out_row);
-
-  int64_t next_day() const { return t_; }
-  const MarketConfig& config() const { return config_; }
-
- private:
-  MarketConfig config_;
-  int64_t days_;
-  math::Rng rng_;
-  double rho_event_;
-  double rho_sector_;
-  std::vector<double> beta_;
-  std::vector<int64_t> sector_;
-  std::vector<double> comp_long_, comp_mid_, comp_short_;
-  std::vector<double> drift_, event_drift_;
-  std::vector<double> sector_level_;
-  std::vector<double> log_price_;
-  bool bull_ = true;
-  int64_t t_ = 0;
-};
 
 // Generates a price panel from the config. Deterministic given config.seed.
 PricePanel SimulateMarket(const MarketConfig& config);

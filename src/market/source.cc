@@ -1,6 +1,5 @@
 #include "market/source.h"
 
-#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -21,40 +20,7 @@ PanelView::PanelView(const PricePanel& panel)
     : owned_source_(std::make_shared<InMemorySource>(&panel)) {
   source_ = owned_source_.get();
   meta_ = &source_->meta();
-  chunk_days_ = source_->chunk_days();
-  CIT_CHECK_GT(chunk_days_, 0);
-}
-
-const PanelChunk* PanelView::ChunkFor(int64_t day) const {
-  // Ring hit?
-  for (const auto& c : ring_) {
-    if (c && c->Covers(day)) {
-      hot_ = c.get();
-      return hot_;
-    }
-  }
-  const int64_t index = day / chunk_days_;
-  std::shared_ptr<const PanelChunk> chunk = source_->FetchChunk(index);
-  CIT_CHECK(chunk != nullptr);
-  CIT_CHECK(chunk->Covers(day));
-  // Sequential scans cross chunk boundaries in order; let the source start
-  // on the next chunk while we consume this one.
-  const int64_t next_first = (index + 1) * chunk_days_;
-  if (next_first < meta_->num_days) {
-    source_->Prefetch(next_first,
-                      std::min(next_first + chunk_days_ - 1,
-                               meta_->num_days - 1));
-  }
-  ring_[ring_next_] = std::move(chunk);
-  hot_ = ring_[ring_next_].get();
-  ring_next_ = (ring_next_ + 1) % kRing;
-  return hot_;
-}
-
-void PanelView::Hint(int64_t first_day, int64_t last_day) const {
-  first_day = std::max<int64_t>(0, first_day);
-  last_day = std::min(last_day, meta_->num_days - 1);
-  if (first_day <= last_day) source_->Prefetch(first_day, last_day);
+  closes_ = source_->closes();
 }
 
 PricePanel PanelView::Materialize() const {
@@ -70,38 +36,22 @@ PricePanel PanelView::Materialize() const {
   return out;
 }
 
-InMemorySource::InMemorySource(const PricePanel* panel) : panel_(panel) {
+InMemorySource::InMemorySource(const PricePanel* panel) {
   CIT_CHECK(panel != nullptr);
-  Init();
+  Init(*panel);
 }
 
-InMemorySource::InMemorySource(PricePanel panel)
-    : owned_(std::move(panel)), panel_(&owned_) {
-  Init();
+InMemorySource::InMemorySource(PricePanel panel) : owned_(std::move(panel)) {
+  Init(owned_);
 }
 
-void InMemorySource::Init() {
-  meta_.num_days = panel_->num_days();
-  meta_.num_assets = panel_->num_assets();
-  meta_.train_end = panel_->train_end();
-  meta_.name = panel_->name();
-  meta_.asset_names = panel_->asset_names();
-
-  auto chunk = std::make_shared<PanelChunk>();
-  chunk->start_day = 0;
-  chunk->num_days = panel_->num_days();
-  chunk->num_assets = panel_->num_assets();
-  chunk->data = panel_->raw_closes();  // zero copy: borrows panel storage
-  chunk_ = std::move(chunk);
-}
-
-int64_t InMemorySource::chunk_days() const {
-  return std::max<int64_t>(1, meta_.num_days);
-}
-
-std::shared_ptr<const PanelChunk> InMemorySource::FetchChunk(int64_t index) {
-  CIT_CHECK_EQ(index, 0);
-  return chunk_;
+void InMemorySource::Init(const PricePanel& panel) {
+  meta_.num_days = panel.num_days();
+  meta_.num_assets = panel.num_assets();
+  meta_.train_end = panel.train_end();
+  meta_.name = panel.name();
+  meta_.asset_names = panel.asset_names();
+  closes_ = panel.raw_closes();  // zero copy: borrows panel storage
 }
 
 }  // namespace cit::market

@@ -106,8 +106,8 @@ std::vector<double> PpoAgent::Train(const market::PanelView& panel,
       SlotData& sd = slots[slot];
       env::PortfolioEnv senv = env.CloneAt(
           lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
-      // A PanelView is single-threaded (its chunk ring is mutable), so
-      // the slot reads prices through its own env clone's view.
+      // Views are immutable and safe to share; the slot reads prices
+      // through its env clone's view, the one that env steps on.
       const market::PanelView& view = senv.view();
       std::vector<double> held(num_assets_,
                                1.0 / static_cast<double>(num_assets_));

@@ -4,8 +4,10 @@
 // env::RunSweep on the pool and pins the report byte for byte across
 // thread counts.
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,7 +35,7 @@ MarketConfig ScenarioMarket(uint64_t seed = 11) {
 }
 
 // Decorates `base` with a parsed stack; aborts the test on parse errors.
-std::unique_ptr<ScenarioSource> MakeStack(PanelSource* base,
+std::unique_ptr<ScenarioSource> MakeStack(const PanelSource* base,
                                           const std::string& text) {
   auto parsed = ParseScenarioStack(text);
   EXPECT_TRUE(parsed.ok()) << parsed.status().message();
@@ -41,6 +43,77 @@ std::unique_ptr<ScenarioSource> MakeStack(PanelSource* base,
   EXPECT_TRUE(made.ok()) << made.status().message();
   return std::move(made).value();
 }
+
+// The row-memo evaluation a ScenarioSource used before it evaluated its
+// stack level by level, kept as the reference: the close row of `day`
+// after the first `level` transforms, where transform k reads other days
+// through memoized rows after the first k transforms.
+class RowMemoReference {
+ public:
+  RowMemoReference(const PricePanel& base, const std::string& text)
+      : base_(base) {
+    auto parsed = ParseScenarioStack(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().message();
+    for (const ScenarioSpec& spec : parsed.value()) {
+      auto made = MakeScenarioTransform(spec);
+      EXPECT_TRUE(made.ok()) << made.status().message();
+      stack_.push_back(std::move(made).value());
+    }
+  }
+
+  std::vector<double> Row(int64_t day) {
+    std::vector<double> row(static_cast<size_t>(base_.num_assets()));
+    EvalRow(day, stack_.size(), row.data());
+    return row;
+  }
+
+  double CostMultiplier(int64_t day) {
+    double mult = 1.0;
+    for (size_t k = 0; k < stack_.size(); ++k) {
+      mult *= stack_[k]->CostMultiplier(LevelInput(this, k), day);
+    }
+    return mult;
+  }
+
+ private:
+  class LevelInput : public ScenarioTransform::Input {
+   public:
+    LevelInput(RowMemoReference* ref, size_t level)
+        : ref_(ref), level_(level) {}
+
+    double Close(int64_t day, int64_t asset) const override {
+      const uint64_t key =
+          (static_cast<uint64_t>(level_) << 40) | static_cast<uint64_t>(day);
+      auto it = ref_->anchor_rows_.find(key);
+      if (it == ref_->anchor_rows_.end()) {
+        std::vector<double> row(static_cast<size_t>(num_assets()));
+        ref_->EvalRow(day, level_, row.data());
+        it = ref_->anchor_rows_.emplace(key, std::move(row)).first;
+      }
+      return it->second[static_cast<size_t>(asset)];
+    }
+    int64_t num_days() const override { return ref_->base_.num_days(); }
+    int64_t num_assets() const override { return ref_->base_.num_assets(); }
+    int64_t train_end() const override { return ref_->base_.train_end(); }
+
+   private:
+    RowMemoReference* ref_;
+    size_t level_;
+  };
+
+  void EvalRow(int64_t day, size_t level, double* row) {
+    for (int64_t i = 0; i < base_.num_assets(); ++i) {
+      row[i] = base_.Close(day, i);
+    }
+    for (size_t k = 0; k < level; ++k) {
+      stack_[k]->Apply(LevelInput(this, k), day, row);
+    }
+  }
+
+  const PricePanel& base_;
+  std::vector<std::unique_ptr<ScenarioTransform>> stack_;
+  std::unordered_map<uint64_t, std::vector<double>> anchor_rows_;
+};
 
 // ---- Parsing / registry ----------------------------------------------------
 
@@ -56,6 +129,28 @@ TEST(Scenario, ParseFormatsRoundTrip) {
   EXPECT_TRUE(stack[1].params.empty());
   EXPECT_EQ(FormatScenarioStack(stack),
             "flash_crash:depth=0.4,ramp_days=3|halt|regime_flip:day=220");
+  // Values that six significant digits would round: each must format
+  // back to its own text and parse to the same double.
+  const struct {
+    const char* text;
+    const char* key;
+    double value;
+  } precise[] = {
+      {"flash_crash:depth=0.123456789", "depth", 0.123456789},
+      {"halt:day=1234567", "day", 1234567.0},
+      {"liquidity_hole:cost_mult=8.0000001", "cost_mult", 8.0000001},
+  };
+  for (const auto& c : precise) {
+    auto one = ParseScenarioStack(c.text);
+    ASSERT_TRUE(one.ok()) << one.status().message();
+    ASSERT_EQ(one.value().size(), 1u);
+    EXPECT_EQ(one.value()[0].params.at(c.key), c.value) << c.text;
+    const std::string formatted = FormatScenarioStack(one.value());
+    EXPECT_EQ(formatted, c.text);
+    auto again = ParseScenarioStack(formatted);
+    ASSERT_TRUE(again.ok()) << again.status().message();
+    EXPECT_EQ(again.value()[0].params.at(c.key), c.value) << c.text;
+  }
   // Empty text = empty stack, not an error.
   auto empty = ParseScenarioStack("");
   ASSERT_TRUE(empty.ok());
@@ -196,33 +291,49 @@ TEST(Scenario, LiquidityHoleWidensCostsOnlyInsideWindow) {
   }
 }
 
-TEST(Scenario, StacksComposeInOrderAndChunksAreAccessOrderFree) {
+TEST(Scenario, StacksMatchRowMemoReferenceBitwise) {
   const PricePanel panel = SimulateMarket(ScenarioMarket());
   InMemorySource base(&panel);
-  const std::string stack =
+  // Composition at one hand-computed point: crash first, then the flip
+  // pivots on the *crashed* price.
+  const std::string crash_then_flip =
       "flash_crash:day=210,depth=0.3,assets_frac=0.5|regime_flip:day=230";
-  auto forward = MakeStack(&base, stack);
-  auto backward = MakeStack(&base, stack);
-  // Different fetch orders over two independent decorations must agree.
-  const int64_t chunks = forward->num_chunks();
-  std::vector<std::shared_ptr<const PanelChunk>> fwd, bwd;
-  for (int64_t c = 0; c < chunks; ++c) fwd.push_back(forward->FetchChunk(c));
-  for (int64_t c = chunks - 1; c >= 0; --c) {
-    bwd.push_back(backward->FetchChunk(c));
-  }
-  PanelView va(forward.get());
-  // Composition check at one hand-computed point: crash first, then the
-  // flip pivots on the *crashed* price.
+  auto composed = MakeStack(&base, crash_then_flip);
   const double crashed_230 = panel.Close(230, 0) * 0.7;
   const double crashed_240 = panel.Close(240, 0) * 0.7;
-  EXPECT_DOUBLE_EQ(va.Close(240, 0),
+  EXPECT_DOUBLE_EQ(PanelView(composed.get()).Close(240, 0),
                    crashed_230 * crashed_230 / crashed_240);
-  for (int64_t c = 0; c < chunks; ++c) {
-    const auto& a = fwd[static_cast<size_t>(c)];
-    const auto& b = bwd[static_cast<size_t>(chunks - 1 - c)];
-    ASSERT_EQ(a->num_days, b->num_days);
-    for (int64_t r = 0; r < a->num_days * a->num_assets; ++r) {
-      ASSERT_EQ(a->data[r], b->data[r]) << "chunk " << c;
+
+  // Every preset, including the three that read other days
+  // (correlation_breakdown, halt, regime_flip) and two overlapping
+  // liquidity_hole windows, each level reading the one below it.
+  const std::string deep =
+      "flash_crash:day=205,depth=0.35,ramp_days=3,recover_days=8,"
+      "assets_frac=0.5|"
+      "liquidity_hole:test_offset=5,length=30,cost_mult=3|"
+      "correlation_breakdown:day=212,length=40,compress=0.6|"
+      "halt:day=222,length=15,assets=2,offset=1|"
+      "liquidity_hole:day=225,length=20,cost_mult=2.5|"
+      "regime_flip:day=230|"
+      "halt:day=260,length=0,assets=1,offset=4,zero=1";
+  for (const std::string& text : {crash_then_flip, deep}) {
+    auto source = MakeStack(&base, text);
+    RowMemoReference reference(panel, text);
+    PanelView view(source.get());
+    for (int64_t t = 0; t < panel.num_days(); ++t) {
+      const std::vector<double> row = reference.Row(t);
+      for (int64_t i = 0; i < panel.num_assets(); ++i) {
+        const double got = view.Close(t, i);
+        ASSERT_EQ(std::memcmp(&got, &row[static_cast<size_t>(i)],
+                              sizeof(double)),
+                  0)
+            << text << " day " << t << " asset " << i << ": " << got
+            << " vs reference " << row[static_cast<size_t>(i)];
+      }
+      const double cost = source->CostMultiplier(t);
+      const double ref_cost = reference.CostMultiplier(t);
+      ASSERT_EQ(std::memcmp(&cost, &ref_cost, sizeof(double)), 0)
+          << text << " day " << t;
     }
   }
 }

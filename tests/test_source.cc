@@ -1,9 +1,6 @@
-// Data-plane gates (DESIGN.md §11): every source implementation must be
-// bitwise interchangeable with the in-memory panel path, for any chunk
-// size, any access order, any prefetch setting, and any thread count.
-#include <algorithm>
-#include <cstdio>
-#include <string>
+// Data-plane gates (DESIGN.md §11): reads through a PanelView must be
+// bitwise interchangeable with the in-memory panel path at any thread
+// count, and one view must be shareable across threads.
 #include <thread>
 #include <vector>
 
@@ -11,12 +8,9 @@
 
 #include "common/thread_pool.h"
 #include "env/backtest.h"
-#include "market/csv.h"
 #include "market/panel.h"
-#include "market/sim_source.h"
 #include "market/simulator.h"
 #include "market/source.h"
-#include "market/streaming_csv.h"
 #include "olps/strategies.h"
 
 namespace cit::market {
@@ -30,13 +24,6 @@ MarketConfig SmallConfig(uint64_t seed = 21) {
   cfg.test_days = 70;
   cfg.seed = seed;
   return cfg;
-}
-
-std::string WriteTempCsv(const PricePanel& panel, const char* tag) {
-  std::string path = ::testing::TempDir() + "cit_source_" + tag + ".csv";
-  const Status s = SavePanelCsv(panel, path);
-  EXPECT_TRUE(s.ok()) << s.message();
-  return path;
 }
 
 // ---- PanelView over InMemorySource: the bitwise anchor ---------------------
@@ -107,200 +94,37 @@ TEST(Source, BacktestThroughViewBitwiseEqualsPanelPathAnyThreads) {
   ThreadPool::Global().SetNumThreads(1);
 }
 
-// ---- StreamingCsvSource ----------------------------------------------------
+// ---- Sharing ---------------------------------------------------------------
 
-TEST(Source, StreamingCsvBitwiseEqualsInMemoryAcrossChunkSizes) {
-  const PricePanel panel = SimulateMarket(SmallConfig(31));
-  const std::string path = WriteTempCsv(panel, "chunks");
-  // Chunk sizes: degenerate (1 day), prime (misaligned with everything),
-  // and whole-panel; prefetch on and off. All must read back the exact
-  // bytes LoadPanelCsv produces.
-  auto loaded = LoadPanelCsv(path);
-  ASSERT_TRUE(loaded.ok());
-  const PricePanel reference = std::move(loaded).value();
-  for (int64_t chunk_days : {int64_t{1}, int64_t{17}, panel.num_days()}) {
-    for (bool prefetch : {false, true}) {
-      StreamingCsvOptions options;
-      options.chunk_days = chunk_days;
-      options.max_resident_chunks = 3;
-      options.prefetch = prefetch;
-      auto opened = StreamingCsvSource::Open(path, options);
-      ASSERT_TRUE(opened.ok()) << opened.status().message();
-      auto source = std::move(opened).value();
-      PanelView view(source.get());
-      ASSERT_EQ(view.num_days(), reference.num_days());
-      ASSERT_EQ(view.train_end(), reference.train_end());
-      for (int64_t t = 0; t < reference.num_days(); ++t) {
-        for (int64_t i = 0; i < reference.num_assets(); ++i) {
-          ASSERT_EQ(view.Close(t, i), reference.Close(t, i))
-              << "chunk_days=" << chunk_days << " prefetch=" << prefetch
-              << " day=" << t << " asset=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(Source, StreamingCsvBacktestBitwiseEqualsPanelUnderChunkBudget) {
-  const PricePanel sim = SimulateMarket(SmallConfig(32));
-  const std::string path = WriteTempCsv(sim, "backtest");
-  // The gate is streaming ingest vs in-memory ingest of the same file
-  // (SavePanelCsv rounds to 10 digits, so the simulated panel itself is
-  // not the reference — the file is).
-  auto loaded = LoadPanelCsv(path);
-  ASSERT_TRUE(loaded.ok());
-  const PricePanel panel = std::move(loaded).value();
-  olps::Olmar direct_agent;
-  const auto direct = env::RunTestBacktest(direct_agent, panel, 16);
-  StreamingCsvOptions options;
-  options.chunk_days = 32;
-  options.max_resident_chunks = 2;  // far less than the panel
-  auto opened = StreamingCsvSource::Open(path, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().message();
-  auto source = std::move(opened).value();
-  olps::Olmar streamed_agent;
-  const auto streamed =
-      env::RunTestBacktest(streamed_agent, PanelView(source.get()), 16);
-  ASSERT_EQ(direct.wealth.size(), streamed.wealth.size());
-  for (size_t i = 0; i < direct.wealth.size(); ++i) {
-    EXPECT_EQ(direct.wealth[i], streamed.wealth[i]) << "step " << i;
-  }
-}
-
-TEST(Source, StreamingCsvHonorsResidentBudget) {
-  const PricePanel panel = SimulateMarket(SmallConfig(33));
-  const std::string path = WriteTempCsv(panel, "budget");
-  StreamingCsvOptions options;
-  options.chunk_days = 16;
-  options.max_resident_chunks = 2;
-  options.prefetch = false;
-  auto opened = StreamingCsvSource::Open(path, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().message();
-  auto source = std::move(opened).value();
-  // Sweep every chunk twice; the LRU must keep residency at the budget.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int64_t c = 0; c < source->num_chunks(); ++c) {
-      (void)source->FetchChunk(c);
-    }
-  }
-  EXPECT_LE(source->resident_bytes(), source->budget_bytes());
-  // Transient overshoot is bounded by one in-flight chunk.
-  const int64_t chunk_bytes =
-      options.chunk_days * panel.num_assets() *
-      static_cast<int64_t>(sizeof(double));
-  EXPECT_LE(source->peak_resident_bytes(),
-            source->budget_bytes() + chunk_bytes);
-  EXPECT_GT(source->chunk_loads(), source->num_chunks());  // re-loads hit
-}
-
-TEST(Source, StreamingCsvOpenRejectsBadFiles) {
-  const std::string path = ::testing::TempDir() + "cit_source_bad.csv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.0,-3.0\n", f);
-  std::fclose(f);
-  auto opened = StreamingCsvSource::Open(path);
-  EXPECT_FALSE(opened.ok());  // negative price must fail at Open
-  auto missing = StreamingCsvSource::Open(path + ".nope");
-  EXPECT_FALSE(missing.ok());
-}
-
-// Shared source, one private view per thread: equal reads, no races
-// (exercised under TSan by check.sh).
-TEST(SourceThreaded, ConcurrentViewsOverSharedStreamingSourceAgree) {
+// One view read by several threads at once, in opposite day orders: a
+// view holds no mutable state, so every read must equal the panel's own
+// array element for element (raced under TSan by check.sh).
+TEST(SourceThreaded, OneViewSharedAcrossThreadsAgrees) {
   const PricePanel panel = SimulateMarket(SmallConfig(34));
-  const std::string path = WriteTempCsv(panel, "threads");
-  StreamingCsvOptions options;
-  options.chunk_days = 8;
-  options.max_resident_chunks = 2;
-  auto opened = StreamingCsvSource::Open(path, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().message();
-  auto source = std::move(opened).value();
+  InMemorySource source(&panel);
+  const PanelView view(&source);
+  const double* closes = panel.raw_closes();
+  const int64_t days = view.num_days();
+  const int64_t m = view.num_assets();
   constexpr int kThreads = 4;
-  std::vector<double> sums(kThreads, 0.0);
+  std::vector<int64_t> mismatches(kThreads, 0);
   std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
-      PanelView view(source.get());  // private ring per thread
-      double sum = 0.0;
-      // Different traversal order per thread.
-      for (int64_t t = 0; t < view.num_days(); ++t) {
-        const int64_t day =
-            (w % 2 == 0) ? t : view.num_days() - 1 - t;
-        for (int64_t i = 0; i < view.num_assets(); ++i) {
-          sum += view.Close(day, i);
-        }
-      }
-      sums[static_cast<size_t>(w)] = sum;
-    });
-  }
-  for (auto& t : workers) t.join();
-  for (int w = 1; w < kThreads; ++w) EXPECT_EQ(sums[0], sums[w]);
-}
-
-// ---- SimulatorSource -------------------------------------------------------
-
-TEST(Source, SimulatorSourceBitwiseEqualsSimulateMarket) {
-  const MarketConfig cfg = SmallConfig(35);
-  const PricePanel reference = SimulateMarket(cfg);
-  for (int64_t chunk_days : {int64_t{1}, int64_t{13}, int64_t{512}}) {
-    SimulatorSource source(cfg, chunk_days);
-    PanelView view(&source);
-    ASSERT_EQ(view.num_days(), reference.num_days());
-    for (int64_t t = 0; t < reference.num_days(); ++t) {
-      for (int64_t i = 0; i < reference.num_assets(); ++i) {
-        ASSERT_EQ(view.Close(t, i), reference.Close(t, i))
-            << "chunk_days=" << chunk_days << " day=" << t;
-      }
-    }
-  }
-}
-
-TEST(Source, SimulatorSourceIndependentOfAccessOrder) {
-  const MarketConfig cfg = SmallConfig(36);
-  const PricePanel reference = SimulateMarket(cfg);
-  SimulatorSource source(cfg, /*chunk_days=*/16);
-  // Fetch chunks back to front — the checkpoint chain must produce the
-  // same days as forward generation.
-  for (int64_t c = source.num_chunks() - 1; c >= 0; --c) {
-    const auto chunk = source.FetchChunk(c);
-    for (int64_t t = chunk->start_day;
-         t < chunk->start_day + chunk->num_days; ++t) {
-      for (int64_t i = 0; i < reference.num_assets(); ++i) {
-        ASSERT_EQ(chunk->At(t, i), reference.Close(t, i))
-            << "chunk=" << c << " day=" << t;
-      }
-    }
-  }
-}
-
-TEST(SourceThreaded, SimulatorSourceConcurrentFetchesAgree) {
-  const MarketConfig cfg = SmallConfig(37);
-  const PricePanel reference = SimulateMarket(cfg);
-  SimulatorSource source(cfg, /*chunk_days=*/8);
-  constexpr int kThreads = 4;
-  std::vector<int> failures(kThreads, 0);
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      for (int64_t step = 0; step < source.num_chunks(); ++step) {
-        // Stride the chunk order differently per thread.
-        const int64_t c =
-            (step * (w + 1) + w) % source.num_chunks();
-        const auto chunk = source.FetchChunk(c);
-        for (int64_t t = chunk->start_day;
-             t < chunk->start_day + chunk->num_days; ++t) {
-          for (int64_t i = 0; i < reference.num_assets(); ++i) {
-            if (chunk->At(t, i) != reference.Close(t, i)) {
-              ++failures[static_cast<size_t>(w)];
-            }
+      for (int64_t t = 0; t < days; ++t) {
+        const int64_t day = (w % 2 == 0) ? t : days - 1 - t;
+        for (int64_t i = 0; i < m; ++i) {
+          if (view.Close(day, i) != closes[day * m + i]) {
+            ++mismatches[static_cast<size_t>(w)];
           }
         }
       }
     });
   }
   for (auto& t : workers) t.join();
-  for (int w = 0; w < kThreads; ++w) EXPECT_EQ(failures[w], 0);
+  for (int w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(w)], 0) << "thread " << w;
+  }
 }
 
 }  // namespace
