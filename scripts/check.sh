@@ -22,8 +22,9 @@
 #      allocations and parser overreads trip immediately; the UBSan build
 #      aborts on its first report, so any UB fails its test.
 #   4. TSan build running the thread-pool / determinism / parallel-rollout
-#      tests with CIT_OVERSUBSCRIBE=1 so real multi-thread interleavings
-#      are exercised even on small hosts.
+#      and sweep tests, plus the suites whose state is per thread, with
+#      CIT_OVERSUBSCRIBE=1 so the pool's workers really run sweep cells and
+#      rollout slots concurrently even on small hosts.
 #   5. A CIT_OBS=OFF build, proving the instrumentation compiles out.
 #   6. A portable (-DCIT_NATIVE_ARCH=OFF) build running test_kernels at 1
 #      and 4 threads: the direct conv's bitwise reference test must also
@@ -64,8 +65,9 @@ run cmake --build build -j"$(nproc)"
 
 echo "=== kernel-backend gate (dispatch matrix at 1 and 4 threads) ==="
 # test_kernels runs the adversarial GEMM/conv shape matrix (prime and tail
-# dims straddling every microkernel boundary), per-backend bitwise thread
-# invariance, simd-vs-scalar agreement, both direct-conv arms against
+# dims straddling every microkernel boundary), per-backend bitwise equality
+# at 1 and 4 pool threads (kernels are serial, so the pool size must never
+# show), simd-vs-scalar agreement, both direct-conv arms against
 # their bitwise reference loop (tile edges, non-finite weights, 6,000
 # seeded random shapes), the pack-buffer steady-state allocation check,
 # and the byte-accounting formula pins.
@@ -142,7 +144,7 @@ EOF
 echo "=== serving gate (daemon soak + citd end-to-end smoke) ==="
 # test_serve runs the adversarial client matrix and the hot-swap soak
 # (4 concurrent clients, bitwise serve-vs-library, swap mid-soak) at 1
-# and 4 workers; repeat at 1 and 4 kernel threads.
+# and 4 workers; repeat at 1 and 4 pool threads.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_serve)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_serve)
 # End-to-end: the real daemon binary against a scripted client — ping,
@@ -213,22 +215,22 @@ run cmake --build build-thread -j"$(nproc)" --target test_threading \
     test_source test_scenarios test_core
 # CIT_OVERSUBSCRIBE lifts the hardware clamp so the pool really spawns the
 # requested workers: TSan then sees genuine cross-thread interleavings of
-# the rollout pipeline even on a 1-core container. test_inference rides
-# along so the grad-mode thread-local, the NoGradAllowed atomic, and the
-# pool's lock-free inline-dispatch check are raced against real workers;
-# test_plan rides along so plan replays (fused sweeps, slab writes, the
-# CompileAllowed atomic, the recording thread-local) are raced the same
-# way; the serve daemon tests ride along so worker threads, the swap
-# mutex + generation counter, and per-replica plan ownership are raced
-# under real concurrent clients; test_kernels' KernelDispatch suite rides
-# along so the SIMD microkernels, the pack thread-locals, and the backend
-# atomic see genuine 4-worker interleavings (its 1-vs-4-thread bitwise
-# checks are only real under the lifted clamp); the Source/Scenario/Sweep
-# suites ride along so one PanelView read by four threads at once, and
-# sweep cells building their ScenarioSources from one shared base source
-# on pool workers, are raced for real; test_core's StackedDecide suite
-# rides along so batched and batch-of-one decides share plans under real
-# 4-worker kernel fan-out for every backbone.
+# the rollout pipeline even on a 1-core container, and of the pool's own
+# index claims. Kernels never enter the pool, so the other suites ride
+# along for their per-thread state and for concurrency of their own:
+# test_inference for the grad-mode thread-local and the NoGradAllowed
+# atomic, next to rollout slots building graphs on pool workers; test_plan
+# for plan replays (fused sweeps, slab writes, the CompileAllowed atomic,
+# the recording thread-local); the serve daemon tests so worker threads,
+# the swap mutex + generation counter, and per-replica plan ownership are
+# raced under real concurrent clients; test_kernels' KernelDispatch suite
+# so the SIMD microkernels, the pack and conv-scratch thread-locals, and
+# the backend atomic run under TSan instrumentation; the
+# Source/Scenario/Sweep suites so one PanelView read by four threads at
+# once, and sweep cells building their ScenarioSources from one shared
+# base source on pool workers, are raced for real; test_core's
+# StackedDecide suite so batched and batch-of-one decides, which share
+# plans, are checked bitwise for every backbone at 1 and 4 pool threads.
 (cd build-thread && run env CIT_FAST=1 CIT_OVERSUBSCRIBE=1 CIT_NUM_THREADS=4 \
     ctest --output-on-failure \
     -R 'ThreadPool|Determinism|RngSplit|RolloutRunner|RolloutDeterminism|InferenceIdentity|GradMode\.|Arena\.|Compiled|ArenaStats\.|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep|StackedDecide')

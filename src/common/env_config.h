@@ -12,17 +12,17 @@ enum class RunScale { kFast, kDefault, kFull };
 // Reads CIT_FAST / CIT_FULL once and caches the answer.
 RunScale GetRunScale();
 
-// Maximum threads the math kernels may use, read once from CIT_NUM_THREADS.
-// Unset or invalid values fall back to the hardware concurrency (clamped to
-// [1, 16]). This sizes the global ThreadPool; the active count can still be
-// lowered at runtime via ThreadPool::SetNumThreads.
+// Threads the global ThreadPool runs sweep cells and rollout slots on
+// (kernels are serial), read once from CIT_NUM_THREADS. Unset or invalid
+// values fall back to the hardware concurrency (clamped to [1, 16]). The
+// active count can still be changed at runtime via
+// ThreadPool::SetNumThreads.
 int NumThreads();
 
 // True when CIT_OVERSUBSCRIBE is set: the ThreadPool then honors thread
 // counts above hardware_concurrency() instead of clamping them. Off by
-// default because oversubscribing a small host makes every fork/join
-// strictly slower (4-thread GEMM once measured slower than 1-thread on a
-// 1-core box); the determinism contract makes the clamp result-invariant.
+// default because oversubscribing a small host only adds context switches;
+// the determinism contract makes the clamp result-invariant.
 // TSan runs enable it to exercise real cross-thread interleavings
 // regardless of host size.
 bool AllowOversubscribe();

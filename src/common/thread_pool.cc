@@ -8,8 +8,8 @@
 namespace cit {
 namespace {
 
-// True while this thread is executing a ParallelFor chunk (worker or
-// caller). Nested ParallelFor calls from such a thread run serially.
+// True while this thread is executing a ParallelFor body (worker or
+// caller). Nested ParallelFor calls from such a thread run inline.
 thread_local bool t_in_parallel_region = false;
 
 }  // namespace
@@ -62,7 +62,6 @@ void ThreadPool::SetNumThreads(int n) {
 void ThreadPool::WorkerLoop() {
   uint64_t seen_job = 0;
   while (true) {
-    const std::function<void(int64_t, int64_t)>* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
@@ -70,97 +69,67 @@ void ThreadPool::WorkerLoop() {
       });
       if (shutdown_) return;
       seen_job = job_id_;
-      job = job_;
     }
-    // Claim and run chunks until the job is exhausted.
-    while (true) {
-      int64_t chunk;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (job_ != job || next_chunk_ >= num_chunks_) break;
-        chunk = next_chunk_++;
-      }
-      const int64_t lo = job_begin_ + chunk * job_chunk_size_;
-      const int64_t hi = std::min(job_end_, lo + job_chunk_size_);
-      {
-        CIT_OBS_SPAN("threadpool.chunk_worker");
-        CIT_OBS_COUNT("threadpool.chunks_worker", 1);
-        t_in_parallel_region = true;
-        (*job)(lo, hi);
-        t_in_parallel_region = false;
-      }
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (++done_chunks_ == num_chunks_) done_cv_.notify_all();
-      }
-    }
+    RunClaims(seen_job);
   }
 }
 
-bool ThreadPool::InParallelRegion() { return t_in_parallel_region; }
-
-void ThreadPool::ForkJoin(
-    int64_t begin, int64_t end, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& body) {
-  const int64_t n = end - begin;
-  if (n <= 0) return;
-  grain = std::max<int64_t>(grain, 1);
-  int threads;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    threads = active_threads_.load(std::memory_order_relaxed);
-    // A nested call, a tiny range, or a pool already mid-job runs inline.
-    if (t_in_parallel_region || threads <= 1 || n <= grain ||
-        job_ != nullptr) {
-      lock.unlock();
-      CIT_OBS_COUNT("threadpool.inline_jobs", 1);
-      body(begin, end);
-      return;
-    }
-    const int64_t max_chunks =
-        std::min<int64_t>(threads, (n + grain - 1) / grain);
-    job_chunk_size_ = (n + max_chunks - 1) / max_chunks;
-    num_chunks_ = (n + job_chunk_size_ - 1) / job_chunk_size_;
-    job_begin_ = begin;
-    job_end_ = end;
-    next_chunk_ = 0;
-    done_chunks_ = 0;
-    job_ = &body;
-    ++job_id_;
-  }
-  // Fork-to-join latency of the whole job; the chunk spans below break the
-  // same interval down per executing thread.
-  CIT_OBS_SPAN("threadpool.job");
-  CIT_OBS_COUNT("threadpool.jobs", 1);
-  CIT_OBS_GAUGE("threadpool.queue_depth", num_chunks_);
-  work_cv_.notify_all();
-  // The caller participates: claim chunks like a worker.
+void ThreadPool::RunClaims(uint64_t id) {
   while (true) {
-    int64_t chunk;
+    const std::function<void(int64_t)>* job;
+    int64_t index;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (next_chunk_ >= num_chunks_) break;
-      chunk = next_chunk_++;
+      if (job_id_ != id || next_index_ >= job_end_) return;
+      job = job_;
+      index = next_index_++;
     }
-    const int64_t lo = begin + chunk * job_chunk_size_;
-    const int64_t hi = std::min(end, lo + job_chunk_size_);
     {
-      CIT_OBS_SPAN("threadpool.chunk_caller");
-      CIT_OBS_COUNT("threadpool.chunks_caller", 1);
+      CIT_OBS_SPAN("threadpool.task");
       t_in_parallel_region = true;
-      body(lo, hi);
+      (*job)(index);
       t_in_parallel_region = false;
     }
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (++done_chunks_ == num_chunks_) done_cv_.notify_all();
+      if (--unfinished_ == 0) done_cv_.notify_all();
     }
   }
-  {
+}
+
+void ThreadPool::ParallelFor(int64_t begin, int64_t end,
+                             const std::function<void(int64_t)>& body) {
+  if (end <= begin) return;
+  bool run_inline = t_in_parallel_region || end - begin == 1 ||
+                    active_threads_.load(std::memory_order_relaxed) <= 1;
+  uint64_t id = 0;
+  if (!run_inline) {
     std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return done_chunks_ == num_chunks_; });
-    job_ = nullptr;
+    if (job_ != nullptr) {
+      run_inline = true;  // another caller's job holds the workers
+    } else {
+      job_ = &body;
+      next_index_ = begin;
+      job_end_ = end;
+      unfinished_ = end - begin;
+      id = ++job_id_;
+    }
   }
+  if (run_inline) {
+    CIT_OBS_COUNT("threadpool.inline_jobs", 1);
+    for (int64_t i = begin; i < end; ++i) body(i);
+    return;
+  }
+  // Fork-to-join latency of the whole job; the task spans break the same
+  // interval down per index and executing thread.
+  CIT_OBS_SPAN("threadpool.job");
+  CIT_OBS_COUNT("threadpool.jobs", 1);
+  CIT_OBS_GAUGE("threadpool.queue_depth", end - begin);
+  work_cv_.notify_all();
+  RunClaims(id);  // the caller participates
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] { return unfinished_ == 0; });
+  job_ = nullptr;
 }
 
 }  // namespace cit

@@ -1,7 +1,6 @@
 #ifndef CIT_COMMON_THREAD_POOL_H_
 #define CIT_COMMON_THREAD_POOL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -10,24 +9,24 @@
 #include <thread>
 #include <vector>
 
-#include "obs/telemetry.h"
-
 namespace cit {
 
-// A small fixed-size pool used to parallelize the math kernels. Design
-// constraints, in order of importance:
+// A small fixed-size pool that fans out coarse, independent units of work:
+// the cells of a sweep (env::RunSweep) and the slots of a rollout
+// (rl::RolloutRunner). The math kernels never enter it; each runs serially
+// on its calling thread. Design constraints, in order of importance:
 //
-//  1. Determinism: ParallelFor partitions [begin, end) into contiguous
-//     chunks whose boundaries depend only on the range and the configured
-//     thread count — never on scheduling. Kernels write disjoint output
-//     regions per chunk and keep each output element's reduction order
-//     fixed, so results are bitwise identical for any thread count.
+//  1. Determinism: ParallelFor hands out one index at a time, and a body
+//     writes only the output slot of its own index, so which thread ran an
+//     index never shows in a result. Every kernel is serial with a fixed
+//     per-element reduction order, so an index computes the same floats on
+//     any thread, and results are bitwise identical for any thread count.
 //  2. No work stealing, no task futures: a ParallelFor is a single fork /
-//     join. The calling thread executes chunk 0 itself, worker threads run
-//     the rest, and the call returns only after every chunk finished.
-//  3. Re-entrancy safety: a ParallelFor issued from inside a worker (e.g.
-//     a parallel kernel calling another kernel) degrades to serial
-//     execution instead of deadlocking on the pool's own workers.
+//     join. The calling thread claims indices like a worker does, and the
+//     call returns only after every index finished.
+//  3. Re-entrancy safety: a ParallelFor issued from inside a body (a sweep
+//     cell whose agent collects rollouts, say) runs inline instead of
+//     deadlocking on the pool's own workers.
 //
 // The pool is lazily constructed on first use with NumThreads() - 1
 // workers (see env_config.h; CIT_NUM_THREADS sets it). SetNumThreads()
@@ -36,13 +35,12 @@ namespace cit {
 // thread counts inside one process.
 //
 // Thread counts above hardware_concurrency() are clamped: oversubscribing
-// only adds contention on every fork/join (a 1-core host once measured
-// 4-thread GEMM *slower* than 1-thread), and the determinism contract
-// guarantees the clamp cannot change any result. Set CIT_OVERSUBSCRIBE=1
-// to lift the clamp (TSan runs do, so races are exercised on any host).
+// only adds context switches, and the determinism contract guarantees the
+// clamp cannot change any result. Set CIT_OVERSUBSCRIBE=1 to lift the
+// clamp (TSan runs do, so races are exercised on any host).
 class ThreadPool {
  public:
-  // The process-wide pool used by the math kernels.
+  // The process-wide pool that runs sweep cells and rollout slots.
   static ThreadPool& Global();
 
   explicit ThreadPool(int num_threads);
@@ -60,56 +58,34 @@ class ThreadPool {
   // Clamped to [1, max_threads()]; spawns missing workers.
   void SetNumThreads(int n);
 
-  // Runs body(chunk_begin, chunk_end) over a deterministic partition of
-  // [begin, end). Ranges shorter than `grain` (or with one active thread,
-  // or issued from inside another ParallelFor chunk) run inline on the
-  // caller — on that path `body` is invoked directly, with no pool lock
-  // and no std::function wrapping, so serial kernel dispatch costs a
-  // branch rather than a mutex and a heap allocation. `body` must be safe
-  // to invoke concurrently on disjoint sub-ranges.
-  template <typename Body>
-  void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                   const Body& body) {
-    if (end <= begin) return;
-    if (InParallelRegion() ||
-        active_threads_.load(std::memory_order_relaxed) <= 1 ||
-        end - begin <= std::max<int64_t>(grain, 1)) {
-      CIT_OBS_COUNT("threadpool.inline_jobs", 1);
-      body(begin, end);
-      return;
-    }
-    ForkJoin(begin, end, grain, std::function<void(int64_t, int64_t)>(body));
-  }
-
-  // True while the calling thread is executing a ParallelFor chunk;
-  // nested calls from such a thread always run inline.
-  static bool InParallelRegion();
+  // Runs body(i) for every i in [begin, end) and returns once all of them
+  // finished; each thread claims one index at a time. The range runs
+  // inline on the caller, in ascending order, when it holds one index, one
+  // thread is active, the caller is itself inside a ParallelFor body, or
+  // another caller's ParallelFor is in flight. `body` must be safe to
+  // invoke concurrently for distinct indices.
+  void ParallelFor(int64_t begin, int64_t end,
+                   const std::function<void(int64_t)>& body);
 
  private:
   void WorkerLoop();
-
-  // The locked fork/join slow path. Re-checks the inline conditions under
-  // the pool mutex (another thread may hold an in-flight job), then fans
-  // `body` out across the workers and blocks until every chunk finished.
-  void ForkJoin(int64_t begin, int64_t end, int64_t grain,
-                const std::function<void(int64_t, int64_t)>& body);
+  // Claims indices of job `id` one at a time and runs them until none is
+  // left (or a newer job replaced it).
+  void RunClaims(uint64_t id);
 
   const int max_threads_;
   std::atomic<int> active_threads_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals workers: job posted / exit
-  std::condition_variable done_cv_;   // signals caller: all chunks done
+  std::condition_variable done_cv_;   // signals caller: all indices done
   bool shutdown_ = false;
 
-  // Current fork/join job. Workers claim chunk indices from next_chunk_.
-  const std::function<void(int64_t, int64_t)>* job_ = nullptr;
-  int64_t job_begin_ = 0;
-  int64_t job_chunk_size_ = 0;
+  // Current fork/join job; indices are claimed from next_index_.
+  const std::function<void(int64_t)>* job_ = nullptr;
+  int64_t next_index_ = 0;
   int64_t job_end_ = 0;
-  int64_t num_chunks_ = 0;
-  int64_t next_chunk_ = 0;
-  int64_t done_chunks_ = 0;
+  int64_t unfinished_ = 0;
   uint64_t job_id_ = 0;
 
   std::vector<std::thread> workers_;

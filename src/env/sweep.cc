@@ -71,7 +71,9 @@ std::string SweepReport::ToJson() const {
   out += "  \"scenarios\": [";
   for (size_t i = 0; i < scenarios.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + JsonEscape(scenarios[i]) + "\"";
+    out += '"';
+    out += JsonEscape(scenarios[i]);
+    out += '"';
   }
   out += "],\n";
   out += "  \"cells\": [\n";
@@ -162,50 +164,47 @@ Result<SweepReport> RunSweep(
   report.scenarios = labels;
   report.cells.resize(static_cast<size_t>(num_cells));
 
-  // One task per cell, grain 1: cells are coarse (a full backtest), so
-  // per-chunk overhead is noise and small sweeps still spread over the
-  // pool. Each cell writes only its own preallocated slot; slot index is
-  // a pure function of the cell coordinates, never of scheduling.
-  ThreadPool::Global().ParallelFor(
-      0, num_cells, /*grain=*/1, [&](int64_t lo, int64_t hi) {
-        for (int64_t cell = lo; cell < hi; ++cell) {
-          const int64_t s = cell / (num_agents * num_seeds);
-          const int64_t a = (cell / num_seeds) % num_agents;
-          const int64_t r = cell % num_seeds;
-          const uint64_t seed = config.seeds[static_cast<size_t>(r)];
+  // One index per cell: cells are coarse (a full backtest), so per-claim
+  // overhead is noise and small sweeps still spread over the pool. Each
+  // cell writes only its own preallocated slot; slot index is a pure
+  // function of the cell coordinates, never of scheduling.
+  ThreadPool::Global().ParallelFor(0, num_cells, [&](int64_t cell) {
+    const int64_t s = cell / (num_agents * num_seeds);
+    const int64_t a = (cell / num_seeds) % num_agents;
+    const int64_t r = cell % num_seeds;
+    const uint64_t seed = config.seeds[static_cast<size_t>(r)];
 
-          // Fresh scenario source per cell: cells share nothing but the
-          // immutable base source.
-          std::unique_ptr<market::ScenarioSource> scenario;
-          market::PanelView view;
-          if (stacks[static_cast<size_t>(s)].empty()) {
-            view = market::PanelView(base);
-          } else {
-            auto made = market::ScenarioSource::Make(
-                base, stacks[static_cast<size_t>(s)]);
-            // Stacks were validated above, so this cannot fail.
-            CIT_CHECK_MSG(made.ok(), made.status().message().c_str());
-            scenario = std::move(made).value();
-            view = market::PanelView(scenario.get());
-          }
+    // Fresh scenario source per cell: cells share nothing but the
+    // immutable base source.
+    std::unique_ptr<market::ScenarioSource> scenario;
+    market::PanelView view;
+    if (stacks[static_cast<size_t>(s)].empty()) {
+      view = market::PanelView(base);
+    } else {
+      auto made = market::ScenarioSource::Make(
+          base, stacks[static_cast<size_t>(s)]);
+      // Stacks were validated above, so this cannot fail.
+      CIT_CHECK_MSG(made.ok(), made.status().message().c_str());
+      scenario = std::move(made).value();
+      view = market::PanelView(scenario.get());
+    }
 
-          std::unique_ptr<TradingAgent> agent =
-              agents[static_cast<size_t>(a)].factory(seed);
-          CIT_CHECK_MSG(agent != nullptr, "sweep: factory returned null");
+    std::unique_ptr<TradingAgent> agent =
+        agents[static_cast<size_t>(a)].factory(seed);
+    CIT_CHECK_MSG(agent != nullptr, "sweep: factory returned null");
 
-          const BacktestResult result = RunTestBacktest(
-              *agent, view, config.window, config.transaction_cost);
+    const BacktestResult result = RunTestBacktest(
+        *agent, view, config.window, config.transaction_cost);
 
-          SweepCell& out = report.cells[static_cast<size_t>(cell)];
-          out.scenario = labels[static_cast<size_t>(s)];
-          out.agent = agents[static_cast<size_t>(a)].name;
-          out.seed = seed;
-          out.metrics = result.metrics;
-          out.final_wealth = result.wealth.back();
-          out.turnover = result.turnover;
-          out.repaired_steps = result.repaired_steps;
-        }
-      });
+    SweepCell& out = report.cells[static_cast<size_t>(cell)];
+    out.scenario = labels[static_cast<size_t>(s)];
+    out.agent = agents[static_cast<size_t>(a)].name;
+    out.seed = seed;
+    out.metrics = result.metrics;
+    out.final_wealth = result.wealth.back();
+    out.turnover = result.turnover;
+    out.repaired_steps = result.repaired_steps;
+  });
 
   // Serial aggregation in agent order over deterministic cells.
   for (int64_t a = 0; a < num_agents; ++a) {

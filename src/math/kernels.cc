@@ -14,8 +14,6 @@
 namespace cit::math::kernels {
 namespace {
 
-ThreadPool& Pool() { return ThreadPool::Global(); }
-
 // ---- Backend selection -----------------------------------------------------
 
 std::atomic<Backend>& BackendSlot() {
@@ -48,12 +46,8 @@ inline bool UseSimd() {
 //   - streams A once per column panel               (nJ*p*q loads),
 //   - read-modify-writes each C tile once per depth
 //     block during accumulator write-back           (2*nK*p*r).
-// The formula is the canonical single-chunk schedule: parallel runs
-// re-pack B once per row chunk, so true packing traffic is (#chunks)x the
-// q*r + nJ*q*NR terms, but counting the schedule-independent figure keeps
-// the counter invariant across thread counts (register-tile re-reads of
-// the L1-resident panel are likewise not counted). Pinned by
-// tests/test_kernels.cc KernelObs.GemmBytesFormula.
+// Register-tile re-reads of the L1-resident panel are not counted. Pinned
+// by tests/test_kernels.cc KernelObs.GemmBytesFormula.
 inline void CountGemmBlocked([[maybe_unused]] int64_t p,
                              [[maybe_unused]] int64_t q,
                              [[maybe_unused]] int64_t r) {
@@ -96,24 +90,18 @@ inline void CountGemmTransA([[maybe_unused]] int64_t p,
                 int64_t{4} * (q * r + p * q + 3 * p * q * r));
 }
 
-// Rows per chunk so a chunk carries at least ~2^16 flops of GEMM work.
-int64_t RowGrain(int64_t flops_per_row) {
-  return std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(1, flops_per_row))
-         + 1;
-}
-
 // ---- Blocked GEMM ----------------------------------------------------------
 // Register tile: kGemmMr rows of A against a kGemmNr-wide packed panel of
 // B, saxpy over k. kGemmKc limits the packed panel to ~KC*NR floats
-// (L1-resident). Each output element accumulates in ascending-k order no
-// matter how rows are partitioned, so the result is thread-count invariant
+// (L1-resident). Each output element accumulates in ascending-k order
 // under either backend.
 
 // Per-thread packed-B panel (kGemmKc x kGemmNr floats, 64-byte aligned for
-// the SIMD loads), lazily allocated on the first GEMM chunk a thread ever
-// runs and reused for every one after, so the hot loop is allocation-free
-// in steady state. kernels.gemm_pack_allocs counts the one-time per-thread
-// allocations; tests assert it stays flat across repeated calls.
+// the SIMD loads), lazily allocated on the first GEMM a thread ever runs
+// and reused for every one after, so the hot loop is allocation-free in
+// steady state; per thread because sweep cells and citd workers run GEMMs
+// on several threads at once. kernels.gemm_pack_allocs counts the one-time
+// per-thread allocations; tests assert it stays flat across repeated calls.
 float* PackBuffer() {
   struct Panel {
     float* p = nullptr;
@@ -172,40 +160,6 @@ void ScalarGemmTile(const float* a, int64_t lda, const float* pack,
   }
 }
 
-void GemmRowRange(const float* a, const float* b, float* c, int64_t i_lo,
-                  int64_t i_hi, int64_t q, int64_t r, bool use_simd) {
-  if (r == 0) return;  // C has no columns (and may be null)
-  std::memset(c + i_lo * r, 0,
-              sizeof(float) * static_cast<size_t>((i_hi - i_lo) * r));
-  if (q == 0) return;
-  float* pack = PackBuffer();
-  for (int64_t j0 = 0; j0 < r; j0 += kGemmNr) {
-    const int64_t nr = std::min<int64_t>(kGemmNr, r - j0);
-    for (int64_t k0 = 0; k0 < q; k0 += kGemmKc) {
-      const int64_t kc = std::min<int64_t>(kGemmKc, q - k0);
-      // Pack B[k0:k0+kc, j0:j0+nr] into [kc, NR], zero-padding the tail
-      // columns so the microkernel always runs the full NR width.
-      for (int64_t k = 0; k < kc; ++k) {
-        const float* src = b + (k0 + k) * r + j0;
-        float* dst = pack + k * kGemmNr;
-        int64_t j = 0;
-        for (; j < nr; ++j) dst[j] = src[j];
-        for (; j < kGemmNr; ++j) dst[j] = 0.0f;
-      }
-      for (int64_t i0 = i_lo; i0 < i_hi; i0 += kGemmMr) {
-        const int64_t mr = std::min<int64_t>(kGemmMr, i_hi - i0);
-        const float* atile = a + i0 * q + k0;
-        float* ctile = c + i0 * r + j0;
-        if (use_simd) {
-          simd::GemmTile(atile, q, pack, kc, ctile, r, mr, nr);
-        } else {
-          ScalarGemmTile(atile, q, pack, kc, ctile, r, mr, nr);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 // ---- Backend dispatch ------------------------------------------------------
@@ -233,17 +187,13 @@ void Copy(const float* src, float* dst, int64_t n) {
   std::memcpy(dst, src, sizeof(float) * static_cast<size_t>(n));
 }
 
-// The named elementwise kernels dispatch per backend inside the shared
-// ParallelFor partition, so both backends see identical chunk boundaries.
 // All ops below except Axpy are single IEEE operations per element —
 // bit-identical between backends; Axpy's SIMD arm fuses the multiply-add
 // (see math/simd.h).
 
 void Add(const float* a, const float* b, float* out, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::Add(a + lo, b + lo, out + lo, hi - lo);
-    });
+    simd::Add(a, b, out, n);
     return;
   }
   Map2(a, b, out, n, [](float x, float y) { return x + y; });
@@ -251,9 +201,7 @@ void Add(const float* a, const float* b, float* out, int64_t n) {
 
 void Sub(const float* a, const float* b, float* out, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::Sub(a + lo, b + lo, out + lo, hi - lo);
-    });
+    simd::Sub(a, b, out, n);
     return;
   }
   Map2(a, b, out, n, [](float x, float y) { return x - y; });
@@ -261,9 +209,7 @@ void Sub(const float* a, const float* b, float* out, int64_t n) {
 
 void Mul(const float* a, const float* b, float* out, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::Mul(a + lo, b + lo, out + lo, hi - lo);
-    });
+    simd::Mul(a, b, out, n);
     return;
   }
   Map2(a, b, out, n, [](float x, float y) { return x * y; });
@@ -271,9 +217,7 @@ void Mul(const float* a, const float* b, float* out, int64_t n) {
 
 void Div(const float* a, const float* b, float* out, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::Div(a + lo, b + lo, out + lo, hi - lo);
-    });
+    simd::Div(a, b, out, n);
     return;
   }
   Map2(a, b, out, n, [](float x, float y) { return x / y; });
@@ -281,9 +225,7 @@ void Div(const float* a, const float* b, float* out, int64_t n) {
 
 void AddScalar(const float* a, float v, float* out, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::AddScalar(a + lo, v, out + lo, hi - lo);
-    });
+    simd::AddScalar(a, v, out, n);
     return;
   }
   Map(a, out, n, [v](float x) { return x + v; });
@@ -291,9 +233,7 @@ void AddScalar(const float* a, float v, float* out, int64_t n) {
 
 void MulScalar(const float* a, float v, float* out, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::MulScalar(a + lo, v, out + lo, hi - lo);
-    });
+    simd::MulScalar(a, v, out, n);
     return;
   }
   Map(a, out, n, [v](float x) { return x * v; });
@@ -301,9 +241,7 @@ void MulScalar(const float* a, float v, float* out, int64_t n) {
 
 void AddInto(float* dst, const float* src, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::Add(dst + lo, src + lo, dst + lo, hi - lo);
-    });
+    simd::Add(dst, src, dst, n);
     return;
   }
   Map2(dst, src, dst, n, [](float x, float y) { return x + y; });
@@ -311,9 +249,7 @@ void AddInto(float* dst, const float* src, int64_t n) {
 
 void SubInto(float* dst, const float* src, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::Sub(dst + lo, src + lo, dst + lo, hi - lo);
-    });
+    simd::Sub(dst, src, dst, n);
     return;
   }
   Map2(dst, src, dst, n, [](float x, float y) { return x - y; });
@@ -321,9 +257,7 @@ void SubInto(float* dst, const float* src, int64_t n) {
 
 void ScaleInto(float* dst, float v, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::MulScalar(dst + lo, v, dst + lo, hi - lo);
-    });
+    simd::MulScalar(dst, v, dst, n);
     return;
   }
   Map(dst, dst, n, [v](float x) { return x * v; });
@@ -331,9 +265,7 @@ void ScaleInto(float* dst, float v, int64_t n) {
 
 void Axpy(float alpha, const float* x, float* y, int64_t n) {
   if (UseSimd()) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::Axpy(alpha, x + lo, y + lo, hi - lo);
-    });
+    simd::Axpy(alpha, x, y, n);
     return;
   }
   Map2(y, x, y, n, [alpha](float yi, float xi) { return yi + alpha * xi; });
@@ -345,19 +277,14 @@ void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
   // anything touching libm stays on the scalar ElemApply path so fused and
   // unfused replays remain bitwise interchangeable on every backend.
   if (UseSimd() && simd::FusedChainExact(ops, count)) {
-    Pool().ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-      simd::FusedElemwise(in + lo, out + lo, hi - lo, ops, count);
-    });
+    simd::FusedElemwise(in, out, n, ops, count);
     return;
   }
-  ThreadPool::Global().ParallelFor(
-      0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          float x = in[i];
-          for (int k = 0; k < count; ++k) x = ElemApply(ops[k], x);
-          out[i] = x;
-        }
-      });
+  for (int64_t i = 0; i < n; ++i) {
+    float x = in[i];
+    for (int k = 0; k < count; ++k) x = ElemApply(ops[k], x);
+    out[i] = x;
+  }
 }
 
 // ---- Reductions ------------------------------------------------------------
@@ -370,19 +297,14 @@ double Sum(const float* a, int64_t n) {
 
 void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
              int64_t inner) {
-  const int64_t grain =
-      std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(
-                                                   1, axis_len * inner));
-  Pool().ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t o = lo; o < hi; ++o) {
-      float* dst = out + o * inner;
-      std::memset(dst, 0, sizeof(float) * static_cast<size_t>(inner));
-      for (int64_t k = 0; k < axis_len; ++k) {
-        const float* src = x + (o * axis_len + k) * inner;
-        for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
-      }
+  for (int64_t o = 0; o < outer; ++o) {
+    float* dst = out + o * inner;
+    std::memset(dst, 0, sizeof(float) * static_cast<size_t>(inner));
+    for (int64_t k = 0; k < axis_len; ++k) {
+      const float* src = x + (o * axis_len + k) * inner;
+      for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
     }
-  });
+  }
 }
 
 // ---- Linear algebra --------------------------------------------------------
@@ -390,71 +312,91 @@ void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
 void MatMul(const float* a, const float* b, float* c, int64_t p, int64_t q,
             int64_t r) {
   CountGemmBlocked(p, q, r);
+  if (p == 0 || r == 0) return;  // C is empty (and may be null)
+  std::memset(c, 0, sizeof(float) * static_cast<size_t>(p * r));
+  if (q == 0) return;
   // The backend is latched once per call so a concurrent SetBackend can
   // never split one GEMM across implementations.
   const bool use_simd = UseSimd();
-  Pool().ParallelFor(0, p, RowGrain(2 * q * r),
-                     [&](int64_t lo, int64_t hi) {
-                       GemmRowRange(a, b, c, lo, hi, q, r, use_simd);
-                     });
+  float* pack = PackBuffer();
+  for (int64_t j0 = 0; j0 < r; j0 += kGemmNr) {
+    const int64_t nr = std::min<int64_t>(kGemmNr, r - j0);
+    for (int64_t k0 = 0; k0 < q; k0 += kGemmKc) {
+      const int64_t kc = std::min<int64_t>(kGemmKc, q - k0);
+      // Pack B[k0:k0+kc, j0:j0+nr] into [kc, NR], zero-padding the tail
+      // columns so the microkernel always runs the full NR width.
+      for (int64_t k = 0; k < kc; ++k) {
+        const float* src = b + (k0 + k) * r + j0;
+        float* dst = pack + k * kGemmNr;
+        int64_t j = 0;
+        for (; j < nr; ++j) dst[j] = src[j];
+        for (; j < kGemmNr; ++j) dst[j] = 0.0f;
+      }
+      for (int64_t i0 = 0; i0 < p; i0 += kGemmMr) {
+        const int64_t mr = std::min<int64_t>(kGemmMr, p - i0);
+        const float* atile = a + i0 * q + k0;
+        float* ctile = c + i0 * r + j0;
+        if (use_simd) {
+          simd::GemmTile(atile, q, pack, kc, ctile, r, mr, nr);
+        } else {
+          ScalarGemmTile(atile, q, pack, kc, ctile, r, mr, nr);
+        }
+      }
+    }
+  }
 }
 
 void MatMulTransB(const float* a, const float* bT, float* c, int64_t p,
                   int64_t q, int64_t r) {
   CountGemmTransB(p, q, r);
-  Pool().ParallelFor(0, p, RowGrain(2 * q * r), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float* ar = a + i * q;
-      float* cr = c + i * r;
-      int64_t j = 0;
-      // Four independent dot-product chains give the vectorizer ILP.
-      for (; j + 3 < r; j += 4) {
-        const float* b0 = bT + (j + 0) * q;
-        const float* b1 = bT + (j + 1) * q;
-        const float* b2 = bT + (j + 2) * q;
-        const float* b3 = bT + (j + 3) * q;
-        float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-        for (int64_t k = 0; k < q; ++k) {
-          const float av = ar[k];
-          s0 += av * b0[k];
-          s1 += av * b1[k];
-          s2 += av * b2[k];
-          s3 += av * b3[k];
-        }
-        cr[j + 0] = s0;
-        cr[j + 1] = s1;
-        cr[j + 2] = s2;
-        cr[j + 3] = s3;
+  for (int64_t i = 0; i < p; ++i) {
+    const float* ar = a + i * q;
+    float* cr = c + i * r;
+    int64_t j = 0;
+    // Four independent dot-product chains give the vectorizer ILP.
+    for (; j + 3 < r; j += 4) {
+      const float* b0 = bT + (j + 0) * q;
+      const float* b1 = bT + (j + 1) * q;
+      const float* b2 = bT + (j + 2) * q;
+      const float* b3 = bT + (j + 3) * q;
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      for (int64_t k = 0; k < q; ++k) {
+        const float av = ar[k];
+        s0 += av * b0[k];
+        s1 += av * b1[k];
+        s2 += av * b2[k];
+        s3 += av * b3[k];
       }
-      for (; j < r; ++j) {
-        const float* bj = bT + j * q;
-        float s = 0.0f;
-        for (int64_t k = 0; k < q; ++k) s += ar[k] * bj[k];
-        cr[j] = s;
-      }
+      cr[j + 0] = s0;
+      cr[j + 1] = s1;
+      cr[j + 2] = s2;
+      cr[j + 3] = s3;
     }
-  });
+    for (; j < r; ++j) {
+      const float* bj = bT + j * q;
+      float s = 0.0f;
+      for (int64_t k = 0; k < q; ++k) s += ar[k] * bj[k];
+      cr[j] = s;
+    }
+  }
 }
 
 void MatMulTransA(const float* a, const float* b, float* c, int64_t p,
                   int64_t q, int64_t r) {
   CountGemmTransA(p, q, r);
-  // c[j, :] = sum_i a[i, j] * b[i, :]; parallel over j so each thread owns
-  // disjoint output rows while scanning i in ascending order (deterministic).
-  Pool().ParallelFor(0, q, RowGrain(2 * p * r), [&](int64_t lo, int64_t hi) {
-    std::memset(c + lo * r, 0,
-                sizeof(float) * static_cast<size_t>((hi - lo) * r));
-    for (int64_t i = 0; i < p; ++i) {
-      const float* br = b + i * r;
-      const float* ar = a + i * q;
-      for (int64_t j = lo; j < hi; ++j) {
-        const float av = ar[j];
-        if (av == 0.0f) continue;
-        float* cr = c + j * r;
-        for (int64_t l = 0; l < r; ++l) cr[l] += av * br[l];
-      }
+  if (q == 0 || r == 0) return;  // C is empty (and may be null)
+  // c[j, :] = sum_i a[i, j] * b[i, :], scanning i in ascending order.
+  std::memset(c, 0, sizeof(float) * static_cast<size_t>(q * r));
+  for (int64_t i = 0; i < p; ++i) {
+    const float* br = b + i * r;
+    const float* ar = a + i * q;
+    for (int64_t j = 0; j < q; ++j) {
+      const float av = ar[j];
+      if (av == 0.0f) continue;
+      float* cr = c + j * r;
+      for (int64_t l = 0; l < r; ++l) cr[l] += av * br[l];
     }
-  });
+  }
 }
 
 void Transpose(const float* in, float* out, int64_t rows, int64_t cols) {
@@ -475,37 +417,29 @@ void Transpose(const float* in, float* out, int64_t rows, int64_t cols) {
 // ---- Softmax family --------------------------------------------------------
 
 void SoftmaxLastAxis(float* x, int64_t outer, int64_t n) {
-  const int64_t grain =
-      std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, n));
-  Pool().ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t o = lo; o < hi; ++o) {
-      float* row = x + o * n;
-      float mx = row[0];
-      for (int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
-      float total = 0.0f;
-      for (int64_t i = 0; i < n; ++i) {
-        row[i] = std::exp(row[i] - mx);
-        total += row[i];
-      }
-      for (int64_t i = 0; i < n; ++i) row[i] /= total;
+  for (int64_t o = 0; o < outer; ++o) {
+    float* row = x + o * n;
+    float mx = row[0];
+    for (int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
+    float total = 0.0f;
+    for (int64_t i = 0; i < n; ++i) {
+      row[i] = std::exp(row[i] - mx);
+      total += row[i];
     }
-  });
+    for (int64_t i = 0; i < n; ++i) row[i] /= total;
+  }
 }
 
 void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n) {
-  const int64_t grain =
-      std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, n));
-  Pool().ParallelFor(0, outer, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t o = lo; o < hi; ++o) {
-      float* row = x + o * n;
-      float mx = row[0];
-      for (int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
-      float total = 0.0f;
-      for (int64_t i = 0; i < n; ++i) total += std::exp(row[i] - mx);
-      const float lse = mx + std::log(total);
-      for (int64_t i = 0; i < n; ++i) row[i] -= lse;
-    }
-  });
+  for (int64_t o = 0; o < outer; ++o) {
+    float* row = x + o * n;
+    float mx = row[0];
+    for (int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
+    float total = 0.0f;
+    for (int64_t i = 0; i < n; ++i) total += std::exp(row[i] - mx);
+    const float lse = mx + std::log(total);
+    for (int64_t i = 0; i < n; ++i) row[i] -= lse;
+  }
 }
 
 // ---- Causal dilated 1-D convolution ----------------------------------------
@@ -528,9 +462,8 @@ float* ConvScratch(int64_t floats) {
 // (len - shift) * batch floats of the [cout, len, batch] accumulator; the
 // result is written back to [batch, cout, len] with the bias added last.
 // Every output element starts at +0 and accumulates in ascending (cin, tap)
-// order, exactly like the im2col GEMM's k dimension, through the same
-// `+= w * x` expression as a per-row triple loop, so the result equals that
-// loop's bit for bit (FMA contraction included).
+// order through the same `+= w * x` expression as a per-row triple loop, so
+// the result equals that loop's bit for bit (FMA contraction included).
 void ConvDirect(const float* x, const float* w, const float* bias, float* out,
                 int64_t batch, int64_t cin, int64_t cout, int64_t len,
                 int64_t k, int64_t dilation) {
@@ -575,74 +508,29 @@ void ConvDirect(const float* x, const float* w, const float* bias, float* out,
   }
 }
 
-// Fused im2col + GEMM: per batch, lower the causally-shifted input into
-// P:[cin*k, len] and compute out_b = W:[cout, cin*k] @ P with the blocked
-// MatMul (inheriting its parallelism and determinism).
-void ConvIm2col(const float* x, const float* w, const float* bias, float* out,
-                int64_t batch, int64_t cin, int64_t cout, int64_t len,
-                int64_t k, int64_t dilation) {
-  const int64_t q = cin * k;
-  std::vector<float> patch(static_cast<size_t>(q * len));
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    for (int64_t ci = 0; ci < cin; ++ci) {
-      const float* xrow = x + (bi * cin + ci) * len;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const int64_t shift = (k - 1 - kk) * dilation;
-        float* prow = patch.data() + (ci * k + kk) * len;
-        const int64_t zeros = std::min(shift, len);
-        std::memset(prow, 0, sizeof(float) * static_cast<size_t>(zeros));
-        if (shift < len) {
-          std::memcpy(prow + shift, xrow,
-                      sizeof(float) * static_cast<size_t>(len - shift));
-        }
-      }
-    }
-    float* obase = out + bi * cout * len;
-    MatMul(w, patch.data(), obase, cout, q, len);
-    if (bias != nullptr) {
-      for (int64_t co = 0; co < cout; ++co) {
-        float* orow = obase + co * len;
-        const float bv = bias[co];
-        for (int64_t t = 0; t < len; ++t) orow[t] += bv;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void CausalConv1dForward(const float* x, const float* w, const float* bias,
                          float* out, int64_t batch, int64_t cin, int64_t cout,
                          int64_t len, int64_t k, int64_t dilation) {
-  // The im2col lowering costs O(cin*k*len) extra writes per batch; it pays
-  // off once the GEMM on top is big enough. The gate depends only on
-  // shapes, keeping the result deterministic for any thread count.
-  const int64_t flops = 2 * cout * cin * k * len;
-  const bool im2col = flops >= (1 << 16) && len >= 8;
-  // The direct path takes the SIMD backend's register-tiled arm where the
-  // build has one (AVX-512), else the time-major loop below. The backend is
-  // read once per call, as in MatMul.
-  const bool tiled = simd::kHasConvDirect && !im2col && UseSimd();
+  // The SIMD backend's register-tiled arm where the build has one
+  // (AVX-512), else the time-major loop. The backend is read once per call,
+  // as in MatMul.
+  const bool tiled = simd::kHasConvDirect && UseSimd();
   CIT_OBS_COUNT("kernels.conv_calls", 1);
-  CIT_OBS_COUNT("kernels.conv_flops", batch * flops);
+  CIT_OBS_COUNT("kernels.conv_flops", 2 * batch * cout * cin * k * len);
 #ifndef CIT_OBS_DISABLED
   {
-    // Logical load/store traffic of the chosen path (mirrors the loops, not
-    // the cache). All paths share S = sum_kk max(0, len - shift_kk), the
-    // post-causal-pad tap coverage. Im2col, per batch: each input row is
-    // re-read once per tap with the pad removed (cin*S loads), the patch
-    // matrix is written exactly once (cin*k*len stores: memset pad +
-    // memcpy body), and the bias add read-modify-writes the output
-    // (2*cout*len) — the lowered GEMM's own traffic (including its reads
-    // of the patch and of w) lands in kernels.gemm_bytes via the MatMul it
-    // calls. Time-major direct, per batch: the regroup of x into the
-    // scratch (2*cin*len), the accumulator zero-fill (cout*len stores),
-    // per (co, ci, tap) an accumulator read-modify-write against an input
-    // read (3*cout*cin*S), and the regroup out, which reads the
-    // accumulator and writes the output with the bias add fused in
-    // (2*cout*len); per call, each weight and bias value is read once
-    // (cout*cin*k + cout). Tiled direct, per batch: each input row is read
-    // once per channel block and tap with the pad masked off
+    // Logical load/store traffic of the arm that runs (mirrors the loops,
+    // not the cache). Both arms share S = sum_kk max(0, len - shift_kk),
+    // the post-causal-pad tap coverage. Time-major, per batch: the regroup
+    // of x into the scratch (2*cin*len), the accumulator zero-fill
+    // (cout*len stores), per (co, ci, tap) an accumulator read-modify-write
+    // against an input read (3*cout*cin*S), and the regroup out, which
+    // reads the accumulator and writes the output with the bias add fused
+    // in (2*cout*len); per call, each weight and bias value is read once
+    // (cout*cin*k + cout). Tiled, per batch: each input row is read once
+    // per channel block and tap with the pad masked off
     // (ceil(cout/kConvTileCout)*cin*S loads), each output is stored once
     // with the bias added (cout*len), and each row tile (one batch row's
     // kConvTileLen time steps) reads every weight and bias value once
@@ -655,9 +543,7 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
     }
     const int64_t bias_floats = bias != nullptr ? cout : 0;
     int64_t floats = 0;
-    if (im2col) {
-      floats = batch * (cin * taps + cin * k * len + 2 * bias_floats * len);
-    } else if (tiled) {
+    if (tiled) {
       const int64_t blocks = (cout + kConvTileCout - 1) / kConvTileCout;
       const int64_t tiles = (len + kConvTileLen - 1) / kConvTileLen;
       floats = batch * (blocks * cin * taps + cout * len +
@@ -670,10 +556,6 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
     CIT_OBS_COUNT("kernels.conv_bytes", int64_t{4} * floats);
   }
 #endif
-  if (im2col) {
-    ConvIm2col(x, w, bias, out, batch, cin, cout, len, k, dilation);
-    return;
-  }
   if constexpr (simd::kHasConvDirect) {
     if (tiled) {
       simd::ConvDirect(x, w, bias, out, batch, cin, cout, len, k, dilation);

@@ -5,29 +5,24 @@
 #include <cmath>
 #include <cstdint>
 
-#include "common/thread_pool.h"
-
 // The numeric inner loops behind Tensor and the autodiff ops, extracted into
-// one unit so (a) every hot loop lives behind a seam future backends can
-// replace, and (b) parallelism policy is decided in exactly one place.
+// one unit so every hot loop lives behind a seam future backends can
+// replace.
 //
-// Determinism contract, per backend: every kernel produces
-// bitwise-identical output for any thread count. Parallel kernels
-// partition *output* elements across threads (each element is computed by
-// exactly one thread, with a fixed per-element reduction order); no kernel
-// ever splits a single element's reduction across threads. This holds for
-// each dispatch backend independently: the scalar backend is the bitwise
+// Every kernel is a serial loop on its calling thread. Parallelism lives
+// one level up, where the ThreadPool runs sweep cells and rollout slots;
+// no kernel enters the pool. Each output element is computed with a fixed
+// reduction order, so a kernel returns the same bits on whichever thread
+// runs it, at any pool size.
+//
+// Determinism contract, per backend: the scalar backend is the bitwise
 // reference, and the SIMD backend matches it exactly on the non-FMA arms
 // (plain elementwise add/sub/mul/div and scalar-parameter ops, plus any
-// FusedElemwise chain) and on the direct causal conv, while the FMA arms
-// (MatMul via the register-tiled microkernel, Axpy) may differ from scalar
-// by the usual one-rounding-per-fma tolerance — but never between thread
-// counts or runs within one backend.
+// FusedElemwise chain) and on the causal conv, while the FMA arms (MatMul
+// via the register-tiled microkernel, Axpy) may differ from scalar by the
+// usual one-rounding-per-fma tolerance — but never between thread counts
+// or runs within one backend.
 namespace cit::math::kernels {
-
-// Elements below which elementwise kernels stay serial: a fork/join costs
-// more than streaming this many floats through one core.
-inline constexpr int64_t kElementwiseGrain = 1 << 15;
 
 // ---- Backend dispatch ------------------------------------------------------
 // GEMM register-tile geometry, shared by the scalar and SIMD microkernels
@@ -86,23 +81,16 @@ void ScaleInto(float* dst, float v, int64_t n);
 // y += alpha * x.
 void Axpy(float alpha, const float* x, float* y, int64_t n);
 
-// Applies f elementwise; used by the autodiff unary ops. Parallel above
-// kElementwiseGrain with the same partitioning as the named kernels.
+// Applies f elementwise; used by the autodiff unary ops.
 template <typename F>
 void Map(const float* in, float* out, int64_t n, F f) {
-  ThreadPool::Global().ParallelFor(
-      0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) out[i] = f(in[i]);
-      });
+  for (int64_t i = 0; i < n; ++i) out[i] = f(in[i]);
 }
 
 // Binary variant: out[i] = f(a[i], b[i]).
 template <typename F>
 void Map2(const float* a, const float* b, float* out, int64_t n, F f) {
-  ThreadPool::Global().ParallelFor(
-      0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i]);
-      });
+  for (int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
 }
 
 // Ternary variant: out[i] = f(a[i], b[i], c[i]) — the shape of most
@@ -110,10 +98,7 @@ void Map2(const float* a, const float* b, float* out, int64_t n, F f) {
 template <typename F>
 void Map3(const float* a, const float* b, const float* c, float* out,
           int64_t n, F f) {
-  ThreadPool::Global().ParallelFor(
-      0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i], c[i]);
-      });
+  for (int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i], c[i]);
 }
 
 // ---- Fused elementwise -----------------------------------------------------
@@ -177,7 +162,7 @@ void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
 
 // ---- Linear algebra --------------------------------------------------------
 // c = a @ b with a:[p,q], b:[q,r], c:[p,r] (c overwritten). Cache-blocked
-// with packed B panels and an MR x NR register tile; parallel over rows.
+// with packed B panels and an MR x NR register tile.
 void MatMul(const float* a, const float* b, float* c, int64_t p, int64_t q,
             int64_t r);
 // c = a @ b with b supplied transposed (bT:[r,q]): c[i,j] = <a_i, bT_j>.
@@ -197,10 +182,7 @@ void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n);
 // ---- Causal dilated 1-D convolution ----------------------------------------
 // x:[batch, cin, len], w:[cout, cin, k], bias:[cout] or nullptr,
 // out:[batch, cout, len] (overwritten). Left-pads implicitly with
-// (k-1)*dilation zeros. Large problems take a fused im2col + GEMM path
-// (reusing the blocked MatMul, hence its parallelism); small ones
-// (2*cout*cin*k*len < 2^16, or len < 8) take a serial direct path with two
-// arms, chosen by the backend read once per call:
+// (k-1)*dilation zeros. Two arms, chosen by the backend read once per call:
 //  - the SIMD backend of an AVX-512 build runs a register-tiled kernel
 //    (simd::ConvDirect) on x and out in their stored layout: a tile of
 //    kConvTileCout output channels x kConvTileLen time steps of one batch
@@ -218,11 +200,10 @@ void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n);
 // `+= w * x` expression, so it contracts to FMA exactly where the loop
 // would; the tiled arm issues one explicit FMA per term, which is what the
 // expression contracts to in the builds that have the arm (GCC contracts
-// at -O2 and above; Release and RelWithDebInfo both qualify). The direct
-// path is therefore bitwise equal to the triple loop compiled with the same
-// flags (tests/test_kernels.cc ConvDirectMatchesReferenceBitwise), on both
-// backends and at any thread count. The path choice depends only on shapes
-// and the backend, so results stay deterministic across thread counts.
+// at -O2 and above; Release and RelWithDebInfo both qualify). Both arms are
+// therefore bitwise equal to the triple loop compiled with the same flags
+// (tests/test_kernels.cc ConvDirectMatchesReferenceBitwise), and so to each
+// other, at every shape.
 void CausalConv1dForward(const float* x, const float* w, const float* bias,
                          float* out, int64_t batch, int64_t cin, int64_t cout,
                          int64_t len, int64_t k, int64_t dilation);

@@ -3,8 +3,7 @@
 // causal conv, one implementation per compiled ISA (AVX-512, AVX2+FMA,
 // NEON — see the detection block in math/simd.h). The
 // public kernels:: API dispatches here when Backend::kSimd is active;
-// everything in this TU is serial over its range, with parallel chunking
-// done by the caller so both backends see identical chunk boundaries.
+// everything in this TU is serial over its range.
 //
 // Numeric ground rules (they are what keeps the dispatch seam honest):
 //  - Non-FMA arms (Add/Sub/Mul/Div/AddScalar/MulScalar, the exact
@@ -13,9 +12,9 @@
 //    bit-identical to the scalar backend.
 //  - FMA arms (GemmTile, Axpy) fuse the multiply-add. Scalar tails use
 //    std::fmaf, the same single-rounding operation as the vector lanes, so
-//    a chunk boundary moving an element between vector body and tail can
-//    never change its value (thread-count invariance), while values differ
-//    from the scalar backend by at most one rounding per fma.
+//    an offset moving an element between vector body and tail (a request
+//    alone vs. inside a stacked batch) can never change its value, while
+//    values differ from the scalar backend by at most one rounding per fma.
 //  - FusedElemwise chains containing a libm op (exp/log/tanh/sigmoid) are
 //    rejected by FusedChainExact and stay on the scalar ElemApply sweep:
 //    a vector approximation would break the fused == unfused bitwise
@@ -128,8 +127,7 @@ inline VF VFma(VF a, VF b, VF c) { return vfmaq_f32(c, a, b); }
 // kGemmNr (32) columns = 32/kLanes vectors per row. MR is a template
 // parameter so edge tiles (mr < kGemmMr) run the *same* per-row FMA chain
 // as full tiles — a row's result never depends on which tile shape covered
-// it, which is what makes the row partition (and hence the thread count)
-// invisible in the output.
+// it, so a request's rows give the same output alone or stacked.
 namespace {
 
 constexpr int kRowVecs = static_cast<int>(kGemmNr / kLanes);

@@ -83,8 +83,7 @@ struct PlanStats {
 
 // One compilable forward: owns a small LRU cache of ExecPlans keyed by the
 // input shapes. Not thread-safe — a CompiledFn belongs to one agent and is
-// driven from that agent's (already non-reentrant) DecideWeights path;
-// replayed kernels still fork/join the global thread pool internally.
+// driven from that agent's (already non-reentrant) DecideWeights path.
 //
 // The single-owner contract is enforced, not just documented: the first
 // compiled-path Run pins the CompiledFn to the calling thread, and any

@@ -16,16 +16,16 @@
 //
 // Everything here is an internal seam of math/kernels.cc: callers go
 // through the public kernels:: API, which dispatches per the active
-// Backend. The functions below are serial over their ranges — parallel
-// partitioning happens in kernels.cc so both backends share identical
-// chunk boundaries.
+// Backend. Like every kernel, the functions below are serial over their
+// ranges.
 //
 // Determinism within the SIMD backend: every entry point computes each
 // output element with a lane-position-independent formula. The FMA arms
 // (GemmTile, Axpy) finish scalar tails with std::fmaf, which performs the
-// same single-rounding fused multiply-add as the vector lanes, so results
-// cannot depend on where a ParallelFor chunk boundary (and hence the
-// vector/tail split) falls.
+// same single-rounding fused multiply-add as the vector lanes, so a value
+// cannot depend on whether it fell in the vector body or the tail. The
+// split does move: a request's rows sit at a different offset in a stacked
+// batch than alone, and stacked decides must equal single ones bitwise.
 
 #if defined(__AVX512F__) && defined(__FMA__)
 #define CIT_SIMD_AVX512 1
@@ -48,9 +48,8 @@ const char* IsaName();
 // one FMA chain in ascending-k order. `pack` is a 64-byte-aligned
 // [kc, kGemmNr] panel zero-padded past nr, so the vector body always runs
 // the full kGemmNr width and per-row numerics are identical no matter how
-// many rows the tile holds (mr in [1, kGemmMr]) or which row chunk it came
-// from — the thread-count-invariance argument of the scalar kernel carries
-// over unchanged.
+// many rows the tile holds (mr in [1, kGemmMr]), so a row's result does not
+// depend on where it sits in a (for instance stacked) A.
 void GemmTile(const float* a, int64_t lda, const float* pack, int64_t kc,
               float* c, int64_t ldc, int64_t mr, int64_t nr);
 

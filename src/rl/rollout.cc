@@ -18,26 +18,20 @@ RolloutRunner::RolloutRunner(uint64_t seed, int64_t num_slots)
 void RolloutRunner::Collect(
     int64_t step,
     const std::function<void(int64_t, math::Rng&)>& body) const {
-  ThreadPool::Global().ParallelFor(
-      0, num_slots_, /*grain=*/1, [&](int64_t lo, int64_t hi) {
-        for (int64_t slot = lo; slot < hi; ++slot) {
-          // Per-slot wall time; together with env.step_us this splits a
-          // rollout into env-step vs forward-pass cost.
-          CIT_OBS_SPAN("rollout.slot");
-          CIT_OBS_COUNT("rollout.slots", 1);
-          math::Rng rng = math::Rng::Split(
-              seed_, static_cast<uint64_t>(step), static_cast<uint64_t>(slot));
-          body(slot, rng);
-        }
-      });
+  ThreadPool::Global().ParallelFor(0, num_slots_, [&](int64_t slot) {
+    // Per-slot wall time; together with env.step_us this splits a rollout
+    // into env-step vs forward-pass cost.
+    CIT_OBS_SPAN("rollout.slot");
+    CIT_OBS_COUNT("rollout.slots", 1);
+    math::Rng rng = math::Rng::Split(seed_, static_cast<uint64_t>(step),
+                                     static_cast<uint64_t>(slot));
+    body(slot, rng);
+  });
 }
 
 void RolloutRunner::ForEachSlot(
     const std::function<void(int64_t)>& body) const {
-  ThreadPool::Global().ParallelFor(
-      0, num_slots_, /*grain=*/1, [&](int64_t lo, int64_t hi) {
-        for (int64_t slot = lo; slot < hi; ++slot) body(slot);
-      });
+  ThreadPool::Global().ParallelFor(0, num_slots_, body);
 }
 
 void RolloutRunner::Collect(

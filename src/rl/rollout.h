@@ -21,8 +21,8 @@ namespace cit::rl {
 // price panel — so a RolloutRunner schedules the K slots of an update
 // onto the global ThreadPool and lets each slot fill its own storage.
 //
-// The determinism contract mirrors the kernel layer's: results are
-// bitwise identical for any CIT_NUM_THREADS. Three rules deliver it:
+// The determinism contract is the pool's: results are bitwise identical
+// for any CIT_NUM_THREADS. Three rules deliver it:
 //
 //  1. Per-slot RNG streams are counter-split, not sequential: slot j of
 //     update `step` draws from Rng::Split(seed, step, slot), a stream
@@ -35,11 +35,9 @@ namespace cit::rl {
 //     in particular, per-rollout losses are backpropagated and their
 //     gradients accumulated in fixed slot order on the calling thread.
 //
-// Nested parallelism is already handled by the pool: math kernels invoked
-// from inside a slot detect the surrounding parallel region and run
-// serially, and every kernel is bitwise thread-count-invariant, so a slot
-// computes the same floats whether its inner kernels ran parallel (K=1 or
-// a 1-thread pool) or inline under a busy pool.
+// Kernels never enter the pool: every kernel is a serial loop with a fixed
+// per-element reduction order, so a slot computes the same floats on
+// whichever thread runs it.
 class RolloutRunner {
  public:
   // `seed` is the trainer's config seed; `num_slots` is K, the number of

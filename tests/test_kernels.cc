@@ -8,8 +8,8 @@
 //    (scripts/check.sh reruns these under TSan with CIT_OVERSUBSCRIBE=1 so
 //    the 4-thread arm is real even on a 1-core host);
 //  - simd-vs-scalar agreement: 0 ULP on the non-FMA arms the contract
-//    promises exact (plain elementwise ops, FusedElemwise chains), a
-//    documented tolerance on the FMA arms (MatMul, Axpy, conv-via-im2col);
+//    promises exact (plain elementwise ops, FusedElemwise chains) and on
+//    the conv, a documented tolerance on the FMA arms (MatMul, Axpy);
 //  - the direct conv, both the scalar backend's time-major arm and the
 //    SIMD backend's register-tiled AVX-512 arm, bitwise equal to a plain
 //    per-row triple loop at the model's shapes, at every tile edge, on
@@ -195,9 +195,8 @@ TEST(KernelDispatch, GemmSimdMatchesScalarWithinTolerance) {
 
 TEST(KernelDispatch, ElementwiseSimdBitwiseEqualsScalar) {
   if (!kn::SimdAvailable()) GTEST_SKIP() << "no SIMD path compiled";
-  // Crosses the parallel grain with an odd tail so vector blocks, scalar
-  // tails, and chunk boundaries all land mid-array.
-  const int64_t n = kn::kElementwiseGrain * 2 + 17;
+  // An odd length, so the vector body ends in a scalar tail.
+  const int64_t n = 65553;
   Rng rng(17);
   std::vector<float> a(n), b(n);
   for (float& v : a) v = rng.Uniform(-3.0f, 3.0f);
@@ -254,7 +253,7 @@ TEST(KernelDispatch, ElementwiseSimdBitwiseEqualsScalar) {
 }
 
 TEST(KernelDispatch, AxpyFmaToleranceAndThreadInvariance) {
-  const int64_t n = kn::kElementwiseGrain * 2 + 5;
+  const int64_t n = 65541;
   Rng rng(29);
   std::vector<float> x(n), y0(n);
   for (float& v : x) v = rng.Uniform(-2.0f, 2.0f);
@@ -271,8 +270,9 @@ TEST(KernelDispatch, AxpyFmaToleranceAndThreadInvariance) {
   for (kn::Backend b : AllBackends()) {
     const std::vector<float> y1 = run(b, 1);
     const std::vector<float> y4 = run(b, 4);
-    // The simd arm's scalar tail uses fmaf, matching the vector lanes, so
-    // chunk boundaries moving the vector/tail split cannot change values.
+    // Axpy runs serially on its caller at any pool size, and the simd
+    // arm's scalar tail uses fmaf, matching the vector lanes, so where the
+    // vector/tail split falls cannot change a value either.
     ASSERT_EQ(std::memcmp(y1.data(), y4.data(), n * sizeof(float)), 0)
         << Name(b) << " Axpy differs between 1 and 4 threads";
   }
@@ -290,7 +290,7 @@ TEST(KernelDispatch, AxpyFmaToleranceAndThreadInvariance) {
 TEST(KernelDispatch, FusedElemwiseExactChainBitwise) {
   using kn::ElemOp;
   using kn::ElemOpKind;
-  const int64_t n = kn::kElementwiseGrain + 31;
+  const int64_t n = 32799;
   Rng rng(41);
   std::vector<float> in(n);
   for (float& v : in) v = rng.Uniform(-2.0f, 2.0f);
@@ -357,21 +357,16 @@ struct ConvShape {
   int64_t batch, cin, cout, len, k, dilation;
 };
 
-// First two take the direct path, rest the im2col+GEMM path (the gate is
-// 2*cout*cin*k*len >= 2^16 && len >= 8); prime len exercises GEMM tails,
+// Two small shapes and three large ones: prime len and prime cout end in
+// partial time tiles and channel blocks, k == 1 is a pure projection, and
 // the dilation-7 case zero-pads most of a tap's range.
 const ConvShape kConvShapes[] = {
-    {1, 2, 3, 6, 2, 1},       // direct
-    {1, 1, 2, 5, 3, 7},       // direct; shift >= len on two taps
-    {2, 8, 16, 127, 3, 3},    // im2col, prime len
-    {1, 5, 29, 64, 4, 2},     // im2col, prime cout
-    {3, 4, 16, 257, 1, 1},    // im2col, k == 1
+    {1, 2, 3, 6, 2, 1},
+    {1, 1, 2, 5, 3, 7},       // shift >= len on two taps
+    {2, 8, 16, 127, 3, 3},    // former im2col, prime len
+    {1, 5, 29, 64, 4, 2},     // former im2col, prime cout
+    {3, 4, 16, 257, 1, 1},    // former im2col, k == 1
 };
-
-// The forward's shape gate (kernels.cc CausalConv1dForward).
-bool IsDirectConv(const ConvShape& s) {
-  return 2 * s.cout * s.cin * s.k * s.len < (1 << 16) || s.len < 8;
-}
 
 std::vector<float> RunConv(const ConvShape& s, kn::Backend b, int threads) {
   BackendGuard bg(b);
@@ -402,20 +397,20 @@ TEST(KernelDispatch, ConvBitwiseThreadInvariantPerBackend) {
   }
 }
 
-TEST(KernelDispatch, ConvSimdMatchesScalarWithinTolerance) {
+// Both conv arms keep the reference loop's per-element chain, so the
+// backends agree bit for bit on every shape.
+TEST(KernelDispatch, ConvSimdBitwiseEqualsScalar) {
   if (!kn::SimdAvailable()) GTEST_SKIP() << "no SIMD path compiled";
   for (const ConvShape& s : kConvShapes) {
     const std::vector<float> ref = RunConv(s, kn::Backend::kScalar, 1);
     const std::vector<float> got = RunConv(s, kn::Backend::kSimd, 1);
-    for (size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_TRUE(NearFma(got[i], ref[i]))
-          << "conv len=" << s.len << " at " << i << ": simd " << got[i]
-          << " vs scalar " << ref[i];
-    }
+    ASSERT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)),
+              0)
+        << "conv len=" << s.len << " differs between simd and scalar";
   }
 }
 
-// Bitwise reference for the direct path: the plain triple loop, one
+// Bitwise reference for the conv: the plain triple loop, one
 // (batch, cout) output row at a time, starting at +0, ascending (cin, tap),
 // zero weights skipped, bias added last. Compiled with the same flags as
 // the kernel, so its `+= w * x` contracts (or not) exactly like the
@@ -447,7 +442,7 @@ void ReferenceConvDirect(const float* x, const float* w, const float* bias,
   }
 }
 
-// Inputs for one direct-path case. Special inputs and weights use the one
+// Inputs for one conv case. Special inputs and weights use the one
 // NaN this hardware generates itself (so every NaN the two loops can meet
 // has the same bits and propagation order cannot show), infinities and
 // negative zero. Zero weights of both signs take the skip; non-finite
@@ -484,7 +479,7 @@ ConvCase MakeConvCase(const ConvShape& s, Rng& rng, bool special_x,
   return c;
 }
 
-// Runs the direct path on the active backend and memcmps it against the
+// Runs the conv on the active backend and memcmps it against the
 // reference loop; returns an empty string on a match.
 std::string ConvAgainstReference(const ConvShape& s, const ConvCase& c,
                                  bool with_bias) {
@@ -552,10 +547,13 @@ TEST(KernelDispatch, ConvDirectMatchesReferenceBitwise) {
       {{3, 2, 5, 10, 4, 4}, "k 4, three taps with shift >= len"},
       {{3, 2, 5, 40, 4, 9}, "k 4, shifts 9..27"},
       {{3, 2, 5, 20, 3, 17}, "shift 34 >= len and 17 > one vector"},
+      // The dispatch matrix's large shapes.
+      {{2, 8, 16, 127, 3, 3}, "former im2col, prime len"},
+      {{1, 5, 29, 64, 4, 2}, "former im2col, prime cout"},
+      {{3, 4, 16, 257, 1, 1}, "former im2col, k == 1"},
   };
   for (const Case& c : cases) {
     const ConvShape& s = c.s;
-    ASSERT_TRUE(IsDirectConv(s)) << c.what << " takes the im2col path";
     for (int mode = 0; mode < 3; ++mode) {
       const bool special_x = mode >= 1, special_w = mode == 2;
       Rng rng(71 + s.batch * 13 + s.cin * 5 + s.len + mode);
@@ -577,7 +575,7 @@ TEST(KernelDispatch, ConvDirectMatchesReferenceBitwise) {
   }
   // Seeded random shapes over every tile edge at once: batch 1-70, cin 1-8,
   // cout 1-9, len 1-70 (up to three time tiles), k 1-4 and dilation 1-12
-  // (shifts up to 36). Every shape is on the direct path.
+  // (shifts up to 36).
   Rng shapes(20261017);
   const auto pick = [&shapes](int64_t lo, int64_t hi) {
     return lo + shapes.UniformInt(hi - lo + 1);
@@ -586,7 +584,6 @@ TEST(KernelDispatch, ConvDirectMatchesReferenceBitwise) {
   for (int i = 0; i < kRandomShapes; ++i) {
     const ConvShape s{pick(1, 70), pick(1, 8), pick(1, 9),
                       pick(1, 70), pick(1, 4), pick(1, 12)};
-    ASSERT_TRUE(IsDirectConv(s));
     Rng rng(1000 + i);
     const ConvCase in = MakeConvCase(s, rng, i % 3 != 0, i % 3 == 2);
     for (kn::Backend be : AllBackends()) {
@@ -691,40 +688,34 @@ TEST(KernelObs, ConvBytesFormulaBothPaths) {
   TelemetryGuard telemetry(true);
   ThreadCountGuard tg(1);
   for (kn::Backend be : AllBackends()) {
-    // The SIMD backend's direct path is the register-tiled arm exactly
-    // where the build compiled one (AVX-512).
+    // The SIMD backend's conv is the register-tiled arm exactly where the
+    // build compiled one (AVX-512).
     const bool tiled = be == kn::Backend::kSimd &&
                        std::strcmp(kn::SimdIsaName(), "avx512") == 0;
-    for (const ConvShape& s : {ConvShape{1, 2, 3, 6, 2, 1},      // direct
-                               ConvShape{4, 2, 3, 6, 2, 1},      // direct
-                               ConvShape{3, 2, 7, 40, 3, 2},     // direct
-                               ConvShape{2, 8, 16, 127, 3, 3}})  // im2col
-    {
-      const bool im2col = !IsDirectConv(s);
+    for (const ConvShape& s :
+         {ConvShape{1, 2, 3, 6, 2, 1}, ConvShape{4, 2, 3, 6, 2, 1},
+          ConvShape{3, 2, 7, 40, 3, 2}, ConvShape{2, 8, 16, 127, 3, 3}}) {
       obs::Registry::Global().ResetAll();
       RunConv(s, be, 1);
       int64_t taps = 0;  // post-pad tap coverage, shared by every formula
       for (int64_t kk = 0; kk < s.k; ++kk) {
         taps += std::max<int64_t>(0, s.len - (s.k - 1 - kk) * s.dilation);
       }
-      // Im2col, per batch: tap re-reads + patch writes + the bias RMW pass.
-      // Tiled direct, per batch: input rows once per channel block and tap
-      // + each output stored once with its bias + weights and bias once per
-      // row tile. Time-major direct, per batch: regroup in + accumulator
-      // zero-fill + per-tap RMW against an input read + regroup out with
-      // the bias fused in; per call, the weights and the bias read once.
+      // Tiled, per batch: input rows once per channel block and tap + each
+      // output stored once with its bias + weights and bias once per row
+      // tile. Time-major, per batch: regroup in + accumulator zero-fill +
+      // per-tap RMW against an input read + regroup out with the bias
+      // fused in; per call, the weights and the bias read once.
       const int64_t blocks = (s.cout + kn::kConvTileCout - 1) /
                              kn::kConvTileCout;
       const int64_t tiles = (s.len + kn::kConvTileLen - 1) / kn::kConvTileLen;
       const int64_t floats =
-          im2col ? s.batch * (s.cin * taps + s.cin * s.k * s.len +
-                              2 * s.cout * s.len)
-          : tiled ? s.batch * (blocks * s.cin * taps + s.cout * s.len +
-                               tiles * (s.cout * s.cin * s.k + s.cout))
-                  : s.batch * (2 * s.cin * s.len + 3 * s.cout * s.len +
-                               3 * s.cout * s.cin * taps) +
-                        s.cout * s.cin * s.k + s.cout;
-      const char* path = im2col ? "im2col" : tiled ? "tiled direct" : "direct";
+          tiled ? s.batch * (blocks * s.cin * taps + s.cout * s.len +
+                             tiles * (s.cout * s.cin * s.k + s.cout))
+                : s.batch * (2 * s.cin * s.len + 3 * s.cout * s.len +
+                             3 * s.cout * s.cin * taps) +
+                      s.cout * s.cin * s.k + s.cout;
+      const char* path = tiled ? "tiled" : "time-major";
       EXPECT_EQ(
           obs::Registry::Global().GetCounter("kernels.conv_bytes").Total(),
           static_cast<uint64_t>(4 * floats))
@@ -736,11 +727,9 @@ TEST(KernelObs, ConvBytesFormulaBothPaths) {
       EXPECT_EQ(
           obs::Registry::Global().GetCounter("kernels.conv_flops").Total(),
           static_cast<uint64_t>(2 * s.batch * s.cout * s.cin * s.k * s.len));
-      // The lowered GEMM books its own traffic under kernels.gemm_bytes —
-      // present exactly when the im2col path ran.
-      const uint64_t gemm_calls =
-          obs::Registry::Global().GetCounter("kernels.gemm_calls").Total();
-      EXPECT_EQ(gemm_calls, static_cast<uint64_t>(im2col ? s.batch : 0));
+      // No shape lowers to a GEMM.
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_calls").Total(), 0u);
     }
   }
 }

@@ -194,12 +194,7 @@ TEST(Obs, CounterAccumulatesAcrossPoolThreads) {
   auto& c = obs::Registry::Global().GetCounter("test.sharded_counter");
   c.Reset();
   constexpr int64_t kN = 10000;
-  ThreadPool::Global().ParallelFor(0, kN, /*grain=*/64,
-                                   [&](int64_t lo, int64_t hi) {
-                                     for (int64_t i = lo; i < hi; ++i) {
-                                       c.Add(1);
-                                     }
-                                   });
+  ThreadPool::Global().ParallelFor(0, kN, [&](int64_t) { c.Add(1); });
   // Per-thread shards must merge back to the exact total.
   EXPECT_EQ(c.Total(), static_cast<uint64_t>(kN));
 }

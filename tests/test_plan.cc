@@ -52,7 +52,7 @@ class CompileAllowedScope {
   bool prev_;
 };
 
-// Pins the kernel thread count for a test body (clamped by the pool's
+// Pins the pool's thread count for a test body (clamped by the pool's
 // max_threads on small hosts; the determinism contract makes the clamp
 // observationally irrelevant).
 class ThreadCountScope {
@@ -102,7 +102,7 @@ core::CrossInsightConfig TinyCitConfig() {
 // Runs `make_agent` through train + test-split backtest twice — once with
 // compiled replay live, once with the kill switch forcing the interpreted
 // path — and asserts every observable number is bitwise identical. Repeats
-// at 1 and 4 kernel threads (replayed steps call the same deterministic
+// at 1 and 4 pool threads (replayed steps call the same deterministic
 // kernels as the interpreted path, so the thread count must not matter).
 template <typename MakeAgent>
 void ExpectCompiledIsPureSpeed(const market::PricePanel& panel,

@@ -1,6 +1,7 @@
 // Thread-pool correctness plus the determinism contract of math/kernels.h:
-// every kernel must produce bitwise-identical results for any thread count.
-// These are the tests scripts/check.sh runs under TSan.
+// kernels are serial and never enter the pool, so every kernel produces
+// bitwise-identical results for any thread count. These are the tests
+// scripts/check.sh runs under TSan.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "math/kernels.h"
 #include "math/rng.h"
 #include "math/tensor.h"
+#include "obs/telemetry.h"
 
 namespace cit {
 namespace {
@@ -35,37 +37,42 @@ class ThreadCountGuard {
   int saved_;
 };
 
+class TelemetryGuard {
+ public:
+  explicit TelemetryGuard(bool on) : saved_(obs::Enabled()) {
+    obs::SetEnabled(on);
+  }
+  ~TelemetryGuard() { obs::SetEnabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadCountGuard guard(4);
   std::vector<int> counts(10000, 0);
-  ThreadPool::Global().ParallelFor(0, 10000, 16, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) counts[static_cast<size_t>(i)] += 1;
-  });
+  ThreadPool::Global().ParallelFor(
+      0, 10000, [&](int64_t i) { counts[static_cast<size_t>(i)] += 1; });
   for (int c : counts) ASSERT_EQ(c, 1);
 }
 
-TEST(ThreadPool, SmallRangeRunsInline) {
+TEST(ThreadPool, OneIndexRunsInline) {
   ThreadCountGuard guard(4);
   int calls = 0;  // deliberately unsynchronized: must run on this thread only
-  ThreadPool::Global().ParallelFor(0, 10, 1000, [&](int64_t lo, int64_t hi) {
-    calls += static_cast<int>(hi - lo);
+  ThreadPool::Global().ParallelFor(7, 8, [&](int64_t i) {
+    calls += static_cast<int>(i);
   });
-  EXPECT_EQ(calls, 10);
+  EXPECT_EQ(calls, 7);
 }
 
 TEST(ThreadPool, NestedParallelForDegradesToSerial) {
   ThreadCountGuard guard(4);
   std::vector<int> counts(4096, 0);
-  ThreadPool::Global().ParallelFor(0, 4, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t o = lo; o < hi; ++o) {
-      // Runs inside a parallel region, so it must execute inline.
-      ThreadPool::Global().ParallelFor(
-          0, 1024, 1, [&, o](int64_t ilo, int64_t ihi) {
-            for (int64_t i = ilo; i < ihi; ++i) {
-              counts[static_cast<size_t>(o * 1024 + i)] += 1;
-            }
-          });
-    }
+  ThreadPool::Global().ParallelFor(0, 4, [&](int64_t o) {
+    // Runs inside a parallel region, so it must execute inline.
+    ThreadPool::Global().ParallelFor(0, 1024, [&, o](int64_t i) {
+      counts[static_cast<size_t>(o * 1024 + i)] += 1;
+    });
   });
   for (int c : counts) ASSERT_EQ(c, 1);
 }
@@ -78,9 +85,8 @@ TEST(ThreadPool, SetNumThreadsGrowsBeyondInitial) {
   // strictly slower and, by the determinism contract, result-invariant).
   EXPECT_EQ(pool.num_threads(), std::min(4, pool.max_threads()));
   std::vector<int> counts(20000, 0);
-  pool.ParallelFor(0, 20000, 16, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) counts[static_cast<size_t>(i)] += 1;
-  });
+  pool.ParallelFor(
+      0, 20000, [&](int64_t i) { counts[static_cast<size_t>(i)] += 1; });
   for (int c : counts) ASSERT_EQ(c, 1);
 }
 
@@ -132,7 +138,7 @@ TEST(Determinism, MatMulTransposedVariantsBitwiseIdentical) {
 
 TEST(Determinism, CausalConvBitwiseIdenticalBothPaths) {
   Rng rng(3);
-  // Large shape takes the im2col+GEMM path, small one the direct loop.
+  // A shape with many time tiles and channel blocks, and a tiny one.
   struct Case {
     int64_t batch, cin, cout, len, k, dilation;
   };
@@ -155,7 +161,7 @@ TEST(Determinism, CausalConvBitwiseIdenticalBothPaths) {
 
 TEST(Determinism, ElementwiseAndSoftmaxBitwiseIdentical) {
   Rng rng(4);
-  Tensor x = Tensor::Uniform({100000}, rng, -3, 3);  // above the grain
+  Tensor x = Tensor::Uniform({100000}, rng, -3, 3);
   auto mapped = [&] {
     Tensor out({100000});
     math::kernels::Map(x.data(), out.data(), 100000,
@@ -176,8 +182,8 @@ TEST(Determinism, ElementwiseAndSoftmaxBitwiseIdentical) {
 }
 
 TEST(Determinism, TrainingStepGradientsBitwiseIdentical) {
-  // A forward/backward pass big enough that MatMul, softmax, and the
-  // elementwise kernels all cross their parallel thresholds.
+  // A taped forward/backward pass through MatMul, softmax and the
+  // elementwise kernels, as a training step runs them.
   auto grads = [&](int n_threads) {
     ThreadCountGuard guard(n_threads);
     Rng rng(5);
@@ -190,6 +196,45 @@ TEST(Determinism, TrainingStepGradientsBitwiseIdentical) {
   const auto g4 = grads(4);
   ASSERT_TRUE(math::TensorEquals(g1.first, g4.first));
   ASSERT_TRUE(math::TensorEquals(g1.second, g4.second));
+}
+
+// Kernels are serial: however large the shape, no kernel forks a pool job
+// or even asks the pool whether to. Only sweep cells and rollout slots do.
+TEST(Determinism, KernelsNeverEnterThePool) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with CIT_OBS=OFF";
+  TelemetryGuard telemetry(true);
+  ThreadCountGuard guard(4);
+  auto& jobs = obs::Registry::Global().GetCounter("threadpool.jobs");
+  auto& inline_jobs =
+      obs::Registry::Global().GetCounter("threadpool.inline_jobs");
+  const uint64_t jobs_before = jobs.Total();
+  const uint64_t inline_before = inline_jobs.Total();
+
+  Rng rng(6);
+  Tensor a = Tensor::Uniform({173, 211}, rng, -1, 1);
+  Tensor b = Tensor::Uniform({211, 97}, rng, -1, 1);
+  Tensor c({173, 97});
+  math::kernels::MatMul(a.data(), b.data(), c.data(), 173, 211, 97);
+  Tensor x = Tensor::Uniform({100000}, rng, -3, 3);
+  Tensor y({100000});
+  math::kernels::Add(x.data(), x.data(), y.data(), 100000);
+  math::kernels::Map(x.data(), y.data(), 100000,
+                     [](float v) { return v * v; });
+  Tensor s = Tensor::Uniform({512, 80}, rng, -5, 5);
+  math::kernels::SoftmaxLastAxis(s.data(), 512, 80);
+  Tensor cx = Tensor::Uniform({4, 16, 256}, rng, -1, 1);
+  Tensor cw = Tensor::Uniform({32, 16, 3}, rng, -1, 1);
+  Tensor cb = Tensor::Uniform({32}, rng, -1, 1);
+  Tensor conv_out({4, 32, 256});
+  math::kernels::CausalConv1dForward(cx.data(), cw.data(), cb.data(),
+                                     conv_out.data(), 4, 16, 32, 256, 3, 2);
+  ag::Var xv = ag::Var::Param(Tensor::Uniform({64, 512}, rng, -1, 1));
+  ag::Var wv = ag::Var::Param(Tensor::Uniform({512, 64}, rng, -1, 1));
+  ag::Sum(ag::Square(ag::Softmax(ag::MatMul(xv, wv)))).Backward();
+
+  EXPECT_EQ(jobs.Total(), jobs_before) << "a kernel forked a pool job";
+  EXPECT_EQ(inline_jobs.Total(), inline_before)
+      << "a kernel called ParallelFor";
 }
 
 }  // namespace
