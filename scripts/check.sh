@@ -8,7 +8,8 @@
 #   2. Focused correctness gates, most run at 1 and 4 threads: kernel
 #      backends (the adversarial GEMM/conv shape matrix and pack-allocation
 #      tests), observability (bitwise-identical curves with telemetry
-#      on/off, trace/snapshot JSON parses), checkpoint/resume (container
+#      on/off, trace/snapshot JSON parses), decide-path allocations (exact
+#      per-decide heap allocation counts), checkpoint/resume (container
 #      corruption fuzz plus the kill-at-k bitwise-resume tests for every
 #      trainer), inference (bitwise backtests with the graph-free no-grad
 #      path on vs. off), compiled forward (bitwise backtests with plan
@@ -80,6 +81,15 @@ echo "=== observability gate (bitwise curves with telemetry on/off) ==="
 # snapshot JSON parses; run it serial and parallel.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_obs)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_obs)
+
+echo "=== allocation gate (exact heap allocations per decide) ==="
+# test_alloc counts operator new calls and pins the exact number per
+# new-day and cached-day DecideWeights at U.S. and citd shapes and per
+# citd batch of 8, and that the feature block builds into caller memory
+# without allocating. The counts are deterministic, so they must hold at
+# any pool size.
+(cd build && run env CIT_NUM_THREADS=1 ./tests/test_alloc)
+(cd build && run env CIT_NUM_THREADS=4 ./tests/test_alloc)
 
 echo "=== checkpoint/resume gate (container fuzz + kill-at-k resume) ==="
 (cd build && run ctest --output-on-failure \

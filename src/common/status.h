@@ -1,9 +1,11 @@
 #ifndef CIT_COMMON_STATUS_H_
 #define CIT_COMMON_STATUS_H_
 
+#include <optional>
 #include <string>
 #include <utility>
-#include <variant>
+
+#include "common/check.h"
 
 namespace cit {
 
@@ -64,27 +66,35 @@ class Status {
 //   Result<Panel> r = LoadCsv(path);
 //   if (!r.ok()) return r.status();
 //   Panel p = std::move(r).value();
+// Reading value() of an error result is a programmer error and aborts.
 template <typename T>
 class Result {
  public:
   // Intentionally implicit so functions can `return value;` / `return status;`.
-  Result(T value) : data_(std::move(value)) {}
-  Result(Status status) : data_(std::move(status)) {}
+  Result(T value) : value_(std::move(value)) {}
+  Result(Status status) : status_(std::move(status)) {}
 
-  bool ok() const { return std::holds_alternative<T>(data_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk = Status::OK();
-    if (ok()) return kOk;
-    return std::get<Status>(data_);
+  // OK whenever a value is held.
+  const Status& status() const { return status_; }
+
+  const T& value() const& {
+    CIT_CHECK(ok());
+    return *value_;
+  }
+  T& value() & {
+    CIT_CHECK(ok());
+    return *value_;
+  }
+  T&& value() && {
+    CIT_CHECK(ok());
+    return std::move(*value_);
   }
 
-  const T& value() const& { return std::get<T>(data_); }
-  T& value() & { return std::get<T>(data_); }
-  T&& value() && { return std::get<T>(std::move(data_)); }
-
  private:
-  std::variant<T, Status> data_;
+  std::optional<T> value_;
+  Status status_;
 };
 
 }  // namespace cit

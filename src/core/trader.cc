@@ -107,22 +107,32 @@ void CrossInsightTrader::Reset() {
 
 CrossInsightTrader::DayFeatures CrossInsightTrader::ComputeFeatures(
     const market::PanelView& panel, int64_t day) const {
-  // Critic inputs use the trailing `critic_market_days` of the window.
-  const int64_t cd = std::min(config_.critic_market_days, config_.window);
-  auto critic_view = [&](const Tensor& window) {
-    return window.Slice(/*axis=*/2, config_.window - cd, cd)
-        .Reshape({cd * num_assets_});
-  };
+  const int64_t m = num_assets_;
+  const int64_t z = config_.window;
+  const int64_t n = config_.num_policies;
+  // Critic inputs use the trailing `critic_market_days` of each window.
+  const int64_t cd = std::min(config_.critic_market_days, z);
+  const int64_t window_size = m * z;
+  const int64_t flat_size = m * cd;
+  Tensor block({rl::FeatureBlockSize(m, z, n, cd)});
+  // Per call, never per trader: rollout slots build features concurrently.
+  std::vector<double> scratch(rl::FeatureBlockScratchSize(z, n));
+  rl::FeatureBlockInto(panel, day, z, n, cd, scratch.data(), block.data());
 
+  auto window_view = [&](int64_t j) {
+    return block.Slice(0, j * window_size, window_size).Reshape({m, 1, z});
+  };
+  auto flat_view = [&](int64_t j) {
+    return block.Slice(0, (1 + n) * window_size + j * flat_size, flat_size);
+  };
   DayFeatures features;
-  features.market = rl::NormalizedWindow(panel, day, config_.window);
-  features.market_flat = critic_view(features.market);
-  if (config_.num_policies > 0) {
-    features.bands = rl::HorizonBandWindows(panel, day, config_.window,
-                                            config_.num_policies);
-    for (const auto& band : features.bands) {
-      features.band_flats.push_back(critic_view(band));
-    }
+  features.market = window_view(0);
+  features.market_flat = flat_view(0);
+  features.bands.reserve(n);
+  features.band_flats.reserve(n);
+  for (int64_t k = 0; k < n; ++k) {
+    features.bands.push_back(window_view(1 + k));
+    features.band_flats.push_back(flat_view(1 + k));
   }
   return features;
 }

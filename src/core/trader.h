@@ -88,11 +88,13 @@ class CrossInsightTrader : public env::TradingAgent {
   }
 
  private:
+  // One day's features, built in one pass into one tensor block; every
+  // member is an axis-0 view into it (cd = the critic's trailing days).
   struct DayFeatures {
     std::vector<Tensor> bands;  // n tensors [m, 1, z]
     Tensor market;              // [m, 1, z]
-    Tensor market_flat;         // [z * m]
-    std::vector<Tensor> band_flats;  // n tensors [z * m]
+    Tensor market_flat;         // [cd * m]
+    std::vector<Tensor> band_flats;  // n tensors [cd * m]
   };
 
   // Thread-safe: parallel rollout slots hit the same days concurrently.

@@ -137,6 +137,14 @@ class PanelView {
     return closes_[day * meta_->num_assets + asset];
   }
 
+  // The closes of `day`, num_assets() contiguous values. The rows of later
+  // days follow at a stride of num_assets() (the source's row-major
+  // array), so a window of consecutive days reads through one pointer.
+  const double* Row(int64_t day) const {
+    CIT_CHECK(day >= 0 && day < meta_->num_days);
+    return closes_ + day * meta_->num_assets;
+  }
+
   // Price relative x_t(i) = p_t(i) / p_{t-1}(i) with halted-asset
   // semantics (HaltAwareRelative); day must be >= 1.
   double PriceRelative(int64_t day, int64_t asset) const {

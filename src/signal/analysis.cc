@@ -7,24 +7,6 @@
 
 namespace cit::signal {
 
-double Autocorrelation(const std::vector<double>& x, int64_t lag) {
-  CIT_CHECK_GE(lag, 0);
-  const int64_t n = static_cast<int64_t>(x.size());
-  if (n <= lag + 1) return 0.0;
-  double mean = 0.0;
-  for (double v : x) mean += v;
-  mean /= static_cast<double>(n);
-  double num = 0.0;
-  double den = 0.0;
-  for (int64_t t = 0; t < n; ++t) {
-    const double d = x[t] - mean;
-    den += d * d;
-    if (t + lag < n) num += d * (x[t + lag] - mean);
-  }
-  if (den <= 0.0) return 0.0;
-  return num / den;
-}
-
 double VarianceRatio(const std::vector<double>& returns, int64_t q) {
   CIT_CHECK_GE(q, 1);
   const int64_t n = static_cast<int64_t>(returns.size());
@@ -49,31 +31,6 @@ double VarianceRatio(const std::vector<double>& returns, int64_t q) {
   }
   varq /= static_cast<double>(count);
   return varq / (static_cast<double>(q) * var1);
-}
-
-std::vector<double> RollingVolatility(const std::vector<double>& x,
-                                      int64_t w) {
-  CIT_CHECK_GE(w, 2);
-  std::vector<double> out(x.size(), 0.0);
-  double sum = 0.0;
-  double sumsq = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    sum += x[i];
-    sumsq += x[i] * x[i];
-    if (static_cast<int64_t>(i) >= w) {
-      sum -= x[i - w];
-      sumsq -= x[i - w] * x[i - w];
-    }
-    const int64_t count =
-        std::min<int64_t>(static_cast<int64_t>(i) + 1, w);
-    if (count >= 2) {
-      const double mean = sum / count;
-      const double var =
-          std::max(0.0, (sumsq - count * mean * mean) / (count - 1));
-      out[i] = std::sqrt(var);
-    }
-  }
-  return out;
 }
 
 double AnnualizedVolatility(const std::vector<double>& daily_returns,

@@ -6,19 +6,11 @@
 
 namespace cit::signal {
 
-// Sample autocorrelation of `x` at `lag` (0 for degenerate inputs).
-double Autocorrelation(const std::vector<double>& x, int64_t lag);
-
 // Lo-MacKinlay variance ratio VR(q) = Var(q-period returns) /
 // (q * Var(1-period returns)) of a *return* series. VR > 1 indicates
 // positive serial correlation (momentum) at horizon q, VR < 1 indicates
 // mean reversion. Used to characterize the simulator's horizon structure.
 double VarianceRatio(const std::vector<double>& returns, int64_t q);
-
-// Trailing rolling standard deviation with window `w`; warm-up entries use
-// the partial prefix (minimum 2 observations, else 0).
-std::vector<double> RollingVolatility(const std::vector<double>& x,
-                                      int64_t w);
 
 // Annualized realized volatility of a daily log-return series.
 double AnnualizedVolatility(const std::vector<double>& daily_returns,

@@ -6,31 +6,6 @@
 
 namespace cit::signal {
 
-std::vector<double> SimpleMovingAverage(const std::vector<double>& x,
-                                        int64_t w) {
-  CIT_CHECK_GE(w, 1);
-  std::vector<double> out(x.size());
-  double running = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    running += x[i];
-    if (static_cast<int64_t>(i) >= w) running -= x[i - w];
-    const int64_t count =
-        std::min<int64_t>(static_cast<int64_t>(i) + 1, w);
-    out[i] = running / static_cast<double>(count);
-  }
-  return out;
-}
-
-std::vector<double> ExponentialMovingAverage(const std::vector<double>& x,
-                                             double alpha) {
-  CIT_CHECK(alpha > 0.0 && alpha <= 1.0);
-  std::vector<double> out(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    out[i] = (i == 0) ? x[0] : alpha * x[i] + (1.0 - alpha) * out[i - 1];
-  }
-  return out;
-}
-
 std::vector<double> L1Median(const std::vector<std::vector<double>>& points,
                              int64_t max_iters, double tol) {
   CIT_CHECK(!points.empty());

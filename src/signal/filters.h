@@ -6,15 +6,6 @@
 
 namespace cit::signal {
 
-// Trailing simple moving average with window `w`; the first w-1 outputs use
-// the partial prefix (online-learning convention used by OLMAR).
-std::vector<double> SimpleMovingAverage(const std::vector<double>& x,
-                                        int64_t w);
-
-// Exponential moving average with smoothing alpha in (0, 1].
-std::vector<double> ExponentialMovingAverage(const std::vector<double>& x,
-                                             double alpha);
-
 // Geometric L1-median of a set of points (Weiszfeld's algorithm), used by
 // the RMR baseline's robust price estimate. `points` is [n][dim].
 std::vector<double> L1Median(const std::vector<std::vector<double>>& points,

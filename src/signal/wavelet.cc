@@ -1,5 +1,6 @@
 #include "signal/wavelet.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -9,121 +10,123 @@ namespace {
 
 const double kInvSqrt2 = 1.0 / std::sqrt(2.0);
 
-// One forward Haar step: x (padded to even) -> (approx, detail).
-void HaarStep(const std::vector<double>& x, std::vector<double>* approx,
-              std::vector<double>* detail) {
-  std::vector<double> padded = x;
-  if (padded.size() % 2 != 0) padded.push_back(padded.back());
-  const size_t half = padded.size() / 2;
-  approx->resize(half);
-  detail->resize(half);
-  for (size_t i = 0; i < half; ++i) {
-    const double a = padded[2 * i];
-    const double b = padded[2 * i + 1];
-    (*approx)[i] = (a + b) * kInvSqrt2;
-    (*detail)[i] = (a - b) * kInvSqrt2;
+// Lengths halve (rounding up) at every level, and any 64-bit length
+// reaches 1 within 63 halvings, where the decomposition stops.
+constexpr int64_t kMaxLevels = 64;
+
+// Levels a length-n decomposition reaches when `levels` are requested: it
+// stops early once the approximation is a single sample.
+int64_t EffectiveLevels(int64_t n, int64_t levels) {
+  int64_t reached = 0;
+  for (int64_t len = n; reached < levels;) {
+    len = (len + 1) / 2;
+    ++reached;
+    if (len == 1) break;
+  }
+  return reached;
+}
+
+// One inverse level with every detail masked, in place: y[0, (len+1)/2)
+// holds the approximation entering the level and y[0, len) receives its
+// output, the padding sample dropped. A masked detail is still added as
+// +0.0, never skipped: -0.0 + 0.0 is +0.0, and the bands keep that sign.
+// Descending i reads y[i] before any write reaches it.
+void InverseMaskedDetails(double* y, int64_t len) {
+  for (int64_t i = (len + 1) / 2 - 1; i >= 0; --i) {
+    const double a = y[i];
+    if (2 * i + 1 < len) y[2 * i + 1] = (a - 0.0) * kInvSqrt2;
+    y[2 * i] = (a + 0.0) * kInvSqrt2;
   }
 }
 
-// One inverse Haar step, truncated to `original_len`.
-std::vector<double> HaarInverseStep(const std::vector<double>& approx,
-                                    const std::vector<double>& detail,
-                                    int64_t original_len) {
-  CIT_CHECK_EQ(approx.size(), detail.size());
-  std::vector<double> x(approx.size() * 2);
-  for (size_t i = 0; i < approx.size(); ++i) {
-    x[2 * i] = (approx[i] + detail[i]) * kInvSqrt2;
-    x[2 * i + 1] = (approx[i] - detail[i]) * kInvSqrt2;
+// The level whose detail band is kept: its approximation is masked to
+// +0.0 (every coarser level of a masked band inverts to exactly +0.0).
+void InverseMaskedApprox(const double* detail, double* y, int64_t len) {
+  for (int64_t i = 0; i < (len + 1) / 2; ++i) {
+    y[2 * i] = (0.0 + detail[i]) * kInvSqrt2;
+    if (2 * i + 1 < len) y[2 * i + 1] = (0.0 - detail[i]) * kInvSqrt2;
   }
-  x.resize(original_len);
-  return x;
 }
 
 }  // namespace
 
-DwtCoeffs HaarDecompose(const std::vector<double>& x, int64_t levels) {
-  CIT_CHECK(!x.empty());
-  CIT_CHECK_GE(levels, 1);
-  DwtCoeffs coeffs;
-  std::vector<double> current = x;
+int64_t BandSplitScratchSize(int64_t n, int64_t num_bands) {
+  CIT_CHECK_GE(n, 1);
+  CIT_CHECK_GE(num_bands, 1);
+  int64_t size = n;  // the signal, whose prefix each level overwrites
+  int64_t len = n;
+  for (int64_t l = EffectiveLevels(n, num_bands - 1); l > 0; --l) {
+    len = (len + 1) / 2;
+    size += len;  // one level's details
+  }
+  return size;
+}
+
+void SplitHorizonBandsInto(const double* x, int64_t n, int64_t num_bands,
+                           double* scratch, double* bands) {
+  CIT_CHECK_GE(n, 1);
+  CIT_CHECK_GE(num_bands, 1);
+  if (num_bands == 1) {
+    std::copy_n(x, n, bands);
+    return;
+  }
+  const int64_t levels = EffectiveLevels(n, num_bands - 1);
+  CIT_CHECK_LE(levels, kMaxLevels);
+
+  // Forward transform. len[l] is the length entering level l; the level's
+  // approximation overwrites the prefix of `work` (step i reads samples
+  // 2i and 2i+1 before writing sample i) and its details land behind it.
+  // An odd length pads with its final sample.
+  int64_t len[kMaxLevels];
+  const double* detail[kMaxLevels];
+  double* work = scratch;
+  std::copy_n(x, n, work);
+  double* next = scratch + n;
+  int64_t cur = n;
   for (int64_t l = 0; l < levels; ++l) {
-    coeffs.level_lengths.push_back(static_cast<int64_t>(current.size()));
-    std::vector<double> approx;
-    std::vector<double> detail;
-    HaarStep(current, &approx, &detail);
-    coeffs.details.push_back(std::move(detail));
-    current = std::move(approx);
-    // Stop early if the signal can no longer be halved meaningfully.
-    if (current.size() == 1 && l + 1 < levels) {
-      break;
+    const int64_t half = (cur + 1) / 2;
+    for (int64_t i = 0; i < half; ++i) {
+      const double a = work[2 * i];
+      const double b = 2 * i + 1 < cur ? work[2 * i + 1] : a;
+      next[i] = (a - b) * kInvSqrt2;
+      work[i] = (a + b) * kInvSqrt2;
     }
+    len[l] = cur;
+    detail[l] = next;
+    next += half;
+    cur = half;
   }
-  coeffs.approx = std::move(current);
-  return coeffs;
-}
 
-std::vector<double> HaarReconstruct(const DwtCoeffs& coeffs) {
-  std::vector<double> current = coeffs.approx;
-  for (int64_t l = coeffs.levels() - 1; l >= 0; --l) {
-    current = HaarInverseStep(current, coeffs.details[l],
-                              coeffs.level_lengths[l]);
-  }
-  return current;
-}
-
-std::vector<double> ReconstructBand(const DwtCoeffs& coeffs, int64_t band) {
-  const int64_t levels = coeffs.levels();
-  CIT_CHECK(band >= 0 && band <= levels);
-  DwtCoeffs masked = coeffs;
-  if (band == 0) {
-    // Keep the approximation only.
-    for (auto& d : masked.details) {
-      std::fill(d.begin(), d.end(), 0.0);
+  // Inverse, one band at a time, in place in the band's own output row.
+  for (int64_t b = 0; b < num_bands; ++b) {
+    double* y = bands + b * n;
+    if (b > levels) {  // past the signal's depth: an all-zero band
+      std::fill_n(y, n, 0.0);
+      continue;
     }
-  } else {
-    // Keep detail level L+1-band only (band 1 = coarsest details).
-    const int64_t keep_level = levels - band;  // index into details
-    std::fill(masked.approx.begin(), masked.approx.end(), 0.0);
-    for (int64_t l = 0; l < levels; ++l) {
-      if (l != keep_level) {
-        std::fill(masked.details[l].begin(), masked.details[l].end(), 0.0);
-      }
+    int64_t l = levels - 1;
+    if (b == 0) {
+      std::copy_n(work, cur, y);  // the approximation a^L
+    } else {
+      l = levels - b;  // the kept detail level
+      InverseMaskedApprox(detail[l], y, len[l]);
+      --l;
     }
+    for (; l >= 0; --l) InverseMaskedDetails(y, len[l]);
   }
-  return HaarReconstruct(masked);
 }
 
 std::vector<std::vector<double>> SplitHorizonBands(
     const std::vector<double>& x, int64_t num_bands) {
-  CIT_CHECK_GE(num_bands, 1);
-  if (num_bands == 1) return {x};
-  const int64_t levels = num_bands - 1;
-  DwtCoeffs coeffs = HaarDecompose(x, levels);
-  // If the signal was too short to reach the requested depth, the effective
-  // number of bands shrinks; the surplus bands are all-zero so that the
-  // band-sum identity (sum of bands == original signal) always holds.
-  const int64_t effective_bands = coeffs.levels() + 1;
-  std::vector<std::vector<double>> bands;
-  bands.reserve(num_bands);
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<double> scratch(BandSplitScratchSize(n, num_bands));
+  std::vector<double> flat(num_bands * n);
+  SplitHorizonBandsInto(x.data(), n, num_bands, scratch.data(), flat.data());
+  std::vector<std::vector<double>> bands(num_bands);
   for (int64_t b = 0; b < num_bands; ++b) {
-    if (b < effective_bands) {
-      bands.push_back(ReconstructBand(coeffs, b));
-    } else {
-      bands.emplace_back(x.size(), 0.0);
-    }
+    bands[b].assign(flat.begin() + b * n, flat.begin() + (b + 1) * n);
   }
   return bands;
-}
-
-std::vector<double> WaveletDenoise(const std::vector<double>& x,
-                                   int64_t levels, double threshold) {
-  DwtCoeffs coeffs = HaarDecompose(x, levels);
-  for (auto& level : coeffs.details) {
-    for (double& d : level) {
-      if (std::fabs(d) < threshold) d = 0.0;
-    }
-  }
-  return HaarReconstruct(coeffs);
 }
 
 }  // namespace cit::signal

@@ -6,47 +6,30 @@
 
 namespace cit::signal {
 
-// Multi-level Haar discrete wavelet transform coefficients of a 1-D signal.
-// `details[l]` holds d^{l+1} (level-1 details at index 0); `approx` holds the
-// final approximation a^L. `level_lengths[l]` records the signal length fed
-// into level l+1 so reconstruction can drop padding exactly.
-struct DwtCoeffs {
-  std::vector<std::vector<double>> details;
-  std::vector<double> approx;
-  std::vector<int64_t> level_lengths;
+// Doubles of scratch SplitHorizonBandsInto needs for a length-n signal
+// split into `num_bands` bands.
+int64_t BandSplitScratchSize(int64_t n, int64_t num_bands);
 
-  int64_t levels() const { return static_cast<int64_t>(details.size()); }
-};
+// Splits x[0, n) into `num_bands` horizon sub-series with a
+// (num_bands-1)-level Haar DWT (paper Eq. (1)) and writes band b to
+// bands[b*n, (b+1)*n). Band 0 is the longest horizon (the approximation
+// a^L alone) and band b >= 1 keeps detail d^{L+1-b} alone, so increasing
+// band index means increasingly short horizon; every other coefficient is
+// masked to +0.0 and the band is inverse-transformed. Odd-length levels
+// are padded by repeating their final sample, and the padding is dropped
+// on reconstruction. A signal too short for the requested depth yields
+// all-zero surplus bands, so the bands always sum to x (linearity of the
+// DWT, property-tested). num_bands == 1 copies x.
+//
+// One in-place pass over caller-owned memory: `scratch` holds
+// BandSplitScratchSize(n, num_bands) doubles, `bands` num_bands*n, and
+// nothing is allocated. Requires n >= 1 and num_bands >= 1.
+void SplitHorizonBandsInto(const double* x, int64_t n, int64_t num_bands,
+                           double* scratch, double* bands);
 
-// Decomposes `x` into `levels` levels of Haar coefficients (paper Eq. (1)
-// with the Haar scaling/wavelet pair). Odd-length signals are padded by
-// repeating the final sample; the padding is removed on reconstruction.
-// Requires levels >= 1 and x non-empty.
-DwtCoeffs HaarDecompose(const std::vector<double>& x, int64_t levels);
-
-// Inverse transform; exact (up to float rounding) for untouched coefficients.
-std::vector<double> HaarReconstruct(const DwtCoeffs& coeffs);
-
-// Reconstructs the signal keeping only one frequency band and zeroing all
-// other coefficients (the paper's mask-and-inverse-transform step):
-//   band 0            -> approximation a^L only (longest horizon)
-//   band b in [1, L]  -> detail d^{L+1-b} only, so increasing band index
-//                        means increasingly short horizon.
-std::vector<double> ReconstructBand(const DwtCoeffs& coeffs, int64_t band);
-
-// Splits `x` into `num_bands` horizon sub-series using a (num_bands-1)-level
-// Haar DWT. Element [0] is the longest-horizon (lowest-frequency) series and
-// element [num_bands-1] the shortest. The bands sum to the original signal
-// (linearity of the DWT), which is property-tested. num_bands == 1 returns
-// {x} unchanged.
+// SplitHorizonBandsInto returning one vector per band (tools, analysis).
 std::vector<std::vector<double>> SplitHorizonBands(
     const std::vector<double>& x, int64_t num_bands);
-
-// Denoises by zeroing detail coefficients whose magnitude falls below
-// `threshold` (hard thresholding), a standard wavelet-denoising preprocessing
-// step referenced by the paper's related work.
-std::vector<double> WaveletDenoise(const std::vector<double>& x,
-                                   int64_t levels, double threshold);
 
 }  // namespace cit::signal
 

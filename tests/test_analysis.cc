@@ -23,30 +23,6 @@ std::vector<double> Ar1Series(double phi, double vol, int64_t n,
   return x;
 }
 
-TEST(Autocorrelation, WhiteNoiseNearZero) {
-  math::Rng rng(1);
-  std::vector<double> x(4000);
-  for (auto& v : x) v = rng.Normal();
-  EXPECT_NEAR(Autocorrelation(x, 1), 0.0, 0.05);
-  EXPECT_NEAR(Autocorrelation(x, 5), 0.0, 0.05);
-}
-
-TEST(Autocorrelation, Ar1MatchesPhi) {
-  const auto x = Ar1Series(0.7, 1.0, 8000, 2);
-  EXPECT_NEAR(Autocorrelation(x, 1), 0.7, 0.05);
-  EXPECT_NEAR(Autocorrelation(x, 2), 0.49, 0.07);
-}
-
-TEST(Autocorrelation, LagZeroIsOne) {
-  const auto x = Ar1Series(0.5, 1.0, 100, 3);
-  EXPECT_NEAR(Autocorrelation(x, 0), 1.0, 1e-12);
-}
-
-TEST(Autocorrelation, DegenerateInputs) {
-  EXPECT_EQ(Autocorrelation({1.0, 2.0}, 5), 0.0);
-  EXPECT_EQ(Autocorrelation({3.0, 3.0, 3.0, 3.0}, 1), 0.0);
-}
-
 TEST(VarianceRatio, WhiteNoiseNearOne) {
   math::Rng rng(4);
   std::vector<double> r(6000);
@@ -86,21 +62,6 @@ TEST(VarianceRatio, SimulatedMarketShowsMomentumStructure) {
   vr20 /= panel.num_assets();
   EXPECT_GT(vr5, 1.02);
   EXPECT_GT(vr20, 1.05);
-}
-
-TEST(RollingVolatility, ConstantSeriesIsZero) {
-  const std::vector<double> x(50, 3.0);
-  const auto vol = RollingVolatility(x, 10);
-  EXPECT_NEAR(vol.back(), 0.0, 1e-12);
-}
-
-TEST(RollingVolatility, TracksRegimeChange) {
-  math::Rng rng(7);
-  std::vector<double> x;
-  for (int t = 0; t < 200; ++t) x.push_back(0.01 * rng.Normal());
-  for (int t = 0; t < 200; ++t) x.push_back(0.05 * rng.Normal());
-  const auto vol = RollingVolatility(x, 50);
-  EXPECT_GT(vol.back(), 2.0 * vol[190]);
 }
 
 TEST(AnnualizedVolatilityTest, ScalesWithSqrtTime) {
