@@ -22,10 +22,10 @@
 #      this reruns the checkpoint fuzz under ASan, so corrupt-length
 #      allocations and parser overreads trip immediately; the UBSan build
 #      aborts on its first report, so any UB fails its test.
-#   4. TSan build running the thread-pool / determinism / parallel-rollout
+#   4. TSan build running the thread-pool / determinism / serial-training
 #      and sweep tests, plus the suites whose state is per thread, with
-#      CIT_OVERSUBSCRIBE=1 so the pool's workers really run sweep cells and
-#      rollout slots concurrently even on small hosts.
+#      CIT_OVERSUBSCRIBE=1 so the pool's workers really run sweep cells
+#      concurrently even on small hosts.
 #   5. A CIT_OBS=OFF build, proving the instrumentation compiles out.
 #   6. A portable (-DCIT_NATIVE_ARCH=OFF) build running test_kernels at 1
 #      and 4 threads: the direct conv's bitwise reference test must also
@@ -217,7 +217,7 @@ for SAN in address undefined; do
       -E citbench_smoke_)
 done
 
-echo "=== thread sanitizer build + threading/rollout tests ==="
+echo "=== thread sanitizer build + threading/sweep tests ==="
 run cmake -B build-thread -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCIT_SANITIZE=thread
 run cmake --build build-thread -j"$(nproc)" --target test_threading \
@@ -225,25 +225,26 @@ run cmake --build build-thread -j"$(nproc)" --target test_threading \
     test_source test_scenarios test_core
 # CIT_OVERSUBSCRIBE lifts the hardware clamp so the pool really spawns the
 # requested workers: TSan then sees genuine cross-thread interleavings of
-# the rollout pipeline even on a 1-core container, and of the pool's own
-# index claims. Kernels never enter the pool, so the other suites ride
-# along for their per-thread state and for concurrency of their own:
-# test_inference for the grad-mode thread-local and the NoGradAllowed
-# atomic, next to rollout slots building graphs on pool workers; test_plan
-# for plan replays (fused sweeps, slab writes, the CompileAllowed atomic,
-# the recording thread-local); the serve daemon tests so worker threads,
-# the swap mutex + generation counter, and per-replica plan ownership are
-# raced under real concurrent clients; test_kernels' KernelDispatch suite
-# so the SIMD microkernels, the pack and conv-scratch thread-locals, and
-# the backend atomic run under TSan instrumentation; the
-# Source/Scenario/Sweep suites so one PanelView read by four threads at
-# once, and sweep cells building their ScenarioSources from one shared
-# base source on pool workers, are raced for real; test_core's
-# StackedDecide suite so batched and batch-of-one decides, which share
-# plans, are checked bitwise for every backbone at 1 and 4 pool threads.
+# sweep cells even on a 1-core container, and of the pool's own index
+# claims. The pool runs only sweep cells (kernels and training are serial on
+# their calling thread), so the other suites ride along for their per-thread
+# state and for concurrency of their own: test_rollout for the counter-split
+# streams and thread-count-invariant training curves; test_inference for the
+# grad-mode thread-local and the NoGradAllowed atomic; test_plan for plan
+# replays (fused sweeps, slab writes, the CompileAllowed atomic, the
+# recording thread-local); the serve daemon tests so worker threads, the
+# swap mutex + generation counter, and per-replica plan ownership are raced
+# under real concurrent clients; test_kernels' KernelDispatch suite so the
+# SIMD microkernels, the pack and conv-scratch thread-locals, and the
+# backend atomic run under TSan instrumentation; the Source/Scenario/Sweep
+# suites so one PanelView read by four threads at once, and sweep cells
+# building their ScenarioSources from one shared base source on pool
+# workers, are raced for real; test_core's StackedDecide suite so batched
+# and batch-of-one decides, which share plans, are checked bitwise for every
+# backbone at 1 and 4 pool threads.
 (cd build-thread && run env CIT_FAST=1 CIT_OVERSUBSCRIBE=1 CIT_NUM_THREADS=4 \
     ctest --output-on-failure \
-    -R 'ThreadPool|Determinism|RngSplit|RolloutRunner|RolloutDeterminism|InferenceIdentity|GradMode\.|Arena\.|Compiled|ArenaStats\.|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep|StackedDecide')
+    -R 'ThreadPool|Determinism|RngSplit|RolloutDeterminism|InferenceIdentity|GradMode\.|Arena\.|Compiled|ArenaStats\.|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep|StackedDecide')
 
 echo "=== CIT_OBS=OFF build (instrumentation compiles out) ==="
 run cmake -B build-noobs -S . -DCMAKE_BUILD_TYPE=Release -DCIT_OBS=OFF

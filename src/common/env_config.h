@@ -12,8 +12,8 @@ enum class RunScale { kFast, kDefault, kFull };
 // Reads CIT_FAST / CIT_FULL once and caches the answer.
 RunScale GetRunScale();
 
-// Threads the global ThreadPool runs sweep cells and rollout slots on
-// (kernels are serial), read once from CIT_NUM_THREADS. Unset or invalid
+// Threads the global ThreadPool runs sweep cells on (kernels and training
+// are serial), read once from CIT_NUM_THREADS. Unset or invalid
 // values fall back to the hardware concurrency (clamped to [1, 16]). The
 // active count can still be changed at runtime via
 // ThreadPool::SetNumThreads.

@@ -12,9 +12,9 @@
 namespace cit {
 
 // A small fixed-size pool that fans out coarse, independent units of work:
-// the cells of a sweep (env::RunSweep) and the slots of a rollout
-// (rl::RolloutRunner). The math kernels never enter it; each runs serially
-// on its calling thread. Design constraints, in order of importance:
+// the cells of a sweep (env::RunSweep), its one caller. The math kernels
+// and training never enter it; each runs serially on its calling thread.
+// Design constraints, in order of importance:
 //
 //  1. Determinism: ParallelFor hands out one index at a time, and a body
 //     writes only the output slot of its own index, so which thread ran an
@@ -24,9 +24,8 @@ namespace cit {
 //  2. No work stealing, no task futures: a ParallelFor is a single fork /
 //     join. The calling thread claims indices like a worker does, and the
 //     call returns only after every index finished.
-//  3. Re-entrancy safety: a ParallelFor issued from inside a body (a sweep
-//     cell whose agent collects rollouts, say) runs inline instead of
-//     deadlocking on the pool's own workers.
+//  3. Re-entrancy safety: a ParallelFor issued from inside a body runs
+//     inline instead of deadlocking on the pool's own workers.
 //
 // The pool is lazily constructed on first use with NumThreads() - 1
 // workers (see env_config.h; CIT_NUM_THREADS sets it). SetNumThreads()
@@ -40,7 +39,7 @@ namespace cit {
 // clamp (TSan runs do, so races are exercised on any host).
 class ThreadPool {
  public:
-  // The process-wide pool that runs sweep cells and rollout slots.
+  // The process-wide pool that runs sweep cells.
   static ThreadPool& Global();
 
   explicit ThreadPool(int num_threads);

@@ -64,12 +64,8 @@ struct CrossInsightConfig {
   int64_t n_step = 5;         // paper: "maximum n for n-step return is 5"
   double lr = 2e-3;
   double weight_decay = 1e-5; // paper: L2 regularizer 1e-5
-  int64_t train_steps = 400;  // optimizer updates (rollouts)
-  int64_t rollout_len = 16;
-  // Independent rollouts collected per optimizer update (gradient
-  // minibatch). Collection fans out across the thread pool; results are
-  // reduced in slot order, so curves are invariant to CIT_NUM_THREADS.
-  int64_t rollouts_per_update = 1;
+  int64_t train_steps = 400;  // optimizer updates, one rollout each
+  int64_t rollout_len = 16;   // steps per rollout (>= 1)
   double entropy_coef = 0.01;
   double reward_scale = 100.0;
   double transaction_cost = 1e-3;

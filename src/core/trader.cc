@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <mutex>
-#include <shared_mutex>
 
 #include "common/check.h"
 #include "env/portfolio_env.h"
@@ -13,7 +11,7 @@
 #include "rl/gaussian_policy.h"
 #include "nn/serialize.h"
 #include "rl/returns.h"
-#include "rl/rollout.h"
+#include "rl/train_loop.h"
 
 namespace cit::core {
 namespace {
@@ -115,7 +113,8 @@ CrossInsightTrader::DayFeatures CrossInsightTrader::ComputeFeatures(
   const int64_t window_size = m * z;
   const int64_t flat_size = m * cd;
   Tensor block({rl::FeatureBlockSize(m, z, n, cd)});
-  // Per call, never per trader: rollout slots build features concurrently.
+  // Per call, never per trader: a block is built once per (source, day),
+  // and a member would make this const function stateful.
   std::vector<double> scratch(rl::FeatureBlockScratchSize(z, n));
   rl::FeatureBlockInto(panel, day, z, n, cd, scratch.data(), block.data());
 
@@ -139,25 +138,15 @@ CrossInsightTrader::DayFeatures CrossInsightTrader::ComputeFeatures(
 
 const CrossInsightTrader::DayFeatures& CrossInsightTrader::FeaturesAt(
     const market::PanelView& panel, int64_t day) {
-  const uint64_t source = panel.source_id();
-  {
-    std::shared_lock<std::shared_mutex> lock(feature_mu_);
-    if (cached_source_ == source) {
-      auto it = feature_cache_.find(day);
-      if (it != feature_cache_.end()) return it->second;
-    }
-  }
-  // Compute outside any lock so concurrent rollout slots that miss on
-  // different days don't serialize. Features are a pure function of
-  // (source, day), so two slots racing on the same day just compute equal
-  // values; try_emplace keeps whichever landed first.
-  DayFeatures features = ComputeFeatures(panel, day);
-  std::unique_lock<std::shared_mutex> lock(feature_mu_);
-  if (cached_source_ != source) {
+  if (cached_source_ != panel.source_id()) {
     feature_cache_.clear();
-    cached_source_ = source;
+    cached_source_ = panel.source_id();
   }
-  return feature_cache_.try_emplace(day, std::move(features)).first->second;
+  auto it = feature_cache_.find(day);
+  if (it == feature_cache_.end()) {
+    it = feature_cache_.emplace(day, ComputeFeatures(panel, day)).first;
+  }
+  return it->second;
 }
 
 Tensor CrossInsightTrader::PolicyMean(int64_t k, const Tensor& bands,
@@ -280,26 +269,12 @@ struct StepRecord {
   double reward = 0.0;
 };
 
-// Everything one rollout slot produces during a parallel phase. Slots are
-// fully independent (own env clone, own RNG stream, own autograd graphs);
-// the serial reduction walks them in slot order so gradients accumulate
-// identically for any thread count.
-struct SlotData {
-  std::vector<StepRecord> rollout;
-  std::vector<double> rewards;
-  Tensor boot_pre;                  // [n*m] deterministic bootstrap means
-  std::vector<double> boot_action;
-  int64_t boot_day = -1;
-  std::vector<std::vector<double>> targets;      // [num_critics][len]
-  std::vector<std::vector<double>> horizon_adv;  // [n][len]
-  std::vector<double> cross_adv;                 // [len]
-};
-
 }  // namespace
 
 std::vector<double> CrossInsightTrader::Train(
     const market::PanelView& panel, int64_t curve_points) {
   const int64_t n = config_.num_policies;
+  CIT_CHECK_GE(config_.rollout_len, 1);
   CIT_CHECK_GT(panel.train_end(),
                config_.window + config_.rollout_len + 2);
   env::EnvConfig env_config;
@@ -307,35 +282,13 @@ std::vector<double> CrossInsightTrader::Train(
   env_config.transaction_cost = config_.transaction_cost;
   env_config.end_day = panel.train_end() - 1;
   env::PortfolioEnv env(panel, env_config);
+  // Rollouts start at a random day in [lo, hi).
+  const int64_t lo = env.earliest_start();
+  const int64_t hi = env.end_day() - config_.rollout_len - 1;
 
-  const int64_t curve_every =
-      std::max<int64_t>(1, config_.train_steps / curve_points);
   const float ent_coef = static_cast<float>(config_.entropy_coef);
   const bool dec = config_.credit == CreditMode::kDecCritic;
   const int64_t num_critics = dec ? n + 1 : 1;
-  const int64_t num_slots =
-      std::max<int64_t>(1, config_.rollouts_per_update);
-  const float inv_slots = 1.0f / static_cast<float>(num_slots);
-  // Per-update rollout fan-out. Each slot's stream is Split(seed, step,
-  // slot), so a slot's trajectory is a pure function of (params, step,
-  // slot) — never of which worker thread ran it or in what order.
-  rl::RolloutRunner runner(config_.seed, num_slots);
-
-  // Resuming restores weights, Adam moments, and progress_; because the
-  // rollout streams are counter-split, continuing from update k replays
-  // exactly the trajectories the uninterrupted run would have collected.
-  if (!config_.resume_from.empty()) {
-    const Status resume = LoadCheckpoint(config_.resume_from);
-    CIT_CHECK_MSG(resume.ok(), resume.message().c_str());
-  } else {
-    progress_ = {};
-  }
-  runner.set_next_step(progress_.next_update);
-
-  // Scopes this run's telemetry: flips the runtime flag, starts/stops the
-  // trace, and appends periodic snapshot lines. Observational only — the
-  // curve is bitwise identical with telemetry on or off.
-  obs::TelemetrySession telemetry(config_.telemetry);
 
   auto mean_of = [](const std::vector<double>& v) {
     double s = 0.0;
@@ -353,33 +306,26 @@ std::vector<double> CrossInsightTrader::Train(
     for (double& v : *adv) v /= stddev;
   };
 
-  while (runner.next_step() < config_.train_steps) {
-    CIT_OBS_SPAN("train.update");
-    const int64_t step = runner.next_step();
-    const int64_t lo = env.earliest_start();
-    const int64_t hi = env.end_day() - config_.rollout_len - 1;
-    std::vector<SlotData> slots(num_slots);
+  auto update = [&](int64_t step) -> double {
+    std::vector<StepRecord> rollout;
+    std::vector<double> rewards;
+    Tensor boot_pre;  // [n*m] deterministic bootstrap means
+    std::vector<double> boot_action;
+    int64_t boot_day = -1;
+    std::vector<std::vector<double>> targets(num_critics);  // [c][len]
 
-    // ---- Parallel rollout collection (forward passes only: params are
-    // read, never written; each slot owns its env clone, RNG stream, and
-    // retained policy-gradient graphs) ----
-    {
-    CIT_OBS_SPAN("train.rollout");
-    runner.Collect([&](int64_t slot, math::Rng& rng) {
-      SlotData& sd = slots[slot];
-      env::PortfolioEnv senv = env.CloneAt(
-          lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
-      // Views are immutable and safe to share; the slot reads prices
-      // through its env clone's view, the one that env steps on.
-      const market::PanelView& view = senv.view();
+    // ---- Rollout (forward passes only: params are read, never written;
+    // the sampled forwards retain their policy-gradient graphs) ----
+    rl::CollectRollout(config_.seed, step, [&](math::Rng& rng) {
+      env.ResetAt(lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
       std::vector<std::vector<double>> held(
           std::max<int64_t>(n, 1),
           std::vector<double>(num_assets_,
                               1.0 / static_cast<double>(num_assets_)));
-      while (static_cast<int64_t>(sd.rollout.size()) < config_.rollout_len &&
-             !senv.done()) {
-        const int64_t day = senv.current_day();
-        const DayFeatures& f = FeaturesAt(view, day);
+      while (static_cast<int64_t>(rollout.size()) < config_.rollout_len &&
+             !env.done()) {
+        const int64_t day = env.current_day();
+        const DayFeatures& f = FeaturesAt(panel, day);
         StepRecord rec;
         rec.day = day;
         rec.pre.resize(n);
@@ -401,12 +347,12 @@ std::vector<double> CrossInsightTrader::Train(
         rec.cross_logp = cross_act.log_prob;
         rec.action = cross_act.weights;
         rec.cross_mu = SoftmaxWeights(cross_mean.value());
-        const env::StepResult sr = senv.Step(rec.action);
+        const env::StepResult sr = env.Step(rec.action);
         rec.reward = sr.reward * config_.reward_scale;
-        sd.rewards.push_back(rec.reward);
-        sd.rollout.push_back(std::move(rec));
+        rewards.push_back(rec.reward);
+        rollout.push_back(std::move(rec));
       }
-      const int64_t len = static_cast<int64_t>(sd.rollout.size());
+      const int64_t len = static_cast<int64_t>(rollout.size());
 
       // Everything below reads forwards as detached numbers (bootstrap
       // means, critic targets), so it runs graph-free; the sampled taped
@@ -414,27 +360,26 @@ std::vector<double> CrossInsightTrader::Train(
       ag::NoGradGuard no_grad;
 
       // Bootstrap actions at the post-rollout state (deterministic means).
-      sd.boot_pre = Tensor({std::max<int64_t>(n, 0) * num_assets_});
-      if (!senv.done()) {
-        sd.boot_day = senv.current_day();
-        const DayFeatures& f = FeaturesAt(view, sd.boot_day);
+      boot_pre = Tensor({std::max<int64_t>(n, 0) * num_assets_});
+      if (!env.done()) {
+        boot_day = env.current_day();
+        const DayFeatures& f = FeaturesAt(panel, boot_day);
         std::vector<std::vector<double>> pre(n);
         for (int64_t k = 0; k < n; ++k) {
           Var mean = actors_[k]->Forward(f.bands[k], PrevTensor(held[k]));
           pre[k] = SoftmaxWeights(mean.value());
         }
-        if (n > 0) sd.boot_pre = ConcatWeights(pre, num_assets_);
-        Var cm = cross_actor_->Forward(f.market, sd.boot_pre);
-        sd.boot_action = SoftmaxWeights(cm.value());
+        if (n > 0) boot_pre = ConcatWeights(pre, num_assets_);
+        Var cm = cross_actor_->Forward(f.market, boot_pre);
+        boot_action = SoftmaxWeights(cm.value());
       }
 
       // ---- Critic targets (Eq. 6-7) from the pre-update critic ----
-      sd.targets.resize(num_critics);
       for (int64_t c = 0; c < num_critics; ++c) {
         std::vector<double> values(len + 1, 0.0);
         for (int64_t t = 0; t < len; ++t) {
-          const StepRecord& rec = sd.rollout[t];
-          const DayFeatures& f = FeaturesAt(view, rec.day);
+          const StepRecord& rec = rollout[t];
+          const DayFeatures& f = FeaturesAt(panel, rec.day);
           Var q;
           if (dec) {
             if (c < n) {
@@ -450,253 +395,210 @@ std::vector<double> CrossInsightTrader::Train(
           }
           values[t] = q.value().Item();
         }
-        if (sd.boot_day >= 0) {
-          const DayFeatures& f = FeaturesAt(view, sd.boot_day);
+        if (boot_day >= 0) {
+          const DayFeatures& f = FeaturesAt(panel, boot_day);
           Var q;
           if (dec) {
             if (c < n) {
-              std::vector<double> own(
-                  sd.boot_pre.data() + c * num_assets_,
-                  sd.boot_pre.data() + (c + 1) * num_assets_);
+              std::vector<double> own(boot_pre.data() + c * num_assets_,
+                                      boot_pre.data() + (c + 1) * num_assets_);
               q = dec_critics_[c]->Forward(f.band_flats[c],
                                            WeightsTensor(own));
             } else {
               q = dec_critics_[c]->Forward(f.market_flat,
-                                           WeightsTensor(sd.boot_action));
+                                           WeightsTensor(boot_action));
             }
           } else {
-            q = critic_->Forward(f.market_flat, sd.boot_pre,
-                                 WeightsTensor(sd.boot_action));
+            q = critic_->Forward(f.market_flat, boot_pre,
+                                 WeightsTensor(boot_action));
           }
           values[len] = q.value().Item();
         }
-        sd.targets[c] = rl::LambdaReturns(sd.rewards, values, config_.gamma,
-                                          config_.lambda, config_.n_step);
+        targets[c] = rl::LambdaReturns(rewards, values, config_.gamma,
+                                       config_.lambda, config_.n_step);
       }
     });
-    }
+    const int64_t len = static_cast<int64_t>(rollout.size());
 
-    // ---- Critic update: per-slot losses reduced in slot order ----
+    // ---- Critic update ----
     {
     CIT_OBS_SPAN("train.critic_update");
     critic_opt_->ZeroGrad();
-    for (const SlotData& sd : slots) {
-      const int64_t len = static_cast<int64_t>(sd.rollout.size());
-      if (len == 0) continue;
-      Var critic_loss = Var::Constant(Tensor::Scalar(0.0f));
-      for (int64_t t = 0; t < len; ++t) {
-        const StepRecord& rec = sd.rollout[t];
-        const DayFeatures& f = FeaturesAt(panel, rec.day);
-        if (dec) {
-          for (int64_t c = 0; c < num_critics; ++c) {
-            Var q = (c < n)
-                        ? dec_critics_[c]->Forward(
-                              f.band_flats[c], WeightsTensor(rec.pre[c]))
-                        : dec_critics_[c]->Forward(
-                              f.market_flat, WeightsTensor(rec.action));
-            critic_loss = ag::Add(
-                critic_loss,
-                ag::Square(ag::AddScalar(
-                    q, -static_cast<float>(sd.targets[c][t]))));
-          }
-        } else {
-          Var q = critic_->Forward(f.market_flat, rec.pre_dec,
-                                   WeightsTensor(rec.action));
+    Var critic_loss = Var::Constant(Tensor::Scalar(0.0f));
+    for (int64_t t = 0; t < len; ++t) {
+      const StepRecord& rec = rollout[t];
+      const DayFeatures& f = FeaturesAt(panel, rec.day);
+      if (dec) {
+        for (int64_t c = 0; c < num_critics; ++c) {
+          Var q = (c < n)
+                      ? dec_critics_[c]->Forward(
+                            f.band_flats[c], WeightsTensor(rec.pre[c]))
+                      : dec_critics_[c]->Forward(
+                            f.market_flat, WeightsTensor(rec.action));
           critic_loss = ag::Add(
               critic_loss,
               ag::Square(ag::AddScalar(
-                  q, -static_cast<float>(sd.targets[0][t]))));
+                  q, -static_cast<float>(targets[c][t]))));
         }
+      } else {
+        Var q = critic_->Forward(f.market_flat, rec.pre_dec,
+                                 WeightsTensor(rec.action));
+        critic_loss = ag::Add(
+            critic_loss,
+            ag::Square(ag::AddScalar(q, -static_cast<float>(targets[0][t]))));
       }
-      critic_loss = ag::MulScalar(
-          critic_loss, inv_slots / static_cast<float>(len));
-      critic_loss.Backward();
-      CIT_OBS_GAUGE("train.critic_loss", critic_loss.value().Item());
     }
+    critic_loss =
+        ag::MulScalar(critic_loss, 1.0f / static_cast<float>(len));
+    critic_loss.Backward();
+    CIT_OBS_GAUGE("train.critic_loss", critic_loss.value().Item());
     [[maybe_unused]] const float critic_gn = critic_opt_->ClipGradNorm(5.0f);
     CIT_OBS_GAUGE("train.critic_grad_norm", critic_gn);
     critic_opt_->Step();
     }
 
-    // ---- Advantages from the updated critic (parallel, forward-only;
-    // detached scalars, so no graphs survive this phase) ----
+    // ---- Advantages from the updated critic (forward-only: every critic
+    // read lands in a double, so no graph survives this phase) ----
+    std::vector<std::vector<double>> horizon_adv(
+        n, std::vector<double>(len, 0.0));
+    std::vector<double> cross_adv(len, 0.0);
     {
     CIT_OBS_SPAN("train.advantages");
-    runner.ForEachSlot([&](int64_t slot) {
-      // Forward-only phase: every critic read below lands in a double.
-      ag::NoGradGuard no_grad;
-      SlotData& sd = slots[slot];
-      const int64_t len = static_cast<int64_t>(sd.rollout.size());
-      std::vector<double> q_joint(len, 0.0);
-      std::vector<std::vector<double>> q_dec(num_critics,
-                                             std::vector<double>(len, 0.0));
-      std::vector<std::vector<double>> baselines(
-          n, std::vector<double>(len, 0.0));
-      std::vector<double> cross_baseline(len, 0.0);
-      for (int64_t t = 0; t < len; ++t) {
-        const StepRecord& rec = sd.rollout[t];
-        const DayFeatures& f = FeaturesAt(panel, rec.day);
-        if (dec) {
-          for (int64_t c = 0; c < num_critics; ++c) {
-            Var q = (c < n)
-                        ? dec_critics_[c]->Forward(
-                              f.band_flats[c], WeightsTensor(rec.pre[c]))
-                        : dec_critics_[c]->Forward(
-                              f.market_flat, WeightsTensor(rec.action));
-            q_dec[c][t] = q.value().Item();
-          }
-          cross_baseline[t] =
-              dec_critics_[num_critics - 1]
-                  ->Forward(f.market_flat, WeightsTensor(rec.cross_mu))
-                  .value()
-                  .Item();
-        } else {
-          q_joint[t] = critic_
-                           ->Forward(f.market_flat, rec.pre_dec,
-                                     WeightsTensor(rec.action))
-                           .value()
-                           .Item();
-          // Counterfactual baseline for the cross-insight policy itself:
-          // the executed trade action replaced by the Gaussian-mean action.
-          // State-dependent but independent of the sampled action, so it
-          // reduces variance without biasing Eq. (3)'s gradient.
-          cross_baseline[t] = critic_
-                                  ->Forward(f.market_flat, rec.pre_dec,
-                                            WeightsTensor(rec.cross_mu))
+    ag::NoGradGuard no_grad;
+    std::vector<double> q_joint(len, 0.0);
+    std::vector<std::vector<double>> q_dec(num_critics,
+                                           std::vector<double>(len, 0.0));
+    std::vector<std::vector<double>> baselines(
+        n, std::vector<double>(len, 0.0));
+    std::vector<double> cross_baseline(len, 0.0);
+    for (int64_t t = 0; t < len; ++t) {
+      const StepRecord& rec = rollout[t];
+      const DayFeatures& f = FeaturesAt(panel, rec.day);
+      if (dec) {
+        for (int64_t c = 0; c < num_critics; ++c) {
+          Var q = (c < n)
+                      ? dec_critics_[c]->Forward(
+                            f.band_flats[c], WeightsTensor(rec.pre[c]))
+                      : dec_critics_[c]->Forward(
+                            f.market_flat, WeightsTensor(rec.action));
+          q_dec[c][t] = q.value().Item();
+        }
+        cross_baseline[t] =
+            dec_critics_[num_critics - 1]
+                ->Forward(f.market_flat, WeightsTensor(rec.cross_mu))
+                .value()
+                .Item();
+      } else {
+        q_joint[t] = critic_
+                         ->Forward(f.market_flat, rec.pre_dec,
+                                   WeightsTensor(rec.action))
+                         .value()
+                         .Item();
+        // Counterfactual baseline for the cross-insight policy itself:
+        // the executed trade action replaced by the Gaussian-mean action.
+        // State-dependent but independent of the sampled action, so it
+        // reduces variance without biasing Eq. (3)'s gradient.
+        cross_baseline[t] = critic_
+                                ->Forward(f.market_flat, rec.pre_dec,
+                                          WeightsTensor(rec.cross_mu))
+                                .value()
+                                .Item();
+        if (config_.credit == CreditMode::kCounterfactual) {
+          for (int64_t k = 0; k < n; ++k) {
+            // Counterfactual baseline B^k (Eq. 8): policy k's
+            // pre-decision replaced by its Gaussian-mean action.
+            Tensor cf = ReplaceSlot(rec.pre_dec, k, num_assets_, rec.mu[k]);
+            baselines[k][t] = critic_
+                                  ->Forward(f.market_flat, cf,
+                                            WeightsTensor(rec.action))
                                   .value()
                                   .Item();
-          if (config_.credit == CreditMode::kCounterfactual) {
-            for (int64_t k = 0; k < n; ++k) {
-              // Counterfactual baseline B^k (Eq. 8): policy k's
-              // pre-decision replaced by its Gaussian-mean action.
-              Tensor cf =
-                  ReplaceSlot(rec.pre_dec, k, num_assets_, rec.mu[k]);
-              baselines[k][t] = critic_
-                                    ->Forward(f.market_flat, cf,
-                                              WeightsTensor(rec.action))
-                                    .value()
-                                    .Item();
-            }
           }
         }
       }
-      // Constant (state-independent) baseline for Q-weighted terms: the
-      // slot's rollout mean. Reduces variance without biasing the gradient.
-      auto slot_mean = [len](const std::vector<double>& v) {
-        double s = 0.0;
-        for (double x : v) s += x;
-        return len == 0 ? 0.0 : s / static_cast<double>(len);
-      };
-      std::vector<double> dec_means(num_critics, 0.0);
-      for (int64_t c = 0; c < num_critics; ++c) {
-        dec_means[c] = slot_mean(q_dec[c]);
-      }
-
-      // Per-policy advantage series; optionally standardized across the
-      // slot's rollout (a state-independent rescaling that equalizes
-      // learning speed between the horizon and cross-insight policies).
-      sd.horizon_adv.assign(n, std::vector<double>(len, 0.0));
-      sd.cross_adv.assign(len, 0.0);
-      for (int64_t t = 0; t < len; ++t) {
-        for (int64_t k = 0; k < n; ++k) {
-          switch (config_.credit) {
-            case CreditMode::kCounterfactual:
-              sd.horizon_adv[k][t] = q_joint[t] - baselines[k][t];
-              break;
-            case CreditMode::kSharedQ:
-              // The ablation's "same Q-value for every policy": the raw
-              // Q, no per-policy baseline — Fig. 8's comparison variant.
-              sd.horizon_adv[k][t] = q_joint[t];
-              break;
-            case CreditMode::kDecCritic:
-              sd.horizon_adv[k][t] = q_dec[k][t] - dec_means[k];
-              break;
-          }
-        }
-        if (config_.credit == CreditMode::kSharedQ) {
-          sd.cross_adv[t] = q_joint[t];  // same Q for the cross policy too
-        } else {
-          sd.cross_adv[t] =
-              dec ? q_dec[num_critics - 1][t] - cross_baseline[t]
-                  : q_joint[t] - cross_baseline[t];
-        }
-      }
-      if (config_.normalize_advantages && len > 0) {
-        for (auto& adv : sd.horizon_adv) standardize(&adv);
-        standardize(&sd.cross_adv);
-      }
-    });
+    }
+    // Constant (state-independent) baseline for Q-weighted terms: the
+    // rollout mean. Reduces variance without biasing the gradient.
+    std::vector<double> dec_means(num_critics, 0.0);
+    for (int64_t c = 0; c < num_critics; ++c) {
+      dec_means[c] = mean_of(q_dec[c]);
     }
 
-    // ---- Actor update: per-slot losses reduced in slot order ----
+    // Per-policy advantage series; optionally standardized across the
+    // rollout (a state-independent rescaling that equalizes learning
+    // speed between the horizon and cross-insight policies).
+    for (int64_t t = 0; t < len; ++t) {
+      for (int64_t k = 0; k < n; ++k) {
+        switch (config_.credit) {
+          case CreditMode::kCounterfactual:
+            horizon_adv[k][t] = q_joint[t] - baselines[k][t];
+            break;
+          case CreditMode::kSharedQ:
+            // The ablation's "same Q-value for every policy": the raw
+            // Q, no per-policy baseline — Fig. 8's comparison variant.
+            horizon_adv[k][t] = q_joint[t];
+            break;
+          case CreditMode::kDecCritic:
+            horizon_adv[k][t] = q_dec[k][t] - dec_means[k];
+            break;
+        }
+      }
+      if (config_.credit == CreditMode::kSharedQ) {
+        cross_adv[t] = q_joint[t];  // same Q for the cross policy too
+      } else {
+        cross_adv[t] = dec ? q_dec[num_critics - 1][t] - cross_baseline[t]
+                           : q_joint[t] - cross_baseline[t];
+      }
+    }
+    if (config_.normalize_advantages) {
+      for (auto& adv : horizon_adv) standardize(&adv);
+      standardize(&cross_adv);
+    }
+    }
+
+    // ---- Actor update ----
     {
     CIT_OBS_SPAN("train.actor_update");
     last_advantages_.assign(n, 0.0);
     actor_opt_->ZeroGrad();
     critic_opt_->ZeroGrad();
-    for (SlotData& sd : slots) {
-      const int64_t len = static_cast<int64_t>(sd.rollout.size());
-      if (len == 0) continue;
-      Var actor_loss = Var::Constant(Tensor::Scalar(0.0f));
-      for (int64_t t = 0; t < len; ++t) {
-        StepRecord& rec = sd.rollout[t];
-        for (int64_t k = 0; k < n; ++k) {
-          last_advantages_[k] +=
-              sd.horizon_adv[k][t] /
-              static_cast<double>(len * num_slots);
-          actor_loss = ag::Sub(
-              actor_loss,
-              ag::MulScalar(rec.horizon_logp[k],
-                            static_cast<float>(sd.horizon_adv[k][t])));
-        }
+    Var actor_loss = Var::Constant(Tensor::Scalar(0.0f));
+    for (int64_t t = 0; t < len; ++t) {
+      StepRecord& rec = rollout[t];
+      for (int64_t k = 0; k < n; ++k) {
+        last_advantages_[k] += horizon_adv[k][t] / static_cast<double>(len);
         actor_loss = ag::Sub(
             actor_loss,
-            ag::MulScalar(rec.cross_logp,
-                          static_cast<float>(sd.cross_adv[t])));
-      }
-      // Entropy regularization on every policy's exploration scale; per
-      // slot it contributes ent_coef/num_slots, ent_coef per update total.
-      Var entropy = rl::GaussianEntropy(cross_actor_->log_std());
-      for (int64_t k = 0; k < n; ++k) {
-        entropy =
-            ag::Add(entropy, rl::GaussianEntropy(actors_[k]->log_std()));
+            ag::MulScalar(rec.horizon_logp[k],
+                          static_cast<float>(horizon_adv[k][t])));
       }
       actor_loss = ag::Sub(
           actor_loss,
-          ag::MulScalar(entropy, ent_coef * static_cast<float>(len)));
-      actor_loss = ag::MulScalar(
-          actor_loss, inv_slots / static_cast<float>(len));
-      actor_loss.Backward();
-      CIT_OBS_GAUGE("train.actor_loss", actor_loss.value().Item());
+          ag::MulScalar(rec.cross_logp, static_cast<float>(cross_adv[t])));
     }
+    // Entropy regularization on every policy's exploration scale.
+    Var entropy = rl::GaussianEntropy(cross_actor_->log_std());
+    for (int64_t k = 0; k < n; ++k) {
+      entropy = ag::Add(entropy, rl::GaussianEntropy(actors_[k]->log_std()));
+    }
+    actor_loss = ag::Sub(
+        actor_loss, ag::MulScalar(entropy, ent_coef * static_cast<float>(len)));
+    actor_loss = ag::MulScalar(actor_loss, 1.0f / static_cast<float>(len));
+    actor_loss.Backward();
+    CIT_OBS_GAUGE("train.actor_loss", actor_loss.value().Item());
     [[maybe_unused]] const float actor_gn = actor_opt_->ClipGradNorm(5.0f);
     CIT_OBS_GAUGE("train.actor_grad_norm", actor_gn);
     actor_opt_->Step();
     }
 
-    double step_reward = 0.0;
-    for (const SlotData& sd : slots) step_reward += mean_of(sd.rewards);
-    CIT_OBS_GAUGE("train.reward",
-                  step_reward / static_cast<double>(num_slots));
-    progress_.curve_acc += step_reward / static_cast<double>(num_slots);
-    ++progress_.curve_n;
-    if ((step + 1) % curve_every == 0) {
-      progress_.curve.push_back(progress_.curve_acc /
-                                static_cast<double>(progress_.curve_n));
-      progress_.curve_acc = 0.0;
-      progress_.curve_n = 0;
-    }
-    progress_.next_update = step + 1;
-    if (config_.checkpoint_every > 0 && !config_.checkpoint_path.empty() &&
-        (step + 1) % config_.checkpoint_every == 0) {
-      CIT_OBS_SPAN("train.checkpoint");
-      const Status saved = SaveCheckpoint(config_.checkpoint_path);
-      CIT_CHECK_MSG(saved.ok(), saved.message().c_str());
-    }
-    telemetry.Tick(step);
-  }
-  std::vector<double> curve = std::move(progress_.curve);
-  progress_ = {};
+    return mean_of(rewards);
+  };
+
+  std::vector<double> curve = rl::RunTrainLoop(
+      config_, curve_points, &progress_,
+      {.update = update,
+       .load = [this](const std::string& p) { return LoadCheckpoint(p); },
+       .save = [this](const std::string& p) { return SaveCheckpoint(p); }});
   Reset();
   return curve;
 }
@@ -761,52 +663,30 @@ Status CrossInsightTrader::SaveModel(const std::string& path) const {
 
 Status CrossInsightTrader::LoadModel(const std::string& path) {
   nn::ModuleGroup all = AllModules();
-  const Status status = nn::LoadParameters(&all, path);
-  if (status.ok()) {
-    std::unique_lock<std::shared_mutex> lock(feature_mu_);
-    feature_cache_.clear();
-  }
-  return status;
+  return nn::LoadParameters(&all, path);
 }
 
-namespace {
-
-nn::CheckpointMeta TraderMeta(int64_t num_assets,
-                              const CrossInsightConfig& config) {
-  nn::CheckpointMeta meta;
-  meta.trainer = "CIT";
-  meta.num_assets = num_assets;
-  meta.seed = config.seed;
-  meta.arch_tag = config.num_policies;
-  return meta;
-}
-
-}  // namespace
-
-Status CrossInsightTrader::SaveCheckpoint(const std::string& path) const {
-  nn::ModuleGroup all = AllModules();
+rl::TrainerCheckpointParts CrossInsightTrader::CheckpointParts() const {
   rl::TrainerCheckpointParts parts;
-  parts.meta = TraderMeta(num_assets_, config_);
-  parts.modules = &all;
+  parts.meta.trainer = "CIT";
+  parts.meta.num_assets = num_assets_;
+  parts.meta.seed = config_.seed;
+  parts.meta.arch_tag = config_.num_policies;
+  parts.modules = AllModules();
   parts.opt_actor = actor_opt_.get();
   parts.opt_critic = critic_opt_.get();
-  // SaveTrainerCheckpoint only reads through the non-const pointers.
+  // Saving only reads through it; LoadCheckpoint, which writes, is
+  // non-const.
   parts.progress = const_cast<rl::TrainProgress*>(&progress_);
-  return rl::SaveTrainerCheckpoint(parts, path);
+  return parts;
+}
+
+Status CrossInsightTrader::SaveCheckpoint(const std::string& path) const {
+  return rl::SaveTrainerCheckpoint(CheckpointParts(), path);
 }
 
 Status CrossInsightTrader::LoadCheckpoint(const std::string& path) {
-  nn::ModuleGroup all = AllModules();
-  rl::TrainerCheckpointParts parts;
-  parts.meta = TraderMeta(num_assets_, config_);
-  parts.modules = &all;
-  parts.opt_actor = actor_opt_.get();
-  parts.opt_critic = critic_opt_.get();
-  parts.progress = &progress_;
-  if (Status s = rl::LoadTrainerCheckpoint(parts, path); !s.ok()) return s;
-  std::unique_lock<std::shared_mutex> lock(feature_mu_);
-  feature_cache_.clear();
-  return Status::OK();
+  return rl::LoadTrainerCheckpoint(CheckpointParts(), path);
 }
 
 }  // namespace cit::core

@@ -2,7 +2,6 @@
 #define CIT_CORE_TRADER_H_
 
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,7 +16,7 @@
 #include "math/rng.h"
 #include "nn/checkpoint.h"
 #include "nn/optimizer.h"
-#include "rl/rollout.h"
+#include "rl/train_loop.h"
 
 namespace cit::core {
 
@@ -97,9 +96,8 @@ class CrossInsightTrader : public env::TradingAgent {
     std::vector<Tensor> band_flats;  // n tensors [cd * m]
   };
 
-  // Thread-safe: parallel rollout slots hit the same days concurrently.
-  // Lookups take a shared lock; a miss computes outside any lock (features
-  // are a pure function of (panel, day)) and inserts under a unique lock.
+  // The cached features of `day`, computed on the first request. Features
+  // are a pure function of (source, day, config), never of the weights.
   const DayFeatures& FeaturesAt(const market::PanelView& panel,
                                 int64_t day);
 
@@ -127,6 +125,8 @@ class CrossInsightTrader : public env::TradingAgent {
   // All networks flattened under stable name prefixes — the parameter set
   // for SaveModel/LoadModel and checkpoints.
   nn::ModuleGroup AllModules() const;
+  // Everything SaveCheckpoint writes and LoadCheckpoint restores.
+  rl::TrainerCheckpointParts CheckpointParts() const;
 
   int64_t num_assets_;
   CrossInsightConfig config_;
@@ -158,10 +158,8 @@ class CrossInsightTrader : public env::TradingAgent {
 
   // Per-day feature cache, keyed by day; invalidated when the view's
   // source id changes (ids are monotonic and never recycled, so this is
-  // immune to address reuse). Guarded by feature_mu_; value references
-  // stay stable across inserts (unordered_map never moves mapped values),
-  // so returned references outlive the lock.
-  mutable std::shared_mutex feature_mu_;
+  // immune to address reuse). References returned by FeaturesAt stay
+  // valid across inserts: unordered_map never moves mapped values.
   uint64_t cached_source_ = 0;  // 0 = no source cached
   std::unordered_map<int64_t, DayFeatures> feature_cache_;
 

@@ -57,12 +57,6 @@ void PortfolioEnv::ResetAt(int64_t day) {
                1.0 / static_cast<double>(view_.num_assets()));
 }
 
-PortfolioEnv PortfolioEnv::CloneAt(int64_t day) const {
-  PortfolioEnv clone = *this;
-  clone.ResetAt(day);
-  return clone;
-}
-
 PortfolioEnv::EnvCursor PortfolioEnv::Cursor() const {
   EnvCursor cursor;
   cursor.day = day_;

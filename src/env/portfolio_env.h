@@ -41,19 +41,13 @@ struct StepResult {
 // on specific days via the view's CostMultiplier.
 class PortfolioEnv {
  public:
-  // The source behind `view` must outlive the env and all its clones.
+  // The source behind `view` must outlive the env.
   PortfolioEnv(market::PanelView view, EnvConfig config);
 
   // Moves to `start_day` (or the default) and resets wealth and weights.
   void Reset();
   // Resets to a specific day within [earliest_start, end_day).
   void ResetAt(int64_t day);
-
-  // An independent copy of this env reset at `day`. The price data is
-  // shared (sources and views are immutable), all mutable state is
-  // private to the clone — this is how parallel rollout collection gives
-  // every slot its own env.
-  PortfolioEnv CloneAt(int64_t day) const;
 
   // Executes target weights for the transition day -> day+1. `weights` must
   // be non-negative and sum to ~1 (checked).

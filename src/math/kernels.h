@@ -10,8 +10,8 @@
 // replace.
 //
 // Every kernel is a serial loop on its calling thread. Parallelism lives
-// one level up, where the ThreadPool runs sweep cells and rollout slots;
-// no kernel enters the pool. Each output element is computed with a fixed
+// further up, where the ThreadPool runs sweep cells; no kernel enters the
+// pool. Each output element is computed with a fixed
 // reduction order, so a kernel returns the same bits on whichever thread
 // runs it, at any pool size.
 //

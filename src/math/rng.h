@@ -43,10 +43,10 @@ class Rng {
   Rng Fork();
 
   // Counter-split stream derivation: a generator that depends only on
-  // (seed, stream, substream), not on any sequential draw order. Parallel
-  // rollout collection uses Split(config.seed, step, slot) so every rollout
-  // slot owns an RNG stream that is identical no matter how many threads
-  // execute the collection or in which order slots run.
+  // (seed, stream, substream), not on any sequential draw order. Each
+  // on-policy training update draws its rollout from
+  // Split(config.seed, step, 0), so the update index alone fixes the
+  // stream: the same for any thread count and after a resume.
   static Rng Split(uint64_t seed, uint64_t stream, uint64_t substream);
 
   // Full generator state, exposed so trainers with a sequential RNG (DDPG)

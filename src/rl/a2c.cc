@@ -7,7 +7,7 @@
 #include "obs/telemetry.h"
 #include "rl/features.h"
 #include "rl/returns.h"
-#include "rl/rollout.h"
+#include "rl/train_loop.h"
 
 namespace cit::rl {
 
@@ -64,120 +64,75 @@ ag::Var A2cAgent::PolicyInput(const market::PanelView& panel, int64_t day,
 
 std::vector<double> A2cAgent::Train(const market::PanelView& panel,
                                     int64_t curve_points) {
+  CIT_CHECK_GE(config_.rollout_len, 1);
   CIT_CHECK_GT(panel.train_end(), config_.window + config_.rollout_len + 2);
   env::EnvConfig env_config;
   env_config.window = config_.window;
   env_config.transaction_cost = config_.transaction_cost;
   env_config.end_day = panel.train_end() - 1;
   env::PortfolioEnv env(panel, env_config);
+  // Rollouts start at a random day in [lo, hi).
+  const int64_t lo = env.earliest_start();
+  const int64_t hi = env.end_day() - config_.rollout_len - 1;
 
-  const int64_t curve_every =
-      std::max<int64_t>(1, config_.train_steps / curve_points);
-  const int64_t num_slots =
-      std::max<int64_t>(1, config_.rollouts_per_update);
-  // Each slot's stream is Split(seed, step, slot): trajectories are a pure
-  // function of (params, step, slot), independent of worker scheduling.
-  RolloutRunner runner(config_.seed, num_slots);
-
-  // Resuming restores weights, Adam moments, and progress_; counter-split
-  // streams make the continuation bitwise identical to an uninterrupted
-  // run.
-  if (!config_.resume_from.empty()) {
-    const Status resume = LoadCheckpoint(config_.resume_from);
-    CIT_CHECK_MSG(resume.ok(), resume.message().c_str());
-  } else {
-    progress_ = {};
-  }
-  runner.set_next_step(progress_.next_update);
-
-  // Observational only: phase spans, loss/grad-norm gauges, optional
-  // trace/snapshot files; the curve is bitwise identical either way.
-  obs::TelemetrySession telemetry(config_.telemetry);
-
-  // Everything one rollout slot collects; graphs are retained and reduced
-  // serially in slot order after the parallel phase.
-  struct SlotData {
+  auto update = [&](int64_t step) -> double {
     std::vector<ag::Var> log_probs;
     std::vector<ag::Var> values;
     std::vector<ag::Var> entropies;
     std::vector<double> rewards;
     std::vector<double> targets;
-  };
-
-  while (runner.next_step() < config_.train_steps) {
-    CIT_OBS_SPAN("train.update");
-    const int64_t step = runner.next_step();
-    // Random segment start within the training range, per slot.
-    const int64_t lo = env.earliest_start();
-    const int64_t hi = env.end_day() - config_.rollout_len - 1;
-    std::vector<SlotData> slots(num_slots);
-
-    {
-    CIT_OBS_SPAN("train.rollout");
-    runner.Collect([&](int64_t slot, math::Rng& rng) {
-      SlotData& sd = slots[slot];
-      env::PortfolioEnv senv = env.CloneAt(
-          lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
-      // Views are immutable and safe to share; the slot reads prices
-      // through its env clone's view, the one that env steps on.
-      const market::PanelView& view = senv.view();
+    CollectRollout(config_.seed, step, [&](math::Rng& rng) {
+      env.ResetAt(lo + rng.UniformInt(std::max<int64_t>(1, hi - lo)));
       std::vector<double> held(num_assets_,
                                1.0 / static_cast<double>(num_assets_));
-      for (int64_t t = 0; t < config_.rollout_len && !senv.done(); ++t) {
-        ag::Var input = PolicyInput(view, senv.current_day(), held);
+      for (int64_t t = 0; t < config_.rollout_len && !env.done(); ++t) {
+        ag::Var input = PolicyInput(panel, env.current_day(), held);
         ag::Var mean = actor_->Forward(input);
         GaussianAction action = SampleGaussianSimplex(mean, log_std_, &rng);
-        sd.values.push_back(critic_->Forward(input));
-        sd.log_probs.push_back(action.log_prob);
-        sd.entropies.push_back(GaussianEntropy(log_std_));
-        const env::StepResult r = senv.Step(action.weights);
-        sd.rewards.push_back(r.reward * config_.reward_scale);
-        held = senv.previous_weights();
+        values.push_back(critic_->Forward(input));
+        log_probs.push_back(action.log_prob);
+        entropies.push_back(GaussianEntropy(log_std_));
+        const env::StepResult r = env.Step(action.weights);
+        rewards.push_back(r.reward * config_.reward_scale);
+        held = env.previous_weights();
       }
       // Bootstrap value of the final state: a detached scalar, so the
-      // critic forward runs graph-free (thread-local guard — the worker's
-      // taped forwards above are unaffected).
+      // critic forward runs graph-free.
       double bootstrap = 0.0;
-      if (!senv.done()) {
+      if (!env.done()) {
         ag::NoGradGuard no_grad;
-        ag::Var input = PolicyInput(view, senv.current_day(), held);
+        ag::Var input = PolicyInput(panel, env.current_day(), held);
         bootstrap = critic_->Forward(input).value().Item();
       }
-      sd.targets = DiscountedReturns(sd.rewards, config_.gamma, bootstrap);
+      targets = DiscountedReturns(rewards, config_.gamma, bootstrap);
     });
-    }
 
     // Losses: policy gradient with advantage (target - V), value MSE.
-    // Per-slot gradients accumulate in slot order; one optimizer step.
     {
     CIT_OBS_SPAN("train.update_losses");
     actor_opt_->ZeroGrad();
     critic_opt_->ZeroGrad();
-    for (SlotData& sd : slots) {
-      if (sd.rewards.empty()) continue;
-      ag::Var policy_loss = ag::Var::Constant(Tensor::Scalar(0.0f));
-      ag::Var value_loss = ag::Var::Constant(Tensor::Scalar(0.0f));
-      for (size_t t = 0; t < sd.rewards.size(); ++t) {
-        const float advantage = static_cast<float>(sd.targets[t]) -
-                                sd.values[t].value().Item();
-        policy_loss = ag::Sub(
-            policy_loss, ag::MulScalar(sd.log_probs[t], advantage));
-        policy_loss = ag::Sub(
-            policy_loss, ag::MulScalar(sd.entropies[t],
-                                       static_cast<float>(
-                                           config_.entropy_coef)));
-        ag::Var err = ag::AddScalar(sd.values[t],
-                                    -static_cast<float>(sd.targets[t]));
-        value_loss = ag::Add(value_loss, ag::Square(err));
-      }
-      const float inv_len =
-          1.0f / static_cast<float>(sd.rewards.size() * num_slots);
-      ag::Var total = ag::Add(ag::MulScalar(policy_loss, inv_len),
-                              ag::MulScalar(value_loss, inv_len));
-      total.Backward();
-      CIT_OBS_GAUGE("train.actor_loss", policy_loss.value().Item());
-      CIT_OBS_GAUGE("train.critic_loss", value_loss.value().Item());
+    ag::Var policy_loss = ag::Var::Constant(Tensor::Scalar(0.0f));
+    ag::Var value_loss = ag::Var::Constant(Tensor::Scalar(0.0f));
+    for (size_t t = 0; t < rewards.size(); ++t) {
+      const float advantage =
+          static_cast<float>(targets[t]) - values[t].value().Item();
+      policy_loss =
+          ag::Sub(policy_loss, ag::MulScalar(log_probs[t], advantage));
+      policy_loss = ag::Sub(
+          policy_loss,
+          ag::MulScalar(entropies[t],
+                        static_cast<float>(config_.entropy_coef)));
+      ag::Var err =
+          ag::AddScalar(values[t], -static_cast<float>(targets[t]));
+      value_loss = ag::Add(value_loss, ag::Square(err));
     }
+    const float inv_len = 1.0f / static_cast<float>(rewards.size());
+    ag::Var total = ag::Add(ag::MulScalar(policy_loss, inv_len),
+                            ag::MulScalar(value_loss, inv_len));
+    total.Backward();
+    CIT_OBS_GAUGE("train.actor_loss", policy_loss.value().Item());
+    CIT_OBS_GAUGE("train.critic_loss", value_loss.value().Item());
     [[maybe_unused]] const float actor_gn = actor_opt_->ClipGradNorm(5.0f);
     [[maybe_unused]] const float critic_gn = critic_opt_->ClipGradNorm(5.0f);
     CIT_OBS_GAUGE("train.actor_grad_norm", actor_gn);
@@ -186,35 +141,16 @@ std::vector<double> A2cAgent::Train(const market::PanelView& panel,
     critic_opt_->Step();
     }
 
-    double step_reward = 0.0;
-    for (const SlotData& sd : slots) {
-      double mean_reward = 0.0;
-      for (double r : sd.rewards) mean_reward += r;
-      if (!sd.rewards.empty()) {
-        step_reward += mean_reward / static_cast<double>(sd.rewards.size());
-      }
-    }
-    CIT_OBS_GAUGE("train.reward",
-                  step_reward / static_cast<double>(num_slots));
-    progress_.curve_acc += step_reward / static_cast<double>(num_slots);
-    ++progress_.curve_n;
-    if ((step + 1) % curve_every == 0) {
-      progress_.curve.push_back(progress_.curve_acc /
-                                static_cast<double>(progress_.curve_n));
-      progress_.curve_acc = 0.0;
-      progress_.curve_n = 0;
-    }
-    progress_.next_update = step + 1;
-    if (config_.checkpoint_every > 0 && !config_.checkpoint_path.empty() &&
-        (step + 1) % config_.checkpoint_every == 0) {
-      CIT_OBS_SPAN("train.checkpoint");
-      const Status saved = SaveCheckpoint(config_.checkpoint_path);
-      CIT_CHECK_MSG(saved.ok(), saved.message().c_str());
-    }
-    telemetry.Tick(step);
-  }
-  std::vector<double> curve = std::move(progress_.curve);
-  progress_ = {};
+    double reward_sum = 0.0;
+    for (double r : rewards) reward_sum += r;
+    return reward_sum / static_cast<double>(rewards.size());
+  };
+
+  std::vector<double> curve = RunTrainLoop(
+      config_, curve_points, &progress_,
+      {.update = update,
+       .load = [this](const std::string& p) { return LoadCheckpoint(p); },
+       .save = [this](const std::string& p) { return SaveCheckpoint(p); }});
   Reset();
   return curve;
 }
@@ -227,33 +163,27 @@ nn::ModuleGroup A2cAgent::AllModules() const {
   return group;
 }
 
-Status A2cAgent::SaveCheckpoint(const std::string& path) const {
-  nn::ModuleGroup all = AllModules();
+TrainerCheckpointParts A2cAgent::CheckpointParts() const {
   TrainerCheckpointParts parts;
   parts.meta.trainer = name();
   parts.meta.num_assets = num_assets_;
   parts.meta.seed = config_.seed;
   parts.meta.arch_tag = config_.hidden;
-  parts.modules = &all;
+  parts.modules = AllModules();
   parts.opt_actor = actor_opt_.get();
   parts.opt_critic = critic_opt_.get();
-  // SaveTrainerCheckpoint only reads through the non-const pointers.
+  // Saving only reads through it; LoadCheckpoint, which writes, is
+  // non-const.
   parts.progress = const_cast<TrainProgress*>(&progress_);
-  return SaveTrainerCheckpoint(parts, path);
+  return parts;
+}
+
+Status A2cAgent::SaveCheckpoint(const std::string& path) const {
+  return SaveTrainerCheckpoint(CheckpointParts(), path);
 }
 
 Status A2cAgent::LoadCheckpoint(const std::string& path) {
-  nn::ModuleGroup all = AllModules();
-  TrainerCheckpointParts parts;
-  parts.meta.trainer = name();
-  parts.meta.num_assets = num_assets_;
-  parts.meta.seed = config_.seed;
-  parts.meta.arch_tag = config_.hidden;
-  parts.modules = &all;
-  parts.opt_actor = actor_opt_.get();
-  parts.opt_critic = critic_opt_.get();
-  parts.progress = &progress_;
-  return LoadTrainerCheckpoint(parts, path);
+  return LoadTrainerCheckpoint(CheckpointParts(), path);
 }
 
 std::vector<double> A2cAgent::DecideWeights(const market::PanelView& panel,

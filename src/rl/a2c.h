@@ -15,7 +15,7 @@
 #include "nn/optimizer.h"
 #include "rl/config.h"
 #include "rl/gaussian_policy.h"
-#include "rl/rollout.h"
+#include "rl/train_loop.h"
 
 namespace cit::rl {
 
@@ -59,14 +59,16 @@ class A2cAgent : public env::TradingAgent {
                             int64_t day) const;
 
   // Builds the state input from the flattened window, the given previously
-  // held weights, and ExtraState(). Takes `held` explicitly (rather than
-  // reading held_) so parallel rollout slots can pass their own copies.
+  // held weights, and ExtraState(). Takes `held` explicitly: a training
+  // rollout passes its own holdings, not the decide path's held_.
   ag::Var PolicyInput(const market::PanelView& panel, int64_t day,
                       const std::vector<double>& held) const;
 
   // Actor + critic + log_std under stable names — the checkpoint parameter
   // set.
   nn::ModuleGroup AllModules() const;
+  // Everything SaveCheckpoint writes and LoadCheckpoint restores.
+  TrainerCheckpointParts CheckpointParts() const;
 
   int64_t num_assets_;
   int64_t extra_state_dim_;

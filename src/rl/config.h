@@ -21,11 +21,9 @@ struct RlTrainConfig {
   double lr = 1e-3;
   double weight_decay = 1e-5;     // paper: 1e-5 L2 regularization
   int64_t train_steps = 300;      // optimizer updates
-  int64_t rollout_len = 16;       // on-policy rollout segment length
-  // Independent rollouts collected per optimizer update (gradient
-  // minibatch). Collection fans out across the thread pool; results are
-  // reduced in slot order, so curves are invariant to CIT_NUM_THREADS.
-  int64_t rollouts_per_update = 1;
+  // Steps of the one rollout each on-policy update (A2C, SARL, PPO)
+  // collects; >= 1.
+  int64_t rollout_len = 16;
   double entropy_coef = 0.01;
   double reward_scale = 100.0;    // log returns are ~1e-3; rescale for SGD
   int64_t hidden = 32;

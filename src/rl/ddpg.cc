@@ -8,6 +8,7 @@
 #include "obs/telemetry.h"
 #include "rl/features.h"
 #include "rl/gaussian_policy.h"
+#include "rl/train_loop.h"
 
 namespace cit::rl {
 
@@ -124,31 +125,7 @@ std::vector<double> DdpgAgent::Train(const market::PanelView& panel,
   env.ResetAt(env.earliest_start());
   Reset();
 
-  const int64_t total_steps = config_.train_steps;
-  const int64_t curve_every = std::max<int64_t>(1, total_steps / curve_points);
-
-  // Resuming restores weights (incl. target nets), Adam moments, the
-  // sequential RNG, the replay buffer, held_, and progress_; the env is
-  // put back exactly where the checkpointed run stood, so the continuation
-  // is bitwise identical to an uninterrupted run.
-  if (!config_.resume_from.empty()) {
-    const Status resume = LoadCheckpoint(config_.resume_from);
-    CIT_CHECK_MSG(resume.ok(), resume.message().c_str());
-    if (has_env_cursor_) {
-      const Status cursor = env.RestoreCursor(env_cursor_);
-      CIT_CHECK_MSG(cursor.ok(), cursor.message().c_str());
-    }
-  } else {
-    progress_ = {};
-    has_env_cursor_ = false;
-  }
-
-  // Observational only: phase spans, loss/grad-norm gauges, optional
-  // trace/snapshot files; the curve is bitwise identical either way.
-  obs::TelemetrySession telemetry(config_.telemetry);
-
-  for (int64_t step = progress_.next_update; step < total_steps; ++step) {
-    CIT_OBS_SPAN("train.update");
+  auto update = [&](int64_t step) -> double {
     if (env.done()) {
       env.ResetAt(env.earliest_start() +
                   rng_.UniformInt(std::max<int64_t>(
@@ -192,29 +169,24 @@ std::vector<double> DdpgAgent::Train(const market::PanelView& panel,
       CIT_OBS_SPAN("train.replay_update");
       UpdateFromReplay();
     }
-
-    CIT_OBS_GAUGE("train.reward", r.reward * config_.reward_scale);
-    progress_.curve_acc += r.reward * config_.reward_scale;
-    ++progress_.curve_n;
-    if ((step + 1) % curve_every == 0) {
-      progress_.curve.push_back(progress_.curve_acc /
-                                static_cast<double>(progress_.curve_n));
-      progress_.curve_acc = 0.0;
-      progress_.curve_n = 0;
-    }
-    progress_.next_update = step + 1;
     env_cursor_ = env.Cursor();
     has_env_cursor_ = true;
-    if (config_.checkpoint_every > 0 && !config_.checkpoint_path.empty() &&
-        (step + 1) % config_.checkpoint_every == 0) {
-      CIT_OBS_SPAN("train.checkpoint");
-      const Status saved = SaveCheckpoint(config_.checkpoint_path);
-      CIT_CHECK_MSG(saved.ok(), saved.message().c_str());
-    }
-    telemetry.Tick(step);
-  }
-  std::vector<double> curve = std::move(progress_.curve);
-  progress_ = {};
+    return r.reward * config_.reward_scale;
+  };
+
+  // On top of the shared sections, a resume restores the sequential RNG,
+  // the replay buffer and held_, then puts the env back exactly where the
+  // checkpointed run stood, so the episode continues mid-stream.
+  auto load = [&](const std::string& path) {
+    const Status loaded = LoadCheckpoint(path);
+    if (!loaded.ok() || !has_env_cursor_) return loaded;
+    return env.RestoreCursor(env_cursor_);
+  };
+  std::vector<double> curve = RunTrainLoop(
+      config_, curve_points, &progress_,
+      {.update = update,
+       .load = load,
+       .save = [this](const std::string& p) { return SaveCheckpoint(p); }});
   has_env_cursor_ = false;
   Reset();
   return curve;
@@ -229,25 +201,23 @@ nn::ModuleGroup DdpgAgent::AllModules() const {
   return group;
 }
 
-nn::CheckpointMeta DdpgAgent::Meta() const {
-  nn::CheckpointMeta meta;
-  meta.trainer = name();
-  meta.num_assets = num_assets_;
-  meta.seed = config_.seed;
-  meta.arch_tag = config_.hidden;
-  return meta;
+TrainerCheckpointParts DdpgAgent::CheckpointParts() const {
+  TrainerCheckpointParts parts;
+  parts.meta.trainer = name();
+  parts.meta.num_assets = num_assets_;
+  parts.meta.seed = config_.seed;
+  parts.meta.arch_tag = config_.hidden;
+  parts.modules = AllModules();
+  parts.opt_actor = actor_opt_.get();
+  parts.opt_critic = critic_opt_.get();
+  // Saving only reads through it; LoadCheckpoint, which writes, is
+  // non-const.
+  parts.progress = const_cast<TrainProgress*>(&progress_);
+  return parts;
 }
 
 Status DdpgAgent::SaveCheckpoint(const std::string& path) const {
-  nn::ModuleGroup all = AllModules();
-  TrainerCheckpointParts parts;
-  parts.meta = Meta();
-  parts.modules = &all;
-  parts.opt_actor = actor_opt_.get();
-  parts.opt_critic = critic_opt_.get();
-  // SaveTrainerCheckpoint only reads through the non-const pointers.
-  parts.progress = const_cast<TrainProgress*>(&progress_);
-  return SaveTrainerCheckpoint(parts, path, [&](nn::CheckpointWriter* w) {
+  auto extra = [&](nn::CheckpointWriter* w) {
     {
       nn::ByteWriter b;
       const math::Rng::State rs = rng_.SaveState();
@@ -277,18 +247,11 @@ Status DdpgAgent::SaveCheckpoint(const std::string& path) const {
       b.DoubleVec(held_);
       w->AddSection("env", b.Take());
     }
-  });
+  };
+  return SaveTrainerCheckpoint(CheckpointParts(), path, extra);
 }
 
 Status DdpgAgent::LoadCheckpoint(const std::string& path) {
-  nn::ModuleGroup all = AllModules();
-  TrainerCheckpointParts parts;
-  parts.meta = Meta();
-  parts.modules = &all;
-  parts.opt_actor = actor_opt_.get();
-  parts.opt_critic = critic_opt_.get();
-  parts.progress = &progress_;
-
   // Trainer-specific state is staged here by the parse callback and only
   // committed after every section of the checkpoint validated.
   math::Rng::State rng_state;
@@ -307,7 +270,8 @@ Status DdpgAgent::LoadCheckpoint(const std::string& path) {
   };
 
   const Status status = LoadTrainerCheckpoint(
-      parts, path, [&](const nn::CheckpointReader& ckpt) -> Status {
+      CheckpointParts(), path,
+      [&](const nn::CheckpointReader& ckpt) -> Status {
         {
           auto section = ckpt.Section("rng");
           if (!section.ok()) return section.status();

@@ -16,7 +16,7 @@
 #include "nn/optimizer.h"
 #include "rl/config.h"
 #include "rl/gaussian_policy.h"
-#include "rl/rollout.h"
+#include "rl/train_loop.h"
 
 namespace cit::rl {
 
@@ -69,7 +69,9 @@ class DdpgAgent : public env::TradingAgent {
   // All four networks under stable names — the checkpoint parameter set.
   // Target networks are included: soft updates make them distinct state.
   nn::ModuleGroup AllModules() const;
-  nn::CheckpointMeta Meta() const;
+  // The shared sections of the checkpoint; Save/LoadCheckpoint add DDPG's
+  // own.
+  TrainerCheckpointParts CheckpointParts() const;
 
   int64_t num_assets_;
   DdpgConfig config_;

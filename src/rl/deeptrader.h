@@ -35,6 +35,9 @@ class DeepTraderAgent : public env::TradingAgent {
 
   DeepTraderAgent(int64_t num_assets, const DeepTraderConfig& config);
 
+  // Trains on the panel's training split through rl::RunTrainLoop. DeepTrader
+  // keeps no checkpoint, so a config that sets resume_from, or
+  // checkpoint_every with checkpoint_path, aborts.
   std::vector<double> Train(const market::PanelView& panel,
                             int64_t curve_points = 20);
 

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "rl/features.h"
 #include "rl/gaussian_policy.h"
+#include "rl/train_loop.h"
 
 namespace cit::rl {
 
@@ -58,14 +59,9 @@ std::vector<double> EiieAgent::Train(const market::PanelView& panel,
   const int64_t hi = panel.train_end() - config_.segment_len - 2;
   CIT_CHECK_GT(hi, lo);
 
-  std::vector<double> curve;
-  double curve_acc = 0.0;
-  int64_t curve_n = 0;
-  const int64_t curve_every =
-      std::max<int64_t>(1, config_.train_steps / curve_points);
   const float cost = static_cast<float>(config_.transaction_cost);
 
-  for (int64_t step = 0; step < config_.train_steps; ++step) {
+  auto update = [&](int64_t) -> double {
     const int64_t start = lo + rng_.UniformInt(hi - lo);
     ag::Var prev = ag::Var::Constant(
         Tensor::Full({num_assets_},
@@ -95,15 +91,14 @@ std::vector<double> EiieAgent::Train(const market::PanelView& panel,
     opt_->ClipGradNorm(5.0f);
     opt_->Step();
 
-    curve_acc += config_.reward_scale * segment_reward /
-                 static_cast<double>(config_.segment_len);
-    ++curve_n;
-    if ((step + 1) % curve_every == 0) {
-      curve.push_back(curve_acc / static_cast<double>(curve_n));
-      curve_acc = 0.0;
-      curve_n = 0;
-    }
-  }
+    return config_.reward_scale * segment_reward /
+           static_cast<double>(config_.segment_len);
+  };
+
+  // No checkpoints: the loop refuses resume_from and checkpoint_every.
+  TrainProgress progress;
+  std::vector<double> curve =
+      RunTrainLoop(config_, curve_points, &progress, {.update = update});
   Reset();
   return curve;
 }

@@ -33,6 +33,9 @@ class EiieAgent : public env::TradingAgent {
 
   EiieAgent(int64_t num_assets, const EiieConfig& config);
 
+  // Trains on the panel's training split through rl::RunTrainLoop. EIIE
+  // keeps no checkpoint, so a config that sets resume_from, or
+  // checkpoint_every with checkpoint_path, aborts.
   std::vector<double> Train(const market::PanelView& panel,
                             int64_t curve_points = 20);
 

@@ -15,7 +15,7 @@
 #include "nn/optimizer.h"
 #include "rl/config.h"
 #include "rl/gaussian_policy.h"
-#include "rl/rollout.h"
+#include "rl/train_loop.h"
 
 namespace cit::rl {
 
@@ -47,14 +47,16 @@ class PpoAgent : public env::TradingAgent {
   Status LoadCheckpoint(const std::string& path);
 
  private:
-  // Takes `held` explicitly (rather than reading held_) so parallel
-  // rollout slots can pass their own copies.
+  // Takes `held` explicitly: a training rollout passes its own holdings,
+  // DecideWeights passes held_.
   Tensor StateTensor(const market::PanelView& panel, int64_t day,
                      const std::vector<double>& held) const;
 
   // Actor + critic + log_std under stable names — the checkpoint parameter
   // set.
   nn::ModuleGroup AllModules() const;
+  // Everything SaveCheckpoint writes and LoadCheckpoint restores.
+  TrainerCheckpointParts CheckpointParts() const;
 
   int64_t num_assets_;
   PpoConfig config_;

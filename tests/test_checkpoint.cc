@@ -33,8 +33,11 @@
 #include "rl/a2c.h"
 #include "rl/config.h"
 #include "rl/ddpg.h"
+#include "rl/deeptrader.h"
+#include "rl/eiie.h"
 #include "rl/ppo.h"
-#include "rl/rollout.h"
+#include "rl/sarl.h"
+#include "rl/train_loop.h"
 
 namespace cit {
 namespace {
@@ -251,6 +254,24 @@ TEST(TrainProgressSection, RoundTripAndValidation) {
   nn::ByteReader br(bad.bytes());
   rl::TrainProgress scratch;
   EXPECT_FALSE(rl::ParseTrainProgress(&br, &scratch).ok());
+
+  // Non-finite curve points or accumulators are well-formed bytes too, but
+  // a resumed run would carry them into every later curve point.
+  const double kNonFinite[] = {std::nan(""), INFINITY, -INFINITY};
+  for (double v : kNonFinite) {
+    for (bool in_curve : {true, false}) {
+      nn::ByteWriter nf;
+      nf.I64(2);
+      nf.DoubleVec(in_curve ? std::vector<double>{0.5, v}
+                            : std::vector<double>{0.5});
+      nf.F64(in_curve ? 0.25 : v);
+      nf.I64(1);
+      nn::ByteReader nr(nf.bytes());
+      const Status status = rl::ParseTrainProgress(&nr, &scratch);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << v << (in_curve ? " in curve" : " in curve_acc");
+    }
+  }
 }
 
 // ---- Optimizer state sections -----------------------------------------------
@@ -415,7 +436,6 @@ rl::RlTrainConfig TinyA2cConfig() {
   cfg.hidden = 12;
   cfg.train_steps = 6;
   cfg.rollout_len = 6;
-  cfg.rollouts_per_update = 3;
   cfg.seed = 5;
   return cfg;
 }
@@ -590,7 +610,6 @@ TEST(CheckpointResume, CitKillResumeBitwise) {
   cfg.critic_hidden = 12;
   cfg.train_steps = 4;
   cfg.rollout_len = 6;
-  cfg.rollouts_per_update = 3;
   cfg.seed = 3;
   ExpectKillResumeBitwise<core::CrossInsightTrader>(
       panel, cfg, /*curve_points=*/4, /*checkpoint_at=*/3, "cit");
@@ -601,6 +620,16 @@ TEST(CheckpointResume, A2cKillResumeBitwise) {
   ExpectKillResumeBitwise<rl::A2cAgent>(panel, TinyA2cConfig(),
                                         /*curve_points=*/3,
                                         /*checkpoint_at=*/4, "a2c");
+}
+
+TEST(CheckpointResume, SarlKillResumeBitwise) {
+  // SARL resumes through A2C's loop. Its movement predictor is not in the
+  // checkpoint: the resumed run re-runs the pre-training, which draws the
+  // same sequence from the freshly seeded RNG.
+  auto panel = TinyPanel();
+  ExpectKillResumeBitwise<rl::SarlAgent>(panel, TinyA2cConfig(),
+                                         /*curve_points=*/3,
+                                         /*checkpoint_at=*/4, "sarl");
 }
 
 TEST(CheckpointResume, PpoKillResumeBitwise) {
@@ -627,6 +656,58 @@ TEST(CheckpointResume, DdpgKillResumeBitwise) {
   cfg.seed = 9;
   ExpectKillResumeBitwise<rl::DdpgAgent>(panel, cfg, /*curve_points=*/4,
                                          /*checkpoint_at=*/30, "ddpg");
+}
+
+// ---- Trainers without checkpoints -------------------------------------------
+//
+// EIIE and DeepTrader keep no checkpoint. A config that asks them to resume
+// or to checkpoint must abort instead of silently training from scratch or
+// writing nothing.
+
+template <typename Config>
+Config NoCheckpointConfig() {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Config cfg;
+  static_cast<rl::RlTrainConfig&>(cfg) = TinyA2cConfig();
+  cfg.segment_len = 4;
+  return cfg;
+}
+
+template <typename Agent, typename Config>
+void ExpectResumeAborts() {
+  Config cfg = NoCheckpointConfig<Config>();
+  cfg.resume_from = TempPath("no_such_resume.ckpt");
+  auto panel = TinyPanel();
+  EXPECT_DEATH(Agent(panel.num_assets(), cfg).Train(panel),
+               "no checkpoint to resume from");
+}
+
+template <typename Agent, typename Config>
+void ExpectCheckpointingAborts() {
+  Config cfg = NoCheckpointConfig<Config>();
+  cfg.checkpoint_every = 1;
+  cfg.checkpoint_path = TempPath("never_written.ckpt");
+  auto panel = TinyPanel();
+  EXPECT_DEATH(Agent(panel.num_assets(), cfg).Train(panel),
+               "writes no checkpoints");
+}
+
+TEST(CheckpointRequestDeathTest, EiieResumeAborts) {
+  ExpectResumeAborts<rl::EiieAgent, rl::EiieAgent::EiieConfig>();
+}
+
+TEST(CheckpointRequestDeathTest, EiieCheckpointingAborts) {
+  ExpectCheckpointingAborts<rl::EiieAgent, rl::EiieAgent::EiieConfig>();
+}
+
+TEST(CheckpointRequestDeathTest, DeepTraderResumeAborts) {
+  ExpectResumeAborts<rl::DeepTraderAgent,
+                     rl::DeepTraderAgent::DeepTraderConfig>();
+}
+
+TEST(CheckpointRequestDeathTest, DeepTraderCheckpointingAborts) {
+  ExpectCheckpointingAborts<rl::DeepTraderAgent,
+                            rl::DeepTraderAgent::DeepTraderConfig>();
 }
 
 // ---- Directory durability of the atomic writer -------------------------------

@@ -112,7 +112,6 @@ TEST(InferenceIdentity, CrossInsightTrader) {
   cfg.critic_hidden = 8;
   cfg.train_steps = 4;
   cfg.rollout_len = 4;
-  cfg.rollouts_per_update = 2;
   ExpectInferenceModeIsPureSpeed(panel, [&] {
     return std::make_unique<core::CrossInsightTrader>(panel.num_assets(),
                                                       cfg);

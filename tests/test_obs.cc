@@ -14,6 +14,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "rl/a2c.h"
+#include "rl/eiie.h"
 
 namespace cit {
 namespace {
@@ -387,6 +388,31 @@ TEST(Obs, SnapshotCoversInstrumentedSubsystems) {
     EXPECT_NE(json.find(std::string("\"") + key + "\""), std::string::npos)
         << "snapshot missing " << key;
   }
+}
+
+// EIIE trains through the shared loop too, so its config's telemetry
+// session records the loop's update spans and reward gauge.
+TEST(Obs, EiieTelemetryRecordsTrainingUpdates) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with CIT_OBS=OFF";
+  const std::string path = ::testing::TempDir() + "/eiie_metrics.jsonl";
+  std::remove(path.c_str());
+  rl::EiieAgent::EiieConfig cfg;
+  static_cast<rl::RlTrainConfig&>(cfg) = ObsTrainConfig();
+  cfg.train_steps = 3;
+  cfg.segment_len = 4;
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.metrics_path = path;
+  auto panel = ObsPanel();
+  obs::Histogram& updates =
+      obs::Registry::Global().GetHistogram("train.update");
+  const uint64_t updates_before = updates.Get().count;
+  rl::EiieAgent agent(3, cfg);
+  agent.Train(panel);
+  EXPECT_EQ(updates.Get().count - updates_before, 3u);
+  const std::string lines = ReadFileOrDie(path);
+  EXPECT_NE(lines.find("\"train.update\""), std::string::npos) << lines;
+  EXPECT_NE(lines.find("\"train.reward\""), std::string::npos) << lines;
+  std::remove(path.c_str());
 }
 
 TEST(Obs, BacktestRepairedStepsCounterMatchesResult) {

@@ -95,7 +95,6 @@ core::CrossInsightConfig TinyCitConfig() {
   cfg.critic_hidden = 8;
   cfg.train_steps = 4;
   cfg.rollout_len = 4;
-  cfg.rollouts_per_update = 2;
   return cfg;
 }
 

@@ -1,9 +1,10 @@
-// Determinism contract of the parallel rollout pipeline: training curves
-// must be bitwise identical for any CIT_NUM_THREADS. Exercises the
-// counter-split RNG streams, the RolloutRunner scheduling, and all three
-// on-policy trainers (CIT, A2C, PPO) end to end.
-#include <atomic>
+// Determinism contract of training: every update collects one rollout on
+// its calling thread, so training curves must be bitwise identical for any
+// CIT_NUM_THREADS. Exercises the counter-split RNG streams, all three
+// on-policy trainers (CIT, A2C, PPO) end to end, and that no trainer enters
+// the thread pool.
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,10 +14,14 @@
 #include "core/trader.h"
 #include "market/simulator.h"
 #include "math/rng.h"
+#include "obs/telemetry.h"
 #include "rl/a2c.h"
 #include "rl/config.h"
+#include "rl/ddpg.h"
+#include "rl/deeptrader.h"
+#include "rl/eiie.h"
 #include "rl/ppo.h"
-#include "rl/rollout.h"
+#include "rl/sarl.h"
 
 namespace cit {
 namespace {
@@ -32,6 +37,18 @@ class ThreadCountGuard {
 
  private:
   int saved_;
+};
+
+// Restores the previous telemetry-enabled state on scope exit.
+class TelemetryGuard {
+ public:
+  explicit TelemetryGuard(bool on) : saved_(obs::Enabled()) {
+    obs::SetEnabled(on);
+  }
+  ~TelemetryGuard() { obs::SetEnabled(saved_); }
+
+ private:
+  bool saved_;
 };
 
 market::PricePanel TinyPanel(uint64_t seed = 21) {
@@ -78,35 +95,6 @@ TEST(RngSplit, StreamDoesNotDependOnCallOrder) {
   EXPECT_EQ(math::Rng::Split(9, 4, 5).NextU64(), early);
 }
 
-// ---- RolloutRunner scheduling -----------------------------------------------
-
-TEST(RolloutRunner, RunsEverySlotExactlyOnceWithItsOwnStream) {
-  ThreadCountGuard guard(4);
-  const int64_t kSlots = 9;
-  rl::RolloutRunner runner(/*seed=*/5, kSlots);
-  EXPECT_EQ(runner.num_slots(), kSlots);
-  std::vector<std::atomic<int>> counts(kSlots);
-  std::vector<uint64_t> draws(kSlots, 0);
-  runner.Collect(/*step=*/3, [&](int64_t slot, math::Rng& rng) {
-    counts[slot]++;
-    draws[slot] = rng.NextU64();  // per-slot storage: no synchronization
-  });
-  for (int64_t s = 0; s < kSlots; ++s) {
-    EXPECT_EQ(counts[s].load(), 1) << s;
-    EXPECT_EQ(draws[s],
-              math::Rng::Split(5, 3, static_cast<uint64_t>(s)).NextU64())
-        << s;
-  }
-}
-
-TEST(RolloutRunner, ForEachSlotCoversAllSlots) {
-  ThreadCountGuard guard(2);
-  rl::RolloutRunner runner(/*seed=*/1, /*num_slots=*/6);
-  std::vector<std::atomic<int>> counts(6);
-  runner.ForEachSlot([&](int64_t slot) { counts[slot]++; });
-  for (int64_t s = 0; s < 6; ++s) EXPECT_EQ(counts[s].load(), 1) << s;
-}
-
 // ---- Bitwise thread-count invariance of full training runs ------------------
 //
 // Each trainer runs from an identical fresh state under 1, 2, and 4 pool
@@ -127,7 +115,6 @@ std::vector<double> TrainCitCurve(int n_threads) {
   cfg.critic_hidden = 12;
   cfg.train_steps = 4;
   cfg.rollout_len = 6;
-  cfg.rollouts_per_update = 3;
   cfg.seed = 3;
   core::CrossInsightTrader trader(panel.num_assets(), cfg);
   return trader.Train(panel, 4);
@@ -155,7 +142,6 @@ std::vector<double> TrainA2cCurve(int n_threads) {
   cfg.hidden = 12;
   cfg.train_steps = 6;
   cfg.rollout_len = 6;
-  cfg.rollouts_per_update = 3;
   cfg.seed = 5;
   rl::A2cAgent agent(panel.num_assets(), cfg);
   return agent.Train(panel, 3);
@@ -182,7 +168,6 @@ std::vector<double> TrainPpoCurve(int n_threads) {
   cfg.hidden = 12;
   cfg.train_steps = 4;
   cfg.rollout_len = 6;
-  cfg.rollouts_per_update = 3;
   cfg.epochs = 2;
   cfg.seed = 7;
   rl::PpoAgent agent(panel.num_assets(), cfg);
@@ -202,29 +187,71 @@ TEST(RolloutDeterminism, PpoTrainingCurveBitwiseInvariant) {
   }
 }
 
-// Fan-out changes the minibatch, never the validity: K > 1 still trains
-// to finite curves and a usable policy.
-TEST(RolloutDeterminism, MultiRolloutTrainingStaysFinite) {
-  auto panel = TinyPanel(33);
-  core::CrossInsightConfig cfg;
-  cfg.num_policies = 2;
-  cfg.window = 8;
-  cfg.feature_dim = 4;
-  cfg.tcn_blocks = 1;
-  cfg.head_hidden = 8;
-  cfg.critic_hidden = 12;
-  cfg.train_steps = 6;
-  cfg.rollout_len = 5;
-  cfg.rollouts_per_update = 4;
-  cfg.seed = 11;
-  core::CrossInsightTrader trader(panel.num_assets(), cfg);
-  const auto curve = trader.Train(panel, 3);
-  ASSERT_FALSE(curve.empty());
-  for (double v : curve) EXPECT_TRUE(std::isfinite(v));
-  EXPECT_EQ(trader.last_advantages().size(), 2u);
-  const auto result = env::RunTestBacktest(trader, panel, cfg.window);
-  EXPECT_GT(result.wealth.back(), 0.0);
-  EXPECT_EQ(result.repaired_steps, 0);
+// Training is serial: no trainer forks a pool job or even asks the pool
+// whether to. Only sweep cells (env::RunSweep) enter it.
+TEST(RolloutDeterminism, TrainingNeverEntersThePool) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with CIT_OBS=OFF";
+  TelemetryGuard telemetry(true);
+  ThreadCountGuard guard(4);
+  auto& jobs = obs::Registry::Global().GetCounter("threadpool.jobs");
+  auto& inline_jobs =
+      obs::Registry::Global().GetCounter("threadpool.inline_jobs");
+  auto panel = TinyPanel();
+  const int64_t m = panel.num_assets();
+  auto expect_serial = [&](const char* name,
+                           const std::function<void()>& train) {
+    const uint64_t jobs_before = jobs.Total();
+    const uint64_t inline_before = inline_jobs.Total();
+    train();
+    EXPECT_EQ(jobs.Total(), jobs_before) << name << " forked a pool job";
+    EXPECT_EQ(inline_jobs.Total(), inline_before)
+        << name << " called ParallelFor";
+  };
+
+  core::CrossInsightConfig cit_cfg;
+  cit_cfg.num_policies = 2;
+  cit_cfg.window = 8;
+  cit_cfg.feature_dim = 4;
+  cit_cfg.tcn_blocks = 1;
+  cit_cfg.head_hidden = 8;
+  cit_cfg.critic_hidden = 12;
+  cit_cfg.train_steps = 2;
+  cit_cfg.rollout_len = 6;
+  expect_serial("CIT", [&] {
+    core::CrossInsightTrader(m, cit_cfg).Train(panel, 2);
+  });
+
+  rl::RlTrainConfig rl_cfg;
+  rl_cfg.window = 8;
+  rl_cfg.hidden = 12;
+  rl_cfg.train_steps = 2;
+  rl_cfg.rollout_len = 6;
+  expect_serial("A2C", [&] { rl::A2cAgent(m, rl_cfg).Train(panel, 2); });
+  expect_serial("SARL", [&] { rl::SarlAgent(m, rl_cfg).Train(panel, 2); });
+
+  rl::PpoAgent::PpoConfig ppo_cfg;
+  static_cast<rl::RlTrainConfig&>(ppo_cfg) = rl_cfg;
+  ppo_cfg.epochs = 2;
+  expect_serial("PPO", [&] { rl::PpoAgent(m, ppo_cfg).Train(panel, 2); });
+
+  rl::DdpgAgent::DdpgConfig ddpg_cfg;
+  static_cast<rl::RlTrainConfig&>(ddpg_cfg) = rl_cfg;
+  ddpg_cfg.train_steps = 8;
+  ddpg_cfg.warmup_steps = 4;
+  ddpg_cfg.batch_size = 4;
+  expect_serial("DDPG", [&] { rl::DdpgAgent(m, ddpg_cfg).Train(panel, 2); });
+
+  rl::EiieAgent::EiieConfig eiie_cfg;
+  static_cast<rl::RlTrainConfig&>(eiie_cfg) = rl_cfg;
+  eiie_cfg.segment_len = 4;
+  expect_serial("EIIE", [&] { rl::EiieAgent(m, eiie_cfg).Train(panel, 2); });
+
+  rl::DeepTraderAgent::DeepTraderConfig dt_cfg;
+  static_cast<rl::RlTrainConfig&>(dt_cfg) = rl_cfg;
+  dt_cfg.segment_len = 4;
+  expect_serial("DeepTrader", [&] {
+    rl::DeepTraderAgent(m, dt_cfg).Train(panel, 2);
+  });
 }
 
 }  // namespace

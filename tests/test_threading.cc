@@ -199,7 +199,7 @@ TEST(Determinism, TrainingStepGradientsBitwiseIdentical) {
 }
 
 // Kernels are serial: however large the shape, no kernel forks a pool job
-// or even asks the pool whether to. Only sweep cells and rollout slots do.
+// or even asks the pool whether to. Only sweep cells do.
 TEST(Determinism, KernelsNeverEnterThePool) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with CIT_OBS=OFF";
   TelemetryGuard telemetry(true);
