@@ -4,7 +4,10 @@
 #      CIT_NUM_THREADS=1 and =4 — results must agree (the determinism
 #      tests inside the suite check bitwise identity in-process too) —
 #      then once per forced kernel backend (CIT_KERNEL=scalar and
-#      CIT_KERNEL=simd) so both dispatch arms pass the whole suite.
+#      CIT_KERNEL=simd) so both dispatch arms pass the whole suite, then
+#      a smoke pipeline training run per backend whose output digests must
+#      be equal: the SIMD backward kernels keep the chains GCC -O3 compiles
+#      the scalar loops to, so this holds in the Release build only.
 #   2. Focused correctness gates, most run at 1 and 4 threads: kernel
 #      backends (the adversarial GEMM/conv shape matrix and pack-allocation
 #      tests), observability (bitwise-identical curves with telemetry
@@ -63,6 +66,26 @@ run cmake --build build -j"$(nproc)"
     ctest --output-on-failure -j2)
 (cd build && run env CIT_KERNEL=simd CIT_NUM_THREADS=4 \
     ctest --output-on-failure -j2)
+# Training through both backends must print one digest. On AVX-512 builds
+# the SIMD backend's backward kernels (MatMulTransA/B, the conv backward)
+# keep each output's chain exactly as GCC -O3 compiles the scalar loops;
+# this gate is what ties the two. It holds only where GCC -O3 vectorizes
+# those loops as in this Release build: at -O2 (RelWithDebInfo, the
+# sanitizer builds) the scalar loops become all-FMA chains and the
+# digests differ.
+training_digest() {
+  env CIT_KERNEL="$1" ./build/bench/citbench --workload pipeline --smoke \
+      --seed 3 --seconds 1 --trace 0 --out "/tmp/cit_digest_$1.json" \
+      --work-dir "/tmp/cit_digest_$1" | grep '^output_digest'
+}
+SCALAR_DIGEST=$(training_digest scalar)
+SIMD_DIGEST=$(training_digest simd)
+echo "scalar backend: $SCALAR_DIGEST"
+echo "simd backend:   $SIMD_DIGEST"
+if [[ "$SCALAR_DIGEST" != "$SIMD_DIGEST" ]]; then
+  echo "training digests differ between the scalar and SIMD backends"
+  exit 1
+fi
 
 echo "=== kernel-backend gate (dispatch matrix at 1 and 4 threads) ==="
 # test_kernels runs the adversarial GEMM/conv shape matrix (prime and tail
@@ -236,7 +259,9 @@ run cmake --build build-thread -j"$(nproc)" --target test_threading \
 # swap mutex + generation counter, and per-replica plan ownership are raced
 # under real concurrent clients; test_kernels' KernelDispatch suite so the
 # SIMD microkernels, the pack and conv-scratch thread-locals, and the
-# backend atomic run under TSan instrumentation; the Source/Scenario/Sweep
+# backend atomic run under TSan instrumentation (its backward oracle tests
+# run the kernels on four threads at once, racing the backward scratch);
+# the Source/Scenario/Sweep
 # suites so one PanelView read by four threads at once, and sweep cells
 # building their ScenarioSources from one shared base source on pool
 # workers, are raced for real; test_core's StackedDecide suite so batched

@@ -1025,13 +1025,16 @@ Var CausalConv1d(const Var& x, const Var& w, const Var& b, int64_t dilation) {
         Node* px = self.parents[0].get();
         Node* pw = self.parents[1].get();
         Node* pb = has_bias ? self.parents[2].get() : nullptr;
-        Tensor gx(px->value.shape());
+        // A constant input (the TCN's first conv and projection read the
+        // band window) gets no input gradient computed at all.
+        Tensor gx = px->requires_grad ? Tensor(px->value.shape()) : Tensor();
         Tensor gw(pw->value.shape());
         Tensor gb = has_bias ? Tensor(pb->value.shape()) : Tensor();
         kernels::CausalConv1dBackward(
-            CData(px->value), CData(pw->value), CData(self.grad), gx.data(),
-            gw.data(), has_bias ? gb.data() : nullptr, batch, cin, cout, len,
-            ksize, dilation);
+            CData(px->value), CData(pw->value), CData(self.grad),
+            px->requires_grad ? gx.data() : nullptr, gw.data(),
+            has_bias ? gb.data() : nullptr, batch, cin, cout, len, ksize,
+            dilation);
         AccumGrad(px, gx);
         AccumGrad(pw, gw);
         if (has_bias) AccumGrad(pb, gb);

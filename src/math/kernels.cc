@@ -62,32 +62,66 @@ inline void CountGemmBlocked([[maybe_unused]] int64_t p,
 #endif
 }
 
-// MatMulTransB streams all of bT once per output row (p*q*r loads), reads
-// each a row once per 4-column dot-product group plus once per tail column
-// (p*q*nG loads, nG = floor(r/4) + r%4), and stores C once (p*r).
+// MatMulTransB, per arm. The scalar loop streams all of bT once per output
+// row (p*q*r loads), reads each a row once per 4-column dot-product group
+// plus once per tail column (p*q*nG loads, nG = floor(r/4) + r%4), and
+// stores C once (p*r). The tiled arm reads bT once and writes its
+// transposed pack, zero-padded to rpad = r rounded up to kTileLanes
+// (q*r loads, q*rpad stores); each tile of kGemmMr rows reads the whole
+// pack (nI*q*rpad, nI = ceil(p/MR)); each row of a is read once per
+// kGemmNr-column block (nJ*p*q, nJ = ceil(r/NR)); C is stored once (p*r).
+// Pinned by tests/test_kernels.cc KernelObs.GemmTransBBytesFormula.
 inline void CountGemmTransB([[maybe_unused]] int64_t p,
                             [[maybe_unused]] int64_t q,
-                            [[maybe_unused]] int64_t r) {
+                            [[maybe_unused]] int64_t r,
+                            [[maybe_unused]] bool tiled) {
   CIT_OBS_COUNT("kernels.gemm_calls", 1);
   CIT_OBS_COUNT("kernels.gemm_flops", 2 * p * q * r);
 #ifndef CIT_OBS_DISABLED
-  const int64_t groups = r / 4 + r % 4;
-  CIT_OBS_COUNT("kernels.gemm_bytes",
-                int64_t{4} * (p * q * groups + p * q * r + p * r));
+  int64_t floats = 0;
+  if (tiled) {
+    const int64_t rpad =
+        (r + simd::kTileLanes - 1) / simd::kTileLanes * simd::kTileLanes;
+    const int64_t ni = (p + kGemmMr - 1) / kGemmMr;
+    const int64_t nj = (r + kGemmNr - 1) / kGemmNr;
+    floats = q * r + q * rpad + ni * q * rpad + nj * p * q + p * r;
+  } else {
+    const int64_t groups = r / 4 + r % 4;
+    floats = p * q * groups + p * q * r + p * r;
+  }
+  CIT_OBS_COUNT("kernels.gemm_bytes", int64_t{4} * floats);
 #endif
 }
 
-// MatMulTransA zero-fills C (q*r stores), reads a once (p*q loads), and per
-// (i, j) pair streams a b row and read-modify-writes a C row (3*p*q*r).
-// The kernel skips the inner sweep when a[i,j] == 0; the counter ignores
-// that data-dependent skip and reports the dense upper bound.
+// MatMulTransA, per arm. The scalar loop zero-fills C (q*r stores), reads a
+// once (p*q loads), and per (i, j) pair streams a b row and
+// read-modify-writes a C row (3*p*q*r). The tiled arm stores C once (q*r)
+// from registers. At r == 1 its lanes run over q: a is read once (p*q) and
+// b once per kGemmNr-wide block of q (ceil(q/NR)*p). Otherwise its lanes
+// run over r: each kGemmNr-column block reads all of a
+// (ceil(r/NR)*p*q), and each tile of kGemmMr rows of C reads all of b
+// (ceil(q/MR)*p*r). Both arms skip a[i,j] == 0 (the tiled arm by masking
+// its FMA, not its loads); the counter ignores that data-dependent skip
+// and reports the dense upper bound. Pinned by tests/test_kernels.cc
+// KernelObs.GemmTransABytesFormula.
 inline void CountGemmTransA([[maybe_unused]] int64_t p,
                             [[maybe_unused]] int64_t q,
-                            [[maybe_unused]] int64_t r) {
+                            [[maybe_unused]] int64_t r,
+                            [[maybe_unused]] bool tiled) {
   CIT_OBS_COUNT("kernels.gemm_calls", 1);
   CIT_OBS_COUNT("kernels.gemm_flops", 2 * p * q * r);
-  CIT_OBS_COUNT("kernels.gemm_bytes",
-                int64_t{4} * (q * r + p * q + 3 * p * q * r));
+#ifndef CIT_OBS_DISABLED
+  int64_t floats = 0;
+  if (!tiled) {
+    floats = q * r + p * q + 3 * p * q * r;
+  } else if (r == 1) {
+    floats = p * q + (q + kGemmNr - 1) / kGemmNr * p + q;
+  } else {
+    floats = (r + kGemmNr - 1) / kGemmNr * p * q +
+             (q + kGemmMr - 1) / kGemmMr * p * r + q * r;
+  }
+  CIT_OBS_COUNT("kernels.gemm_bytes", int64_t{4} * floats);
+#endif
 }
 
 // ---- Blocked GEMM ----------------------------------------------------------
@@ -348,7 +382,15 @@ void MatMul(const float* a, const float* b, float* c, int64_t p, int64_t q,
 
 void MatMulTransB(const float* a, const float* bT, float* c, int64_t p,
                   int64_t q, int64_t r) {
-  CountGemmTransB(p, q, r);
+  // The backend is read once per call, as in MatMul.
+  const bool tiled = simd::kHasTiles && UseSimd();
+  CountGemmTransB(p, q, r, tiled);
+  if constexpr (simd::kHasTiles) {
+    if (tiled) {
+      simd::GemmTransB(a, bT, c, p, q, r);
+      return;
+    }
+  }
   for (int64_t i = 0; i < p; ++i) {
     const float* ar = a + i * q;
     float* cr = c + i * r;
@@ -383,7 +425,14 @@ void MatMulTransB(const float* a, const float* bT, float* c, int64_t p,
 
 void MatMulTransA(const float* a, const float* b, float* c, int64_t p,
                   int64_t q, int64_t r) {
-  CountGemmTransA(p, q, r);
+  const bool tiled = simd::kHasTiles && UseSimd();
+  CountGemmTransA(p, q, r, tiled);
+  if constexpr (simd::kHasTiles) {
+    if (tiled) {
+      simd::GemmTransA(a, b, c, p, q, r);
+      return;
+    }
+  }
   if (q == 0 || r == 0) return;  // C is empty (and may be null)
   // c[j, :] = sum_i a[i, j] * b[i, :], scanning i in ascending order.
   std::memset(c, 0, sizeof(float) * static_cast<size_t>(q * r));
@@ -444,18 +493,15 @@ void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n) {
 
 // ---- Causal dilated 1-D convolution ----------------------------------------
 
-namespace {
-
-// Per-thread scratch of the direct conv, grown to the largest call the
-// thread has run and reused after, so steady-state convs are
-// allocation-free (like the GEMM pack panel).
-float* ConvScratch(int64_t floats) {
+// Declared in math/simd.h, the seam kernels_simd.cc shares.
+float* ThreadScratch(int64_t floats) {
   thread_local std::vector<float> scratch;
-  if (scratch.size() < static_cast<size_t>(floats)) {
-    scratch = std::vector<float>(static_cast<size_t>(floats));
-  }
+  const size_t want = static_cast<size_t>(std::max<int64_t>(floats, 1));
+  if (scratch.size() < want) scratch = std::vector<float>(want);
   return scratch.data();
 }
+
+namespace {
 
 // Time-major direct conv. x is regrouped to xt:[cin, len, batch], so one
 // (co, ci, tap) term is a single contiguous acc += w * x pass over
@@ -467,9 +513,9 @@ float* ConvScratch(int64_t floats) {
 void ConvDirect(const float* x, const float* w, const float* bias, float* out,
                 int64_t batch, int64_t cin, int64_t cout, int64_t len,
                 int64_t k, int64_t dilation) {
-  if (batch * cout * len == 0) return;  // empty output; scratch may be null
+  if (batch * cout * len == 0) return;  // empty output: nothing to write
   const int64_t plane = len * batch;  // one channel, time-major
-  float* xt = ConvScratch((cin + cout) * plane);
+  float* xt = ThreadScratch((cin + cout) * plane);
   float* acc = xt + cin * plane;
   for (int64_t bi = 0; bi < batch; ++bi) {
     for (int64_t ci = 0; ci < cin; ++ci) {
@@ -516,7 +562,7 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
   // The SIMD backend's register-tiled arm where the build has one
   // (AVX-512), else the time-major loop. The backend is read once per call,
   // as in MatMul.
-  const bool tiled = simd::kHasConvDirect && UseSimd();
+  const bool tiled = simd::kHasTiles && UseSimd();
   CIT_OBS_COUNT("kernels.conv_calls", 1);
   CIT_OBS_COUNT("kernels.conv_flops", 2 * batch * cout * cin * k * len);
 #ifndef CIT_OBS_DISABLED
@@ -556,7 +602,7 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
     CIT_OBS_COUNT("kernels.conv_bytes", int64_t{4} * floats);
   }
 #endif
-  if constexpr (simd::kHasConvDirect) {
+  if constexpr (simd::kHasTiles) {
     if (tiled) {
       simd::ConvDirect(x, w, bias, out, batch, cin, cout, len, k, dilation);
       return;
@@ -571,6 +617,19 @@ void CausalConv1dBackward(const float* x, const float* w, const float* gout,
                           int64_t dilation) {
   CIT_OBS_COUNT("kernels.conv_backward_calls", 1);
   CIT_OBS_COUNT("kernels.conv_flops", 4 * batch * cout * cin * k * len);
+  if constexpr (simd::kHasTiles) {
+    if (UseSimd()) {
+      simd::ConvBackward(x, w, gout, gx, gw, gb, batch, cin, cout, len, k,
+                         dilation);
+      return;
+    }
+  }
+  // The loop below is the reference chain and stays as it is, so without a
+  // gx it writes the unwanted input gradient into this thread's scratch.
+  if (gx == nullptr) {
+    gx = ThreadScratch(batch * cin * len);
+    std::fill(gx, gx + batch * cin * len, 0.0f);
+  }
   for (int64_t bi = 0; bi < batch; ++bi) {
     for (int64_t co = 0; co < cout; ++co) {
       const float* grow = gout + (bi * cout + co) * len;

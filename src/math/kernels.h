@@ -18,10 +18,11 @@
 // Determinism contract, per backend: the scalar backend is the bitwise
 // reference, and the SIMD backend matches it exactly on the non-FMA arms
 // (plain elementwise add/sub/mul/div and scalar-parameter ops, plus any
-// FusedElemwise chain) and on the causal conv, while the FMA arms (MatMul
-// via the register-tiled microkernel, Axpy) may differ from scalar by the
-// usual one-rounding-per-fma tolerance — but never between thread counts
-// or runs within one backend.
+// FusedElemwise chain), on the causal conv forward and, in -O3 builds, on
+// the backward kernels (see "Backward kernels" below), while the FMA arms
+// (MatMul via the register-tiled microkernel, Axpy) may differ from scalar
+// by the usual one-rounding-per-fma tolerance — but never between thread
+// counts or runs within one backend.
 namespace cit::math::kernels {
 
 // ---- Backend dispatch ------------------------------------------------------
@@ -165,11 +166,16 @@ void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
 // with packed B panels and an MR x NR register tile.
 void MatMul(const float* a, const float* b, float* c, int64_t p, int64_t q,
             int64_t r);
-// c = a @ b with b supplied transposed (bT:[r,q]): c[i,j] = <a_i, bT_j>.
-// This is the backward pass's grad_a = g @ b^T without materializing b^T.
+// c = a @ b with b supplied transposed (bT:[r,q]): c[i,j] = <a_i, bT_j>,
+// stored (c overwritten). This is the backward pass's grad_a = g @ b^T
+// without materializing b^T. Each c[i,j] is one 4*floor(q/4)-rule chain
+// (see "Backward kernels" below).
 void MatMulTransB(const float* a, const float* bT, float* c, int64_t p,
                   int64_t q, int64_t r);
-// c = a^T @ b with a:[p,q], b:[p,r], c:[q,r] (grad_b without transposing a).
+// c = a^T @ b with a:[p,q], b:[p,r], c:[q,r] overwritten (grad_b without
+// transposing a). Each c[j,l] starts at +0 and adds one FMA
+// a[i,j] * b[i,l] per ascending i, skipping the terms whose a[i,j] == 0
+// (so -0 is skipped and NaN is not).
 void MatMulTransA(const float* a, const float* b, float* c, int64_t p,
                   int64_t q, int64_t r);
 // out[c, r] = in[r, c] for in:[rows, cols]; blocked for cache friendliness.
@@ -208,7 +214,34 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
                          float* out, int64_t batch, int64_t cin, int64_t cout,
                          int64_t len, int64_t k, int64_t dilation);
 // Accumulates into gx/gw/gb (callers pass zeroed or already-accumulated
-// buffers); gb may be nullptr when the conv has no bias.
+// buffers); gx may be nullptr when the input needs no gradient, gb when the
+// conv has no bias. Per output (see "Backward kernels" below):
+//  - gx[b, ci, t] adds one FMA w[co, ci, tap] * gout[b, co, t + shift] per
+//    ascending (co, tap) with t + shift < len, into the value already
+//    there;
+//  - gb[co] adds, in batch order, each row's sum of gout[b, co, :] taken
+//    with plain adds in ascending time from +0;
+//  - gw[co, ci, tap] adds, in batch order, each row's 4*floor(T/4)-rule
+//    chain of gout[b, co, t + shift] * x[b, ci, t] over t < T = len -
+//    shift, so a tap whose shift is at least len adds +0 per row.
+//
+// ---- Backward kernels ----
+// The chains above are what GCC -O3 (the Release build) compiles the
+// scalar backend's plain loops in kernels.cc to. The 4*floor(T/4) rule
+// comes from its in-order vector reduction: of a T-term chain from +0,
+// the first 4*floor(T/4) terms have their product rounded and then added
+// in order, and the last T mod 4 terms, its scalar tail, are fused.
+// On the SIMD backend of an AVX-512 build the three kernels run
+// register-tiled arms (simd::GemmTransA, GemmTransB, ConvBackward) that
+// vectorize across independent outputs and issue exactly these chains in
+// every build; tests/test_kernels.cc pins them against explicit-chain
+// oracles (KernelDispatch.*MatchesChainOracleBitwise). The scalar loops
+// meet the chains only where GCC -O3 vectorizes them that way: at -O2
+// (RelWithDebInfo and the sanitizer builds) they compile to all-FMA
+// chains, and without FMA (portable builds) every product is rounded. So
+// the two backends train bitwise alike in the Release build, which
+// scripts/check.sh checks by training digest, and not in every build.
+// AVX2, NEON and portable builds run the scalar loops on both backends.
 void CausalConv1dBackward(const float* x, const float* w, const float* gout,
                           float* gx, float* gw, float* gb, int64_t batch,
                           int64_t cin, int64_t cout, int64_t len, int64_t k,

@@ -35,6 +35,18 @@
 #define CIT_SIMD_NEON 1
 #endif
 
+namespace cit::math::kernels {
+
+// The calling thread's kernel scratch (defined in kernels.cc): at least
+// `floats` floats, never null, grown to the largest request the thread has
+// made and reused after, so steady-state kernels allocate nothing. The
+// time-major conv, the scalar conv backward's unwanted gx and the tiled
+// backward kernels (the TransB pack, the conv regroups) use it; its
+// contents are dead once the kernel returns.
+float* ThreadScratch(int64_t floats);
+
+}  // namespace cit::math::kernels
+
 namespace cit::math::kernels::simd {
 
 // True iff an ISA path was compiled in; the scalar fallback definitions
@@ -77,18 +89,35 @@ bool FusedChainExact(const ElemOp* ops, int count);
 void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
                    int count);
 
-// Register-tiled direct causal conv: kernels::CausalConv1dForward's direct
-// path on the SIMD backend (see there for the tile, the masks and the
-// bitwise contract). Only the AVX-512 arm compiles it; kHasConvDirect says
-// whether this build has it, and no other build may call it.
+// The register-tiled arm: the direct causal conv and the three backward
+// kernels on the SIMD backend. Only the AVX-512 arm compiles them;
+// kHasTiles says whether this build has them, and no other build may call
+// them.
 #if defined(CIT_SIMD_AVX512)
-inline constexpr bool kHasConvDirect = true;
+inline constexpr bool kHasTiles = true;
 #else
-inline constexpr bool kHasConvDirect = false;
+inline constexpr bool kHasTiles = false;
 #endif
+// Floats per vector of the tiled arm: GemmTransB pads its pack to a
+// multiple of this, and the kernels.gemm_bytes formulas read it.
+inline constexpr int64_t kTileLanes = 16;
+// kernels::CausalConv1dForward's tiled arm (see there for the tile, the
+// masks and the bitwise contract).
 void ConvDirect(const float* x, const float* w, const float* bias, float* out,
                 int64_t batch, int64_t cin, int64_t cout, int64_t len,
                 int64_t k, int64_t dilation);
+// kernels::MatMulTransB, MatMulTransA and CausalConv1dBackward: same
+// arguments, same per-output chains (see there). GemmTransB packs bT
+// transposed into ThreadScratch, ConvBackward regroups gout and x
+// time-major into it.
+void GemmTransB(const float* a, const float* bT, float* c, int64_t p,
+                int64_t q, int64_t r);
+void GemmTransA(const float* a, const float* b, float* c, int64_t p,
+                int64_t q, int64_t r);
+void ConvBackward(const float* x, const float* w, const float* gout,
+                  float* gx, float* gw, float* gb, int64_t batch,
+                  int64_t cin, int64_t cout, int64_t len, int64_t k,
+                  int64_t dilation);
 
 }  // namespace cit::math::kernels::simd
 

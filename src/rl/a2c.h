@@ -65,8 +65,9 @@ class A2cAgent : public env::TradingAgent {
                       const std::vector<double>& held) const;
 
   // Actor + critic + log_std under stable names — the checkpoint parameter
-  // set.
-  nn::ModuleGroup AllModules() const;
+  // set. Subclasses with modules of their own (SARL's movement predictor)
+  // add them, so a restored agent decides with every trained weight.
+  virtual nn::ModuleGroup AllModules() const;
   // Everything SaveCheckpoint writes and LoadCheckpoint restores.
   TrainerCheckpointParts CheckpointParts() const;
 

@@ -33,6 +33,12 @@ Tensor SarlAgent::ExtraState(const market::PanelView& panel,
   return PredictMovement(panel, day);
 }
 
+nn::ModuleGroup SarlAgent::AllModules() const {
+  nn::ModuleGroup group = A2cAgent::AllModules();
+  group.Add("predictor.", predictor_.get());
+  return group;
+}
+
 void SarlAgent::TrainPredictor(const market::PanelView& panel) {
   const int64_t lo = config_.window;
   const int64_t hi = panel.train_end() - 2;

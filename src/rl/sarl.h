@@ -33,6 +33,8 @@ class SarlAgent : public A2cAgent {
  protected:
   Tensor ExtraState(const market::PanelView& panel,
                     int64_t day) const override;
+  // A2C's checkpoint set plus the movement predictor.
+  nn::ModuleGroup AllModules() const override;
 
  private:
   void TrainPredictor(const market::PanelView& panel);

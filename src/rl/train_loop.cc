@@ -22,6 +22,8 @@ std::vector<double> RunTrainLoop(const TrainLoopSettings& settings,
   CIT_CHECK_MSG(!checkpoints || hooks.save,
                 "checkpoint_every and checkpoint_path are set, but this "
                 "trainer writes no checkpoints");
+  CIT_CHECK_MSG(settings.curve_points >= 1,
+                "curve_points must be at least 1");
   const int64_t curve_every =
       std::max<int64_t>(1, settings.train_steps / settings.curve_points);
 

@@ -64,7 +64,8 @@ struct TrainLoopSettings {
 //  3. returns the curve and clears *progress.
 // A resumed run is bitwise identical to the uninterrupted one when
 // update(step) depends only on `step` and on state the checkpoint holds.
-// Asking a trainer without load (save) to resume (checkpoint) aborts.
+// Asking a trainer without load (save) to resume (checkpoint) aborts, and
+// so does a curve_points below 1.
 std::vector<double> RunTrainLoop(const TrainLoopSettings& settings,
                                  TrainProgress* progress,
                                  const TrainerHooks& hooks);

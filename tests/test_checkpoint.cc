@@ -623,13 +623,69 @@ TEST(CheckpointResume, A2cKillResumeBitwise) {
 }
 
 TEST(CheckpointResume, SarlKillResumeBitwise) {
-  // SARL resumes through A2C's loop. Its movement predictor is not in the
-  // checkpoint: the resumed run re-runs the pre-training, which draws the
-  // same sequence from the freshly seeded RNG.
+  // SARL resumes through A2C's loop. The resumed run re-runs the movement
+  // predictor's pre-training, which draws the same sequence from the
+  // freshly seeded RNG, and then loads the same predictor weights from the
+  // checkpoint.
   auto panel = TinyPanel();
   ExpectKillResumeBitwise<rl::SarlAgent>(panel, TinyA2cConfig(),
                                          /*curve_points=*/3,
                                          /*checkpoint_at=*/4, "sarl");
+}
+
+// The checkpoint carries SARL's movement predictor, so a restored agent
+// decides exactly as the trained one on every test day. Without it the
+// restored agent ran its untrained initial predictor.
+TEST(CheckpointResume, SarlRestoredAgentDecidesLikeTheTrainedOne) {
+  auto panel = TinyPanel();
+  const std::string path = TempPath("sarl_trained.ckpt");
+  rl::SarlAgent trained(panel.num_assets(), TinyA2cConfig());
+  trained.Train(panel, /*curve_points=*/3);
+  ASSERT_TRUE(trained.SaveCheckpoint(path).ok());
+  rl::SarlAgent restored(panel.num_assets(), TinyA2cConfig());
+  ASSERT_TRUE(restored.LoadCheckpoint(path).ok());
+  trained.Reset();
+  restored.Reset();
+  int64_t days = 0;
+  for (int64_t day = panel.train_end(); day + 1 < panel.num_days(); ++day) {
+    const std::vector<double> want = trained.DecideWeights(panel, day);
+    const std::vector<double> got = restored.DecideWeights(panel, day);
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "restored SARL decides differently on day " << day;
+    ++days;
+  }
+  EXPECT_EQ(days, 29);
+  std::remove(path.c_str());
+}
+
+// Writes the SARL checkpoint layout from before the predictor joined it:
+// A2C's modules only.
+class SarlWithoutPredictorInCheckpoint : public rl::SarlAgent {
+ public:
+  using rl::SarlAgent::SarlAgent;
+  Status SaveWithoutPredictor(const std::string& path) const {
+    rl::TrainerCheckpointParts parts = CheckpointParts();
+    parts.modules = A2cAgent::AllModules();
+    return rl::SaveTrainerCheckpoint(parts, path);
+  }
+};
+
+TEST(CheckpointResume, SarlFileWithoutPredictorIsRejected) {
+  auto panel = TinyPanel();
+  const std::string path = TempPath("sarl_without_predictor.ckpt");
+  SarlWithoutPredictorInCheckpoint old_layout(panel.num_assets(),
+                                              TinyA2cConfig());
+  ASSERT_TRUE(old_layout.SaveWithoutPredictor(path).ok());
+  rl::SarlAgent agent(panel.num_assets(), TinyA2cConfig());
+  const Status loaded = agent.LoadCheckpoint(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.message().find("parameter count mismatch"),
+            std::string::npos)
+      << loaded.message();
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointResume, PpoKillResumeBitwise) {
@@ -708,6 +764,16 @@ TEST(CheckpointRequestDeathTest, DeepTraderResumeAborts) {
 TEST(CheckpointRequestDeathTest, DeepTraderCheckpointingAborts) {
   ExpectCheckpointingAborts<rl::DeepTraderAgent,
                             rl::DeepTraderAgent::DeepTraderConfig>();
+}
+
+// A learning curve of zero points has no bucket width; the loop refuses it
+// by name instead of dividing by zero.
+TEST(TrainLoopDeathTest, ZeroCurvePointsAborts) {
+  auto cfg = NoCheckpointConfig<rl::EiieAgent::EiieConfig>();
+  auto panel = TinyPanel();
+  EXPECT_DEATH(
+      rl::EiieAgent(panel.num_assets(), cfg).Train(panel, /*curve_points=*/0),
+      "curve_points must be at least 1");
 }
 
 // ---- Directory durability of the atomic writer -------------------------------

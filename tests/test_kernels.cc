@@ -19,7 +19,9 @@
 //  - the kernels.gemm_bytes / conv_bytes traffic formulas, pinned against
 //    closed forms computed from the block structure.
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -611,6 +613,415 @@ TEST(KernelDispatch, ConvDirectEmptyOutputTouchesNothing) {
   }).join();
 }
 
+// ---- Backward kernels: explicit-chain oracles ------------------------------
+//
+// In a -O3 build GCC compiles the scalar backward loops to one fixed chain
+// per output, and the SIMD backend's AVX-512 arm keeps every chain exactly
+// (see kernels.h, "Backward kernels"). The oracles below write the chains
+// out. A product that a chain rounds on its own is stored through a
+// volatile, so no build can fuse it: at -O2 (the RelWithDebInfo sanitizer
+// builds) GCC compiles the scalar loops to all-FMA chains instead, so the
+// oracles are compared with the SIMD arm, whose chains do not depend on
+// the optimization level, and never with the scalar loops.
+
+// True where the build compiled the tiled arm (AVX-512).
+bool TiledArmCompiled() {
+  return kn::SimdAvailable() && std::strcmp(kn::SimdIsaName(), "avx512") == 0;
+}
+
+// a * b rounded to float on its own, never contracted into an FMA.
+float RoundedProduct(float a, float b) {
+  volatile float product = a * b;
+  return product;
+}
+
+// The 4*floor(T/4) rule: the first 4*floor(T/4) terms of a T-term chain
+// have their products rounded and then added in order, the last T mod 4
+// are fused.
+float FourRuleChain(float s, int64_t terms, const float* a, const float* b) {
+  const int64_t n4 = terms / 4 * 4;
+  for (int64_t t = 0; t < terms; ++t) {
+    s = t < n4 ? s + RoundedProduct(a[t], b[t]) : std::fmaf(a[t], b[t], s);
+  }
+  return s;
+}
+
+// c[i, j] = +0 and the four-rule chain of a's row i against bT's row j,
+// stored (not added).
+std::vector<float> OracleTransB(const std::vector<float>& a,
+                                const std::vector<float>& bT, int64_t p,
+                                int64_t q, int64_t r) {
+  std::vector<float> c(static_cast<size_t>(p * r));
+  for (int64_t i = 0; i < p; ++i) {
+    for (int64_t j = 0; j < r; ++j) {
+      c[i * r + j] =
+          FourRuleChain(0.0f, q, a.data() + i * q, bT.data() + j * q);
+    }
+  }
+  return c;
+}
+
+// c[j, l] = +0, then fmaf(a[i, j], b[i, l], c) over ascending i, skipping
+// exactly the terms with a[i, j] == 0 (so -0 is skipped and NaN is not).
+std::vector<float> OracleTransA(const std::vector<float>& a,
+                                const std::vector<float>& b, int64_t p,
+                                int64_t q, int64_t r) {
+  std::vector<float> c(static_cast<size_t>(q * r));
+  for (int64_t j = 0; j < q; ++j) {
+    for (int64_t l = 0; l < r; ++l) {
+      float s = 0.0f;
+      for (int64_t i = 0; i < p; ++i) {
+        const float av = a[i * q + j];
+        if (av == 0.0f) continue;
+        s = std::fmaf(av, b[i * r + l], s);
+      }
+      c[j * r + l] = s;
+    }
+  }
+  return c;
+}
+
+struct ConvBackwardShape {
+  int64_t batch, cin, cout, len, k, dilation;
+  bool with_gx, with_gb;
+};
+
+struct ConvBackwardCase {
+  ConvBackwardShape s;
+  std::vector<float> x, w, gout, gx, gw, gb;  // gx/gw/gb: the starting values
+};
+
+// gx, gw and gb concatenated, after accumulating into the starting values:
+//  - gx[b, ci, t]: one fmaf(w, gout, gx) per ascending (cout, tap) whose
+//    t + shift < len;
+//  - gb[co]: per batch row, the row's gout summed in ascending time from
+//    +0 with plain adds; the row sums added in batch order;
+//  - gw[co, ci, tap]: per batch row, the four-rule chain of gout[t + shift]
+//    * x[t] over t < T = len - shift, from +0; the row results added in
+//    batch order, so a tap with T <= 0 adds +0 per row.
+std::vector<float> OracleConvBackward(const ConvBackwardCase& c) {
+  const ConvBackwardShape& s = c.s;
+  std::vector<float> gx = c.gx, gw = c.gw, gb = c.gb;
+  const auto shift_of = [&s](int64_t kk) {
+    return (s.k - 1 - kk) * s.dilation;
+  };
+  if (s.with_gx) {
+    for (int64_t b = 0; b < s.batch; ++b) {
+      for (int64_t ci = 0; ci < s.cin; ++ci) {
+        for (int64_t t = 0; t < s.len; ++t) {
+          float& v = gx[(b * s.cin + ci) * s.len + t];
+          for (int64_t co = 0; co < s.cout; ++co) {
+            const float* grow = c.gout.data() + (b * s.cout + co) * s.len;
+            for (int64_t kk = 0; kk < s.k; ++kk) {
+              if (t + shift_of(kk) >= s.len) continue;
+              v = std::fmaf(c.w[(co * s.cin + ci) * s.k + kk],
+                            grow[t + shift_of(kk)], v);
+            }
+          }
+        }
+      }
+    }
+  }
+  for (int64_t co = 0; co < s.cout; ++co) {
+    if (s.with_gb) {
+      for (int64_t b = 0; b < s.batch; ++b) {
+        float row = 0.0f;
+        for (int64_t t = 0; t < s.len; ++t) {
+          row = row + c.gout[(b * s.cout + co) * s.len + t];
+        }
+        gb[co] = gb[co] + row;
+      }
+    }
+    for (int64_t ci = 0; ci < s.cin; ++ci) {
+      for (int64_t kk = 0; kk < s.k; ++kk) {
+        const int64_t shift = shift_of(kk);
+        float& v = gw[(co * s.cin + ci) * s.k + kk];
+        for (int64_t b = 0; b < s.batch; ++b) {
+          const float* grow = c.gout.data() + (b * s.cout + co) * s.len;
+          const float* xrow = c.x.data() + (b * s.cin + ci) * s.len;
+          const int64_t terms = std::max<int64_t>(0, s.len - shift);
+          v = v + FourRuleChain(0.0f, terms, grow + std::min(shift, s.len),
+                                xrow);
+        }
+      }
+    }
+  }
+  std::vector<float> out = std::move(gx);
+  out.insert(out.end(), gw.begin(), gw.end());
+  out.insert(out.end(), gb.begin(), gb.end());
+  return out;
+}
+
+// Draws for the backward matrices. With `special`, about one value in
+// twelve is the NaN this hardware generates itself (so every NaN has the
+// same bits and propagation order cannot show), +-inf, -0, +0 or a
+// subnormal. `zeros` is the share of exact zeros of both signs, which
+// exercises TransA's skip and zero weights.
+float BackwardDraw(Rng& rng, bool special, double zeros) {
+  volatile float inf_v = INFINITY;
+  const float nan = inf_v - inf_v;
+  const float specials[] = {nan, INFINITY, -INFINITY, -0.0f, 0.0f, 1e-40f};
+  const double u = rng.Uniform(0.0, 1.0);
+  if (u < zeros) return u < zeros / 2 ? 0.0f : -0.0f;
+  if (special && rng.Uniform(0.0, 1.0) < 1.0 / 12) {
+    return specials[rng.UniformInt(6)];
+  }
+  return static_cast<float>(rng.Uniform(-1.0, 1.0));
+}
+
+std::vector<float> BackwardDraws(Rng& rng, int64_t n, bool special,
+                                 double zeros) {
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& x : v) x = BackwardDraw(rng, special, zeros);
+  return v;
+}
+
+// A float with every digit and its bit pattern.
+std::string Bits(float v) {
+  uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.9g (0x%08x)", static_cast<double>(v),
+                static_cast<unsigned>(u));
+  return buf;
+}
+
+// Index and values of the first bitwise difference, or "" when equal.
+std::string FirstBitDifference(const std::vector<float>& got,
+                               const std::vector<float>& want) {
+  if (got.size() != want.size()) {
+    return "size " + std::to_string(got.size()) + " vs oracle " +
+           std::to_string(want.size());
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return "first difference at " + std::to_string(i) + ": " +
+             Bits(got[i]) + " vs oracle " + Bits(want[i]);
+    }
+  }
+  return "";
+}
+
+// Runs each case through `run` on the SIMD backend, spread round-robin
+// over `threads` threads that run at once (so each uses its own kernel
+// scratch concurrently), and memcmps it against the oracle's result.
+// Returns the first mismatch, described by `what`.
+template <typename Case, typename Run, typename What>
+std::string CompareWithOracle(const std::vector<Case>& cases,
+                              const std::vector<std::vector<float>>& want,
+                              int threads, Run run, What what) {
+  BackendGuard bg(kn::Backend::kSimd);
+  std::vector<std::string> first(static_cast<size_t>(threads));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (size_t i = static_cast<size_t>(t); i < cases.size();
+           i += static_cast<size_t>(threads)) {
+        const std::string diff = FirstBitDifference(run(cases[i]), want[i]);
+        if (!diff.empty()) {
+          first[static_cast<size_t>(t)] = what(cases[i]) + ": " + diff;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (const std::string& f : first) {
+    if (!f.empty()) return f + " at " + std::to_string(threads) + " threads";
+  }
+  return "";
+}
+
+struct GemmBackwardCase {
+  GemmShape s;
+  std::vector<float> a, b;
+};
+
+std::string Describe(const GemmBackwardCase& c) {
+  return "p=" + std::to_string(c.s.p) + " q=" + std::to_string(c.s.q) +
+         " r=" + std::to_string(c.s.r);
+}
+
+// The GEMM backward matrix: the U.S. actor's shapes, empty shapes, then
+// seeded random ones. Every third case draws special values.
+// a is [p, q] for both kernels; b is [p, r] for TransA and bT [r, q] for
+// TransB.
+std::vector<GemmBackwardCase> GemmBackwardCases(
+    std::vector<GemmShape> shapes, uint64_t seed, int random_shapes,
+    const std::function<GemmShape(Rng&)>& random_shape, bool trans_a,
+    double a_zeros) {
+  Rng pick(seed);
+  for (int i = 0; i < random_shapes; ++i) shapes.push_back(random_shape(pick));
+  std::vector<GemmBackwardCase> cases;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const GemmShape& s = shapes[i];
+    Rng rng(seed + 1 + i);
+    const bool special = i % 3 == 2;
+    GemmBackwardCase c{s, {}, {}};
+    c.a = BackwardDraws(rng, s.p * s.q, special, a_zeros);
+    c.b = BackwardDraws(rng, trans_a ? s.p * s.r : s.r * s.q, special, 0.05);
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+TEST(KernelDispatch, TransBMatchesChainOracleBitwise) {
+  if (!TiledArmCompiled()) {
+    GTEST_SKIP() << "no AVX-512 tiled arm compiled: MatMulTransB runs the "
+                    "scalar loop only";
+  }
+  // c = a @ bT^T, a:[p, q], bT:[r, q]. The U.S. actor's shapes, empty
+  // shapes, inner extents past 256 over all four q mod 4 residues, r = 1
+  // and r past 32; then random shapes with p 0-40, q 0-300, r 0-70.
+  const std::vector<GemmShape> shapes = {
+      {480, 1, 6},  {20, 24, 6},  {20, 20, 24}, {20, 20, 20}, {20, 144, 20},
+      {20, 1, 24},  {120, 1, 24}, {20, 24, 12}, {20, 24, 11}, {1, 48, 48},
+      {1, 1, 48},   {0, 5, 7},    {5, 0, 7},    {5, 7, 0},    {0, 0, 0},
+      {3, 256, 33}, {3, 257, 33}, {3, 258, 31}, {3, 259, 17}, {2, 300, 70},
+      {40, 13, 1},  {7, 9, 33},   {5, 6, 65},   {4, 3, 16},   {5, 2, 32},
+  };
+  const std::vector<GemmBackwardCase> cases = GemmBackwardCases(
+      shapes, 20261019, 300,
+      [](Rng& rng) {
+        return GemmShape{rng.UniformInt(41), rng.UniformInt(301),
+                         rng.UniformInt(71)};
+      },
+      /*trans_a=*/false, /*a_zeros=*/0.05);
+  std::vector<std::vector<float>> want;
+  for (const GemmBackwardCase& c : cases) {
+    want.push_back(OracleTransB(c.a, c.b, c.s.p, c.s.q, c.s.r));
+  }
+  for (int threads : {1, 4}) {
+    const std::string diff = CompareWithOracle(
+        cases, want, threads,
+        [](const GemmBackwardCase& c) {
+          std::vector<float> out(static_cast<size_t>(c.s.p * c.s.r), 7.25f);
+          kn::MatMulTransB(c.a.data(), c.b.data(), out.data(), c.s.p, c.s.q,
+                           c.s.r);
+          return out;
+        },
+        [](const GemmBackwardCase& c) { return "TransB " + Describe(c); });
+    ASSERT_EQ(diff, "");
+  }
+}
+
+TEST(KernelDispatch, TransAMatchesChainOracleBitwise) {
+  if (!TiledArmCompiled()) {
+    GTEST_SKIP() << "no AVX-512 tiled arm compiled: MatMulTransA runs the "
+                    "scalar loop only";
+  }
+  // c = a^T @ b, a:[p, q], b:[p, r]; the inner extent is p. a holds 30%
+  // zeros of both signs (ReLU activations in the model). Random shapes
+  // draw r = 1, the arm whose lanes run over q, one time in four.
+  const std::vector<GemmShape> shapes = {
+      {480, 6, 1},  {20, 6, 24},  {20, 24, 20}, {20, 24, 1},  {20, 20, 20},
+      {20, 20, 144}, {120, 24, 1}, {20, 12, 24}, {20, 11, 24}, {1, 48, 48},
+      {1, 48, 1},   {1, 285, 48}, {0, 5, 7},    {5, 0, 7},    {5, 7, 0},
+      {0, 0, 1},    {300, 40, 1}, {257, 33, 2}, {259, 3, 70}, {7, 70, 1},
+      {9, 4, 33},   {6, 5, 16},   {6, 17, 32},
+  };
+  const std::vector<GemmBackwardCase> cases = GemmBackwardCases(
+      shapes, 20261020, 300,
+      [](Rng& rng) {
+        const int64_t p = rng.UniformInt(301), q = rng.UniformInt(41);
+        const int64_t r = rng.UniformInt(4) == 0 ? 1 : rng.UniformInt(71);
+        return GemmShape{p, q, r};
+      },
+      /*trans_a=*/true, /*a_zeros=*/0.3);
+  std::vector<std::vector<float>> want;
+  for (const GemmBackwardCase& c : cases) {
+    want.push_back(OracleTransA(c.a, c.b, c.s.p, c.s.q, c.s.r));
+  }
+  for (int threads : {1, 4}) {
+    const std::string diff = CompareWithOracle(
+        cases, want, threads,
+        [](const GemmBackwardCase& c) {
+          std::vector<float> out(static_cast<size_t>(c.s.q * c.s.r), 7.25f);
+          kn::MatMulTransA(c.a.data(), c.b.data(), out.data(), c.s.p, c.s.q,
+                           c.s.r);
+          return out;
+        },
+        [](const GemmBackwardCase& c) { return "TransA " + Describe(c); });
+    ASSERT_EQ(diff, "");
+  }
+}
+
+TEST(KernelDispatch, ConvBackwardMatchesChainOracleBitwise) {
+  if (!TiledArmCompiled()) {
+    GTEST_SKIP() << "no AVX-512 tiled arm compiled: CausalConv1dBackward "
+                    "runs the scalar loop only";
+  }
+  // The U.S. TCN's five convs (the first conv and the projection read a
+  // constant, so no gx), empty shapes, gw chains past 256 terms, shifts at
+  // and past len; then random shapes with batch 1-40, cin 1-8, cout 1-9,
+  // len 1-70, k 1-4 and dilation 1-12, so every T mod 4 residue and every
+  // tile edge occurs, with gx and gb each absent one time in four.
+  std::vector<ConvBackwardShape> shapes = {
+      {20, 1, 6, 24, 3, 1, false, true},  {20, 6, 6, 24, 3, 1, true, true},
+      {20, 1, 6, 24, 1, 1, false, true},  {20, 6, 6, 24, 3, 2, true, true},
+      {8, 6, 6, 16, 3, 2, true, true},    {0, 3, 4, 10, 3, 1, true, true},
+      {3, 0, 4, 10, 3, 1, true, true},    {3, 4, 0, 10, 3, 1, true, true},
+      {3, 4, 5, 0, 3, 1, true, true},     {2, 3, 4, 300, 3, 2, true, true},
+      {17, 2, 7, 259, 2, 1, true, false}, {3, 2, 5, 10, 4, 4, true, true},
+      {33, 9, 13, 37, 3, 17, true, true}, {1, 1, 1, 1, 1, 1, true, true},
+      {40, 7, 2, 33, 4, 11, false, false},
+  };
+  Rng pick(20261021);
+  for (int i = 0; i < 600; ++i) {
+    shapes.push_back({1 + pick.UniformInt(40), 1 + pick.UniformInt(8),
+                      1 + pick.UniformInt(9), 1 + pick.UniformInt(70),
+                      1 + pick.UniformInt(4), 1 + pick.UniformInt(12),
+                      pick.UniformInt(4) != 0, pick.UniformInt(4) != 0});
+  }
+  std::vector<ConvBackwardCase> cases;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const ConvBackwardShape& s = shapes[i];
+    Rng rng(7000 + i);
+    const bool special = i % 3 == 2;
+    ConvBackwardCase c;
+    c.s = s;
+    c.x = BackwardDraws(rng, s.batch * s.cin * s.len, special, 0.2);
+    c.w = BackwardDraws(rng, s.cout * s.cin * s.k, special, 0.1);
+    c.gout = BackwardDraws(rng, s.batch * s.cout * s.len, special, 0.05);
+    // Accumulation targets start from values with both zero signs.
+    c.gx = s.with_gx ? BackwardDraws(rng, s.batch * s.cin * s.len, false, 0.3)
+                     : std::vector<float>();
+    c.gw = BackwardDraws(rng, s.cout * s.cin * s.k, false, 0.3);
+    c.gb = s.with_gb ? BackwardDraws(rng, s.cout, false, 0.3)
+                     : std::vector<float>();
+    cases.push_back(std::move(c));
+  }
+  std::vector<std::vector<float>> want;
+  for (const ConvBackwardCase& c : cases) want.push_back(OracleConvBackward(c));
+  for (int threads : {1, 4}) {
+    const std::string diff = CompareWithOracle(
+        cases, want, threads,
+        [](const ConvBackwardCase& c) {
+          const ConvBackwardShape& s = c.s;
+          std::vector<float> gx = c.gx, gw = c.gw, gb = c.gb;
+          kn::CausalConv1dBackward(
+              c.x.data(), c.w.data(), c.gout.data(),
+              s.with_gx ? gx.data() : nullptr, gw.data(),
+              s.with_gb ? gb.data() : nullptr, s.batch, s.cin, s.cout, s.len,
+              s.k, s.dilation);
+          gx.insert(gx.end(), gw.begin(), gw.end());
+          gx.insert(gx.end(), gb.begin(), gb.end());
+          return gx;
+        },
+        [](const ConvBackwardCase& c) {
+          const ConvBackwardShape& s = c.s;
+          return "conv backward batch=" + std::to_string(s.batch) +
+                 " cin=" + std::to_string(s.cin) +
+                 " cout=" + std::to_string(s.cout) +
+                 " len=" + std::to_string(s.len) +
+                 " k=" + std::to_string(s.k) +
+                 " dilation=" + std::to_string(s.dilation) +
+                 (s.with_gx ? "" : " no gx") + (s.with_gb ? "" : " no gb");
+        });
+    ASSERT_EQ(diff, "");
+  }
+}
+
 // ---- Packed-panel buffer: allocation-free steady state ---------------------
 
 TEST(GemmPack, SteadyStateAllocationFree) {
@@ -665,20 +1076,96 @@ TEST(KernelObs, GemmTransBBytesFormula) {
 #endif
   TelemetryGuard telemetry(true);
   ThreadCountGuard tg(1);
-  const int64_t p = 9, q = 21, r = 14;
-  Rng rng(59);
-  std::vector<float> a(static_cast<size_t>(p * q)),
-      bT(static_cast<size_t>(r * q)), c(static_cast<size_t>(p * r));
-  for (float& v : a) v = rng.Uniform(-1.0f, 1.0f);
-  for (float& v : bT) v = rng.Uniform(-1.0f, 1.0f);
-  obs::Registry::Global().ResetAll();
-  kn::MatMulTransB(a.data(), bT.data(), c.data(), p, q, r);
-  // bT streamed fully per output row; a re-read once per 4-column group
-  // plus once per tail column; C stored once.
-  const int64_t groups = r / 4 + r % 4;  // 3 + 2
-  const int64_t expected = 4 * (p * q * groups + p * q * r + p * r);
-  EXPECT_EQ(obs::Registry::Global().GetCounter("kernels.gemm_bytes").Total(),
-            static_cast<uint64_t>(expected));
+  for (kn::Backend be : AllBackends()) {
+    BackendGuard bg(be);
+    const bool tiled = be == kn::Backend::kSimd && TiledArmCompiled();
+    for (const GemmShape& s : {GemmShape{9, 21, 14}, GemmShape{5, 7, 40}}) {
+      const int64_t p = s.p, q = s.q, r = s.r;
+      Rng rng(59);
+      std::vector<float> a(static_cast<size_t>(p * q)),
+          bT(static_cast<size_t>(r * q)), c(static_cast<size_t>(p * r));
+      for (float& v : a) v = rng.Uniform(-1.0f, 1.0f);
+      for (float& v : bT) v = rng.Uniform(-1.0f, 1.0f);
+      obs::Registry::Global().ResetAll();
+      kn::MatMulTransB(a.data(), bT.data(), c.data(), p, q, r);
+      int64_t floats = 0;
+      if (tiled) {
+        // bT read once and written to the transposed pack, whose columns
+        // are zero-padded to whole 16-float vectors; the whole pack read
+        // once per 4-row tile; each a row once per 32-column block; C
+        // stored once.
+        const int64_t rpad = (r + 15) / 16 * 16;     // 16, 48
+        const int64_t row_tiles = (p + 3) / 4;       // 3, 2
+        const int64_t col_blocks = (r + 31) / 32;    // 1, 2
+        floats = q * r + q * rpad + row_tiles * q * rpad +
+                 col_blocks * p * q + p * r;
+      } else {
+        // bT streamed fully per output row; a re-read once per 4-column
+        // group plus once per tail column; C stored once.
+        const int64_t groups = r / 4 + r % 4;  // 3 + 2, 10 + 0
+        floats = p * q * groups + p * q * r + p * r;
+      }
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_bytes").Total(),
+          static_cast<uint64_t>(4 * floats))
+          << Name(be) << " p=" << p << " r=" << r;
+      // Calls and FLOPs do not depend on the arm.
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_calls").Total(), 1u);
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_flops").Total(),
+          static_cast<uint64_t>(2 * p * q * r));
+    }
+  }
+}
+
+TEST(KernelObs, GemmTransABytesFormula) {
+#ifdef CIT_OBS_DISABLED
+  GTEST_SKIP() << "CIT_OBS=OFF build: counters compile out";
+#endif
+  TelemetryGuard telemetry(true);
+  ThreadCountGuard tg(1);
+  for (kn::Backend be : AllBackends()) {
+    BackendGuard bg(be);
+    const bool tiled = be == kn::Backend::kSimd && TiledArmCompiled();
+    for (const GemmShape& s : {GemmShape{9, 21, 14}, GemmShape{6, 7, 40},
+                               GemmShape{30, 37, 1}}) {
+      const int64_t p = s.p, q = s.q, r = s.r;
+      Rng rng(61);
+      std::vector<float> a(static_cast<size_t>(p * q)),
+          b(static_cast<size_t>(p * r)), c(static_cast<size_t>(q * r));
+      for (float& v : a) v = rng.Uniform(-1.0f, 1.0f);
+      for (float& v : b) v = rng.Uniform(-1.0f, 1.0f);
+      obs::Registry::Global().ResetAll();
+      kn::MatMulTransA(a.data(), b.data(), c.data(), p, q, r);
+      int64_t floats = 0;
+      if (!tiled) {
+        // C zero-filled; a read once; per (i, j) a b row streamed and a C
+        // row read-modify-written.
+        floats = q * r + p * q + 3 * p * q * r;
+      } else if (r == 1) {
+        // Lanes over q: a read once, b once per 32-wide block of q, C
+        // stored once.
+        const int64_t q_blocks = (q + 31) / 32;  // 2
+        floats = p * q + q_blocks * p + q;
+      } else {
+        // Lanes over r: all of a per 32-column block, all of b per 4-row
+        // tile of C, C stored once.
+        const int64_t col_blocks = (r + 31) / 32;  // 1, 2
+        const int64_t row_tiles = (q + 3) / 4;     // 6, 2
+        floats = col_blocks * p * q + row_tiles * p * r + q * r;
+      }
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_bytes").Total(),
+          static_cast<uint64_t>(4 * floats))
+          << Name(be) << " q=" << q << " r=" << r;
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_calls").Total(), 1u);
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_flops").Total(),
+          static_cast<uint64_t>(2 * p * q * r));
+    }
+  }
 }
 
 TEST(KernelObs, ConvBytesFormulaBothPaths) {
@@ -690,8 +1177,7 @@ TEST(KernelObs, ConvBytesFormulaBothPaths) {
   for (kn::Backend be : AllBackends()) {
     // The SIMD backend's conv is the register-tiled arm exactly where the
     // build compiled one (AVX-512).
-    const bool tiled = be == kn::Backend::kSimd &&
-                       std::strcmp(kn::SimdIsaName(), "avx512") == 0;
+    const bool tiled = be == kn::Backend::kSimd && TiledArmCompiled();
     for (const ConvShape& s :
          {ConvShape{1, 2, 3, 6, 2, 1}, ConvShape{4, 2, 3, 6, 2, 1},
           ConvShape{3, 2, 7, 40, 3, 2}, ConvShape{2, 8, 16, 127, 3, 3}}) {
