@@ -253,7 +253,8 @@ run cmake --build build-thread -j"$(nproc)" --target test_threading \
 # their calling thread), so the other suites ride along for their per-thread
 # state and for concurrency of their own: test_rollout for the counter-split
 # streams and thread-count-invariant training curves; test_inference for the
-# grad-mode thread-local and the NoGradAllowed atomic; test_plan for plan
+# grad-mode thread-local (NoGradGuard's only per-thread state) and the
+# NoGradAllowed atomic; test_plan for plan
 # replays (fused sweeps, slab writes, the CompileAllowed atomic, the
 # recording thread-local); the serve daemon tests so worker threads, the
 # swap mutex + generation counter, and per-replica plan ownership are raced
@@ -269,7 +270,7 @@ run cmake --build build-thread -j"$(nproc)" --target test_threading \
 # backbone at 1 and 4 pool threads.
 (cd build-thread && run env CIT_FAST=1 CIT_OVERSUBSCRIBE=1 CIT_NUM_THREADS=4 \
     ctest --output-on-failure \
-    -R 'ThreadPool|Determinism|RngSplit|RolloutDeterminism|InferenceIdentity|GradMode\.|Arena\.|Compiled|ArenaStats\.|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep|StackedDecide')
+    -R 'ThreadPool|Determinism|RngSplit|RolloutDeterminism|InferenceIdentity|GradMode\.|Compiled|Serve|PlanOwner|KernelDispatch|Source|Scenario|Sweep|StackedDecide')
 
 echo "=== CIT_OBS=OFF build (instrumentation compiles out) ==="
 run cmake -B build-noobs -S . -DCMAKE_BUILD_TYPE=Release -DCIT_OBS=OFF

@@ -666,6 +666,12 @@ Status CrossInsightTrader::LoadModel(const std::string& path) {
   return nn::LoadParameters(&all, path);
 }
 
+Status CrossInsightTrader::LoadModelFromBytes(
+    const std::vector<uint8_t>& bytes) {
+  nn::ModuleGroup all = AllModules();
+  return nn::LoadParametersFromBytes(&all, bytes);
+}
+
 rl::TrainerCheckpointParts CrossInsightTrader::CheckpointParts() const {
   rl::TrainerCheckpointParts parts;
   parts.meta.trainer = "CIT";

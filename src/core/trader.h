@@ -1,6 +1,7 @@
 #ifndef CIT_CORE_TRADER_H_
 #define CIT_CORE_TRADER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -68,6 +69,8 @@ class CrossInsightTrader : public env::TradingAgent {
   // requires a trader constructed with an identical config and asset count.
   Status SaveModel(const std::string& path) const;
   Status LoadModel(const std::string& path);
+  // LoadModel from the bytes of a weights file already read into memory.
+  Status LoadModelFromBytes(const std::vector<uint8_t>& bytes);
 
   // Full crash-safe training state (weights + both Adam states + training
   // progress), written atomically. Train() calls this periodically when

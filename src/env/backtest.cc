@@ -19,8 +19,7 @@ BacktestResult RunBacktest(TradingAgent& agent,
   result.wealth.push_back(1.0);
   result.days.push_back(env.current_day());
   // A backtest only ever reads policy outputs, so the whole evaluation loop
-  // runs graph-free: model forwards inside DecideWeights allocate no tape
-  // and recycle their temporaries through the per-thread arena.
+  // runs graph-free: model forwards inside DecideWeights allocate no tape.
   ag::NoGradGuard no_grad;
   while (!env.done()) {
     CIT_OBS_SPAN("backtest.step");

@@ -27,8 +27,7 @@ bool NoGradAllowed() {
   return g_nograd_allowed.load(std::memory_order_relaxed);
 }
 
-NoGradGuard::NoGradGuard()
-    : prev_(detail::GradEnabledFlag()), arena_(NoGradAllowed()) {
+NoGradGuard::NoGradGuard() : prev_(detail::GradEnabledFlag()) {
   if (NoGradAllowed()) detail::GradEnabledFlag() = false;
 }
 

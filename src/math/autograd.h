@@ -49,13 +49,11 @@ inline bool GradEnabled() { return detail::GradEnabledFlag(); }
 void SetNoGradAllowed(bool allowed);
 bool NoGradAllowed();
 
-// RAII: disables graph construction on the current thread and opens the
-// per-thread tensor-buffer arena (math::ArenaScope) for the same extent, so
-// repeated inference forwards recycle their temporaries. Purely a
+// RAII: disables graph construction on the current thread. Purely a
 // performance mode — values are bitwise identical with or without the
 // guard. Nests; the previous mode is restored on destruction. Thread-local
-// by design: rollout workers building training graphs are unaffected by a
-// guard on another thread.
+// by design: a graph built on another thread is unaffected by a guard on
+// this one.
 class NoGradGuard {
  public:
   NoGradGuard();
@@ -65,7 +63,6 @@ class NoGradGuard {
 
  private:
   bool prev_;
-  math::ArenaScope arena_;
 };
 
 // One vertex of the dynamically-built computation DAG. Nodes are created by

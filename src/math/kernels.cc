@@ -615,10 +615,71 @@ void CausalConv1dBackward(const float* x, const float* w, const float* gout,
                           float* gx, float* gw, float* gb, int64_t batch,
                           int64_t cin, int64_t cout, int64_t len, int64_t k,
                           int64_t dilation) {
+  // The backend is read once per call, as in MatMul.
+  const bool tiled = simd::kHasTiles && UseSimd();
   CIT_OBS_COUNT("kernels.conv_backward_calls", 1);
   CIT_OBS_COUNT("kernels.conv_flops", 4 * batch * cout * cin * k * len);
+#ifndef CIT_OBS_DISABLED
+  {
+    // Logical load/store traffic of the arm that runs, counted as in the
+    // forward, with S the post-pad tap coverage and kLive the taps that
+    // have a term (shift < len). The scalar loops, per (batch row, co):
+    // with a gb, the gout row read and gb[co] read-modify-written
+    // (len + 2); per ci and tap, the weight read and gw's read-modify-write
+    // (3*k per ci), and per term a gout read, an input read and a gx
+    // read-modify-write (4*S per ci). Without a gx they first zero-fill a
+    // scratch input gradient (batch*cin*len). The tiled arm, with bpad the
+    // batch rounded up to whole vectors and nB = bpad / kTileLanes:
+    //   - gx tiles, only with a gx: every gx value loaded and stored once
+    //     (2*batch*cin*len); per batch row, the gout rows over the tap
+    //     coverage once per block of kConvTileCout input channels
+    //     (ceil(cin/kConvTileCout)*cout*S), and each weight of a live tap
+    //     once per row tile (ceil(len/kConvTileLen)*cout*cin*kLive);
+    //   - the two time-major regroups: gout and x read once
+    //     (batch*(cout + cin)*len) and written padded
+    //     ((cout + cin)*len*bpad);
+    //   - gb tiles, only with a gb: the regrouped gout read once
+    //     (cout*len*bpad) and each gb value read-modify-written once per
+    //     block of batch rows (2*cout*nB);
+    //   - gw tiles: per ci and term, the regrouped x once per block of
+    //     kConvTileCout output channels and the regrouped gout once per
+    //     output channel (cin*S*bpad*(ceil(cout/kConvTileCout) + cout)),
+    //     and each gw value read-modify-written once per block of batch
+    //     rows, live tap or not (2*cout*cin*k*nB).
+    // Pinned by tests/test_kernels.cc KernelObs.ConvBackwardBytesFormula.
+    int64_t taps = 0;  // S above
+    int64_t live = 0;  // kLive above
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const int64_t terms = len - (k - 1 - kk) * dilation;
+      taps += std::max<int64_t>(0, terms);
+      live += terms > 0 ? 1 : 0;
+    }
+    int64_t floats = 0;
+    if (tiled) {
+      const int64_t bpad = (batch + simd::kTileLanes - 1) / simd::kTileLanes *
+                           simd::kTileLanes;
+      const int64_t nb = bpad / simd::kTileLanes;
+      const int64_t cin_blocks = (cin + kConvTileCout - 1) / kConvTileCout;
+      const int64_t cout_blocks = (cout + kConvTileCout - 1) / kConvTileCout;
+      const int64_t tiles = (len + kConvTileLen - 1) / kConvTileLen;
+      if (gx != nullptr) {
+        floats += batch * (2 * cin * len + cin_blocks * cout * taps +
+                           tiles * cout * cin * live);
+      }
+      floats += (batch * len + len * bpad) * (cout + cin);
+      if (gb != nullptr) floats += cout * len * bpad + 2 * cout * nb;
+      floats += cin * taps * bpad * (cout_blocks + cout) +
+                2 * cout * cin * k * nb;
+    } else {
+      if (gx == nullptr) floats += batch * cin * len;
+      if (gb != nullptr) floats += batch * cout * (len + 2);
+      floats += batch * cout * cin * (3 * k + 4 * taps);
+    }
+    CIT_OBS_COUNT("kernels.conv_bytes", int64_t{4} * floats);
+  }
+#endif
   if constexpr (simd::kHasTiles) {
-    if (UseSimd()) {
+    if (tiled) {
       simd::ConvBackward(x, w, gout, gx, gw, gb, batch, cin, cout, len, k,
                          dilation);
       return;

@@ -100,9 +100,10 @@ struct Recorder {
   ExecPlan plan;
   std::unordered_map<BufKey, int, BufKeyHash> by_buf;
   std::unordered_map<const ag::Node*, int> by_node;
-  // Pins every registered tensor for the duration of the recording so the
-  // arena cannot recycle a registered buffer onto a new value (which would
-  // make a by_buf key silently resolve to the wrong slot).
+  // Pins every registered tensor for the duration of the recording: a
+  // BufKey is a storage address, and the allocator may hand a freed
+  // buffer's address to a new value, which would make a by_buf key
+  // silently resolve to the wrong slot.
   std::vector<Tensor> pins;
   int64_t ops_seen = 0;      // MakeOp/MakeOpVec calls (via NoteOp)
   int64_t ops_recorded = 0;  // Record* calls

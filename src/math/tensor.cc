@@ -7,133 +7,8 @@
 
 #include "common/check.h"
 #include "math/kernels.h"
-#include "obs/telemetry.h"
 
 namespace cit::math {
-
-namespace detail {
-namespace {
-
-// Per-thread Storage freelist behind ArenaScope. Bounded so a burst of
-// large temporaries cannot pin memory for the thread's lifetime.
-constexpr int64_t kArenaMaxHeldFloats = int64_t{1} << 22;  // 16 MiB
-constexpr size_t kArenaMaxPerSize = 64;     // parked objects per size class
-constexpr size_t kArenaMaxSizeClasses = 64;  // distinct sizes tracked
-
-thread_local int t_arena_depth = 0;      // >0 while inside an ArenaScope
-thread_local bool t_pool_alive = false;  // false once the pool is destroyed
-thread_local int64_t t_arena_reuse = 0;
-thread_local int64_t t_arena_miss = 0;
-thread_local int64_t t_arena_reused_bytes = 0;
-thread_local int64_t t_arena_fresh_bytes = 0;
-
-// Whole Storage objects are parked, not just their float buffers, so a
-// reuse is pop + control block — no Storage reallocation, no vector move.
-// Sizes are exact-match classes in a flat vector: an inference forward
-// allocates the same few dozen shapes every step, so a short linear scan
-// beats hashing (the previous unordered_map pool measured as a net loss).
-struct SizeClass {
-  int64_t n = 0;
-  std::vector<Storage*> free_list;
-};
-
-struct BufferPool {
-  std::vector<SizeClass> classes;
-  int64_t held = 0;
-  BufferPool() { t_pool_alive = true; }
-  ~BufferPool() {
-    t_pool_alive = false;
-    for (SizeClass& c : classes)
-      for (Storage* s : c.free_list) delete s;
-  }
-  SizeClass* Find(int64_t n) {
-    for (SizeClass& c : classes)
-      if (c.n == n) return &c;
-    return nullptr;
-  }
-};
-
-BufferPool& Pool() {
-  thread_local BufferPool pool;
-  return pool;
-}
-
-// shared_ptr deleter for arena-allocated Storage: parks the object in the
-// destroying thread's freelist. Running on a different thread than the
-// allocation is fine — each thread only ever touches its own pool.
-void RecycleStorage(Storage* s) {
-  if (t_pool_alive) {
-    BufferPool& pool = Pool();
-    const int64_t n = static_cast<int64_t>(s->data.size());
-    if (n > 0 && pool.held + n <= kArenaMaxHeldFloats) {
-      SizeClass* c = pool.Find(n);
-      if (c == nullptr && pool.classes.size() < kArenaMaxSizeClasses) {
-        pool.classes.push_back(SizeClass{n, {}});
-        c = &pool.classes.back();
-      }
-      if (c != nullptr && c->free_list.size() < kArenaMaxPerSize) {
-        c->free_list.push_back(s);
-        pool.held += n;
-        return;
-      }
-    }
-  }
-  delete s;
-}
-
-}  // namespace
-
-std::shared_ptr<Storage> NewStorage(int64_t n, bool zero_fill) {
-  if (t_arena_depth > 0) {
-    BufferPool& pool = Pool();
-    SizeClass* c = pool.Find(n);
-    if (c != nullptr && !c->free_list.empty()) {
-      Storage* s = c->free_list.back();
-      c->free_list.pop_back();
-      pool.held -= n;
-      ++t_arena_reuse;
-      t_arena_reused_bytes += n * static_cast<int64_t>(sizeof(float));
-      CIT_OBS_COUNT("arena.hits", 1);
-      CIT_OBS_COUNT("arena.reused_bytes",
-                    n * static_cast<int64_t>(sizeof(float)));
-      // Recycled buffers hold stale values; fresh ones are zero-initialized
-      // by the vector, so only this path re-zeroes (and only when asked).
-      if (zero_fill) std::fill(s->data.begin(), s->data.end(), 0.0f);
-      return std::shared_ptr<Storage>(s, &RecycleStorage);
-    }
-    ++t_arena_miss;
-    t_arena_fresh_bytes += n * static_cast<int64_t>(sizeof(float));
-    CIT_OBS_COUNT("arena.misses", 1);
-    CIT_OBS_COUNT("arena.fresh_bytes",
-                  n * static_cast<int64_t>(sizeof(float)));
-    // Fresh vectors are already zero-initialized; attach the recycling
-    // deleter so this Storage enters the freelist when it dies.
-    return std::shared_ptr<Storage>(new Storage(n), &RecycleStorage);
-  }
-  (void)zero_fill;  // fresh vectors are zero-initialized
-  return std::make_shared<Storage>(n);
-}
-
-}  // namespace detail
-
-ArenaScope::ArenaScope(bool enable) : enabled_(enable) {
-  if (enabled_) ++detail::t_arena_depth;
-}
-
-ArenaScope::~ArenaScope() {
-  if (enabled_) --detail::t_arena_depth;
-}
-
-int64_t ArenaReuseCount() { return detail::t_arena_reuse; }
-
-ArenaStats ArenaStatsNow() {
-  ArenaStats s;
-  s.hits = detail::t_arena_reuse;
-  s.misses = detail::t_arena_miss;
-  s.reused_bytes = detail::t_arena_reused_bytes;
-  s.fresh_bytes = detail::t_arena_fresh_bytes;
-  return s;
-}
 
 int64_t Tensor::NumelOf(const Shape& shape) {
   int64_t n = 1;
@@ -147,7 +22,7 @@ int64_t Tensor::NumelOf(const Shape& shape) {
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)) {
   numel_ = NumelOf(shape_);
-  storage_ = detail::NewStorage(numel_, /*zero_fill=*/true);
+  storage_ = std::make_shared<detail::Storage>(numel_);
 }
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
@@ -170,8 +45,7 @@ void Tensor::EnsureUnique() {
   // Sole owner: in-place writes cannot be observed elsewhere, even for a
   // view into a larger buffer (the parent handle is gone).
   if (storage_.use_count() == 1) return;
-  // Every element is overwritten by the copy below, so skip the zero-fill.
-  auto fresh = detail::NewStorage(numel_, /*zero_fill=*/false);
+  auto fresh = std::make_shared<detail::Storage>(numel_);
   kernels::Copy(storage_->data.data() + offset_, fresh->data.data(), numel_);
   storage_ = std::move(fresh);
   offset_ = 0;
@@ -363,7 +237,7 @@ void Tensor::MulScalarInPlace(float v) {
 void Tensor::Fill(float v) {
   if (storage_ && storage_.use_count() > 1) {
     // Every element is overwritten: detach without copying the old values.
-    storage_ = detail::NewStorage(numel_, /*zero_fill=*/false);
+    storage_ = std::make_shared<detail::Storage>(numel_);
     offset_ = 0;
   }
   if (storage_) kernels::Fill(data(), v, numel_);

@@ -22,50 +22,7 @@ struct Storage {
   explicit Storage(std::vector<float> d) : data(std::move(d)) {}
   std::vector<float> data;
 };
-
-// Allocates a Storage of n zero-initialized floats. Inside an ArenaScope the
-// buffer is recycled from (and eventually returned to) the calling thread's
-// freelist; `zero_fill` may be false only when the caller overwrites every
-// element before any read.
-std::shared_ptr<Storage> NewStorage(int64_t n, bool zero_fill);
 }  // namespace detail
-
-// RAII: while at least one enabled ArenaScope is live on a thread, tensor
-// buffers freed on that thread are parked in a per-thread size-bucketed
-// freelist and subsequent allocations are served from it instead of the
-// global allocator. ag::NoGradGuard opens one so repeated graph-free
-// forwards (backtest inference, target-network evaluation) stop churning
-// malloc. Reuse is invisible to the value API: a recycled buffer is
-// re-zeroed wherever a fresh buffer would have been zero-initialized. The
-// freelist is bounded and survives between scopes, which is what makes the
-// reuse effective across per-step guards.
-class ArenaScope {
- public:
-  explicit ArenaScope(bool enable = true);
-  ~ArenaScope();
-  ArenaScope(const ArenaScope&) = delete;
-  ArenaScope& operator=(const ArenaScope&) = delete;
-
- private:
-  bool enabled_;
-};
-
-// Number of allocations served from the calling thread's arena freelist so
-// far (diagnostics/tests; code must never branch on it).
-int64_t ArenaReuseCount();
-
-// Cumulative arena efficiency counters for the calling thread: `hits` are
-// allocations served from the freelist, `misses` are allocations that fell
-// through to the global allocator while an ArenaScope was open, and the
-// byte totals split the traffic the same way. The same numbers feed the
-// obs Registry as arena.* counters when telemetry is enabled.
-struct ArenaStats {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t reused_bytes = 0;
-  int64_t fresh_bytes = 0;
-};
-ArenaStats ArenaStatsNow();
 
 // A dense, contiguous, row-major float32 tensor backed by a refcounted
 // Storage with copy-on-write semantics:

@@ -24,20 +24,25 @@ Status SaveParameters(const Module& module, const std::string& path) {
 Status LoadParameters(Module* module, const std::string& path) {
   std::vector<uint8_t> bytes;
   if (Status s = ReadFileBytes(path, &bytes); !s.ok()) return s;
+  if (Status s = LoadParametersFromBytes(module, bytes); !s.ok()) {
+    return Status(s.code(), s.message() + " in " + path);
+  }
+  return Status::OK();
+}
+
+Status LoadParametersFromBytes(Module* module,
+                               const std::vector<uint8_t>& bytes) {
   if (bytes.size() < kMagicLen ||
       std::memcmp(bytes.data(), kMagic, kMagicLen) != 0) {
-    return Status::InvalidArgument("bad magic in " + path);
+    return Status::InvalidArgument("bad magic");
   }
   ByteReader r(bytes.data() + kMagicLen, bytes.size() - kMagicLen);
   // Parse everything into staging first (validating names, shapes, and
   // finiteness) so a malformed file leaves the module untouched.
   std::vector<math::Tensor> staged;
-  if (Status s = ParseParameters(&r, *module, &staged); !s.ok()) {
-    return Status(s.code(), s.message() + " in " + path);
-  }
+  if (Status s = ParseParameters(&r, *module, &staged); !s.ok()) return s;
   if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after last tensor in " +
-                                   path);
+    return Status::InvalidArgument("trailing bytes after last tensor");
   }
   CommitParameters(std::move(staged), *module);
   return Status::OK();

@@ -1,7 +1,9 @@
 #ifndef CIT_NN_SERIALIZE_H_
 #define CIT_NN_SERIALIZE_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "nn/module.h"
@@ -25,6 +27,10 @@ Status SaveParameters(const Module& module, const std::string& path);
 // mismatches, truncation, non-finite values, and trailing bytes all fail
 // without modifying the module.
 Status LoadParameters(Module* module, const std::string& path);
+
+// LoadParameters without the file read: `bytes` is a whole weights file.
+Status LoadParametersFromBytes(Module* module,
+                               const std::vector<uint8_t>& bytes);
 
 }  // namespace cit::nn
 

@@ -2,9 +2,11 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/trader.h"
 #include "market/source.h"
+#include "nn/checkpoint.h"
 
 namespace cit::serve {
 
@@ -38,8 +40,8 @@ class CitServedModel : public ServedModel {
     return out;
   }
 
-  Status LoadWeights(const std::string& path) override {
-    return trader_.LoadModel(path);
+  Status LoadWeights(const std::vector<uint8_t>& bytes) override {
+    return trader_.LoadModelFromBytes(bytes);
   }
 
  private:
@@ -50,11 +52,21 @@ class CitServedModel : public ServedModel {
 
 ModelFactory MakeCitModelFactory(int64_t num_assets,
                                  const core::CrossInsightConfig& config,
-                                 std::string initial_weights_path) {
-  return [num_assets, config,
-          path = std::move(initial_weights_path)]() -> std::unique_ptr<ServedModel> {
+                                 const std::string& initial_weights_path) {
+  // The file is read once, here, so every replica loads the same bytes.
+  std::shared_ptr<const std::vector<uint8_t>> weights;
+  if (!initial_weights_path.empty()) {
+    std::vector<uint8_t> bytes;
+    if (!nn::ReadFileBytes(initial_weights_path, &bytes).ok()) {
+      return [] { return std::unique_ptr<ServedModel>(); };
+    }
+    weights = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  }
+  return [num_assets, config, weights]() -> std::unique_ptr<ServedModel> {
     auto model = std::make_unique<CitServedModel>(num_assets, config);
-    if (!path.empty() && !model->LoadWeights(path).ok()) return nullptr;
+    if (weights != nullptr && !model->LoadWeights(*weights).ok()) {
+      return nullptr;
+    }
     return model;
   };
 }

@@ -12,7 +12,9 @@ namespace cit::serve {
 // A ModelFactory serving the cross-insight trader: each worker gets its
 // own CrossInsightTrader replica built from (num_assets, config) and, when
 // `initial_weights_path` is non-empty, loaded from that weights file
-// before the server starts accepting.
+// before the server starts accepting. The file is read once, when the
+// factory is made; a file that cannot be read or loaded fails every
+// replica, and so Server::Start.
 //
 // The adapter makes serving stateless: every flush goes through
 // DecideWeightsBatch, which uses uniform previous actions and skips the
@@ -21,7 +23,7 @@ namespace cit::serve {
 // weights — the equivalence the serve soak test pins down.
 ModelFactory MakeCitModelFactory(int64_t num_assets,
                                  const core::CrossInsightConfig& config,
-                                 std::string initial_weights_path = "");
+                                 const std::string& initial_weights_path = "");
 
 }  // namespace cit::serve
 

@@ -13,11 +13,14 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "nn/checkpoint.h"
 #include "obs/telemetry.h"
 #include "serve/protocol.h"
 
@@ -105,18 +108,18 @@ struct Server::Impl {
 
   // Worker start handshake: Start() returns only after every worker built
   // its replica (factory runs on the worker thread so thread-affine state
-  // — arenas, compiled-plan ownership — pins where it will be used).
+  // — compiled-plan ownership — pins where it will be used).
   std::mutex start_mu;
   std::condition_variable start_cv;
   int workers_ready = 0;
   int workers_failed = 0;
 
-  // Hot-swap publication: a successful "swap" validates+commits on the
-  // handling worker, then publishes the path and bumps the generation.
-  // Other workers notice the bump and reload lazily, serialized by
-  // swap_mu so two replicas never race on reading a file being replaced.
+  // Hot-swap publication: a successful "swap" validates+commits the file's
+  // bytes on the handling worker, then publishes those bytes and bumps the
+  // generation, both under swap_mu. Other workers notice the bump and load
+  // the published bytes lazily.
   std::mutex swap_mu;
-  std::string swap_path;
+  std::shared_ptr<const std::vector<uint8_t>> swap_bytes;
   std::atomic<uint64_t> generation{0};
 
   struct Worker {
@@ -137,7 +140,7 @@ struct Server::Impl {
   };
 
   void WorkerMain();
-  bool MaybeReload(Worker& w, std::string* error);
+  void MaybeReload(Worker& w);
   void HandleLine(Worker& w, Conn& c, std::string_view line, BatchState& bs);
   void HandleDecide(Worker& w, Conn& c, const Request& req, BatchState& bs);
   std::string HandleSwap(Worker& w, const Request& req);
@@ -291,21 +294,20 @@ bool Server::Impl::FlushOut(Conn& conn) {
   return true;
 }
 
-bool Server::Impl::MaybeReload(Impl::Worker& w, std::string* error) {
-  if (generation.load(std::memory_order_acquire) == w.local_gen) return true;
-  std::lock_guard<std::mutex> lock(swap_mu);
-  const uint64_t gen = generation.load(std::memory_order_relaxed);
-  if (gen == w.local_gen) return true;
-  const Status s = w.replica->LoadWeights(swap_path);
-  if (!s.ok()) {
-    // The replica is unchanged (the loader is validate-then-commit); keep
-    // serving the old generation rather than handing out wrong weights.
-    CIT_OBS_COUNT("serve.reload_errors", 1);
-    *error = s.message();
-    return false;
+void Server::Impl::MaybeReload(Impl::Worker& w) {
+  if (generation.load(std::memory_order_acquire) == w.local_gen) return;
+  uint64_t gen = 0;
+  std::shared_ptr<const std::vector<uint8_t>> bytes;
+  {
+    std::lock_guard<std::mutex> lock(swap_mu);
+    gen = generation.load(std::memory_order_relaxed);
+    bytes = swap_bytes;
   }
+  // The swapping worker's replica already loaded these bytes, and every
+  // replica comes from the same factory, so this load cannot fail.
+  const Status s = w.replica->LoadWeights(*bytes);
+  CIT_CHECK_MSG(s.ok(), s.message().c_str());
   w.local_gen = gen;
-  return true;
 }
 
 void Server::Impl::HandleDecide(Impl::Worker& w, Conn& c, const Request& req,
@@ -365,12 +367,8 @@ void Server::Impl::ExecuteBatch(Impl::Worker& w, std::vector<Conn>& conns,
   }
   CIT_OBS_HIST("serve.batch_size", k);
   std::vector<std::string> texts(k);
-  std::string reload_error;
-  if (!MaybeReload(w, &reload_error)) {
-    for (std::string& t : texts) {
-      t = FormatError("model", "weight reload failed: " + reload_error);
-    }
-  } else {
+  MaybeReload(w);
+  {
     CIT_OBS_SPAN("serve.batch_us");
     if (k > 1) CIT_OBS_COUNT("serve.batched_requests", k);
     std::vector<const market::PricePanel*> panels;
@@ -419,15 +417,19 @@ void Server::Impl::FlushBatches(Impl::Worker& w, std::vector<Conn>& conns,
 }
 
 std::string Server::Impl::HandleSwap(Impl::Worker& w, const Request& req) {
+  // The file is read exactly once: these bytes are what every replica
+  // serves under the new generation.
+  auto bytes = std::make_shared<std::vector<uint8_t>>();
+  Status s = nn::ReadFileBytes(req.path, bytes.get());
   std::lock_guard<std::mutex> lock(swap_mu);
   // Validate by loading into this worker's replica; on failure nothing
   // changed anywhere and the old generation keeps serving.
-  const Status s = w.replica->LoadWeights(req.path);
+  if (s.ok()) s = w.replica->LoadWeights(*bytes);
   if (!s.ok()) {
     CIT_OBS_COUNT("serve.swap_errors", 1);
     return FormatError("model", "swap rejected: " + s.message());
   }
-  swap_path = req.path;
+  swap_bytes = std::move(bytes);
   const uint64_t gen =
       generation.fetch_add(1, std::memory_order_acq_rel) + 1;
   w.local_gen = gen;
@@ -446,12 +448,10 @@ void Server::Impl::HandleLine(Impl::Worker& w, Conn& c, std::string_view line,
   CIT_OBS_COUNT("serve.requests", 1);
   const Request req = ParseRequest(line);
   switch (req.kind) {
-    case Request::kPing: {
-      std::string ignored;
-      MaybeReload(w, &ignored);  // keep ping's generation fresh
+    case Request::kPing:
+      MaybeReload(w);  // keep ping's generation fresh
       Respond(c, "ok pong " + std::to_string(w.local_gen) + "\n");
       return;
-    }
     case Request::kStats:
       Respond(c, obs::Registry::Global().SnapshotJson() + "\n");
       return;

@@ -16,9 +16,9 @@
 // Threading model — the part the rest of the scaling roadmap leans on:
 //   * N worker threads, each owning its own ServedModel replica,
 //     constructed *on* that worker thread. Everything thread-affine in the
-//     inference stack therefore lands where it is used: the per-thread
-//     NoGradGuard storage arena, and the single-owner plan::CompiledFn
-//     caches, which pin themselves to the first thread that runs them.
+//     inference stack therefore lands where it is used: the single-owner
+//     plan::CompiledFn caches, which pin themselves to the first thread
+//     that runs them.
 //   * Each worker multiplexes its accepted connections with poll(), so a
 //     slow, silent, or half-open client can never stall the worker: socket
 //     I/O is non-blocking, EINTR-safe, partial-read/write correct, and
@@ -32,14 +32,16 @@
 //     connection. Responses stay in per-connection request order: inline
 //     replies (ping/stats/swap/errors) queue behind any still-pending
 //     batched decide on the same connection.
-//   * Checkpoint hot-swap: a "swap <path>" request validates the new
-//     weights by loading them into the handling worker's replica (the
-//     loader stages and verifies everything before committing, so a bad
-//     file changes nothing), then publishes {path, generation}. Other
-//     workers reload lazily before their next decision. Weight commits go
-//     through Var::mutable_value(), which bumps parameter versions, so
-//     each replica's stale compiled plans invalidate and re-record on
-//     that replica's own thread.
+//   * Checkpoint hot-swap: a "swap <path>" request reads the file once and
+//     validates those bytes by loading them into the handling worker's
+//     replica (the loader stages and verifies everything before
+//     committing, so a bad file changes nothing), then publishes
+//     {bytes, generation}. Other workers load the same bytes lazily before
+//     their next decision, so no worker reads the file after the swap is
+//     acknowledged: rewriting or deleting it cannot change what a
+//     generation serves. Weight commits go through Var::mutable_value(),
+//     which bumps parameter versions, so each replica's stale compiled
+//     plans invalidate and re-record on that replica's own thread.
 //   * Every decide response carries the generation of the weights that
 //     produced it, which is what makes bitwise serve-vs-library checks
 //     possible across a mid-soak swap.
@@ -68,9 +70,10 @@ class ServedModel {
     return std::move(DecideBatch({&panel})[0]);
   }
 
-  // Replaces the replica's weights from a weights file; must stage and
-  // validate before committing (on error the replica is unchanged).
-  virtual Status LoadWeights(const std::string& path) = 0;
+  // Replaces the replica's weights from the bytes of a weights file; must
+  // stage and validate before committing (on error the replica is
+  // unchanged). Equal bytes must load the same way on every replica.
+  virtual Status LoadWeights(const std::vector<uint8_t>& bytes) = 0;
 };
 
 // Builds one replica; invoked once per worker, on the worker's thread.

@@ -4,7 +4,7 @@
 // identical whether the guards are honored (default) or disabled via the
 // ag::SetNoGradAllowed kill switch.
 // Plus structural tests for the graph-free Var representation, mixed-mode
-// constant lifting, guard nesting, and the per-thread buffer arena.
+// constant lifting, and guard nesting.
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -261,37 +261,6 @@ TEST(GradMode, KillSwitchForcesGradsOnEverywhere) {
   ASSERT_NE(y.node(), nullptr);  // graph built despite the guard
   y.Backward();
   EXPECT_FLOAT_EQ(a.grad()[0], 6.0f);
-}
-
-// ---- Buffer arena -----------------------------------------------------------
-
-TEST(Arena, RepeatedGuardedForwardsRecycleBuffers) {
-  math::Rng rng(4);
-  const Tensor x = Tensor::Uniform({16, 16}, rng, -1, 1);
-  // Warm the pool with one guarded pass, then measure reuse on later ones.
-  {
-    ag::NoGradGuard no_grad;
-    (void)ag::Softmax(ag::MatMul(ag::Var::Constant(x),
-                                 ag::Var::Constant(x)));
-  }
-  const int64_t before = math::ArenaReuseCount();
-  for (int rep = 0; rep < 3; ++rep) {
-    ag::NoGradGuard no_grad;
-    (void)ag::Softmax(ag::MatMul(ag::Var::Constant(x),
-                                 ag::Var::Constant(x)));
-  }
-  EXPECT_GT(math::ArenaReuseCount(), before);
-}
-
-TEST(Arena, NoRecyclingOutsideGuards) {
-  const int64_t before = math::ArenaReuseCount();
-  math::Rng rng(5);
-  for (int rep = 0; rep < 3; ++rep) {
-    Tensor x = Tensor::Uniform({16, 16}, rng, -1, 1);
-    ag::Var y = ag::Softmax(ag::Var::Param(x));
-    y = ag::Sum(y);
-  }
-  EXPECT_EQ(math::ArenaReuseCount(), before);
 }
 
 }  // namespace

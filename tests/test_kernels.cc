@@ -1220,5 +1220,93 @@ TEST(KernelObs, ConvBytesFormulaBothPaths) {
   }
 }
 
+TEST(KernelObs, ConvBackwardBytesFormula) {
+#ifdef CIT_OBS_DISABLED
+  GTEST_SKIP() << "CIT_OBS=OFF build: counters compile out";
+#endif
+  TelemetryGuard telemetry(true);
+  ThreadCountGuard tg(1);
+  for (kn::Backend be : AllBackends()) {
+    BackendGuard bg(be);
+    const bool tiled = be == kn::Backend::kSimd && TiledArmCompiled();
+    // With and without gx and gb; batch 17 pads to two vectors of rows,
+    // cin 8 and cout 7 end in partial channel blocks, len 40 in a partial
+    // time tile, and the last shape has a tap whose shift is past len.
+    for (const ConvBackwardShape& s :
+         {ConvBackwardShape{2, 3, 4, 10, 3, 2, true, true},
+          ConvBackwardShape{17, 8, 7, 40, 2, 1, false, true},
+          ConvBackwardShape{3, 2, 5, 4, 3, 3, true, false}}) {
+      Rng rng(67);
+      std::vector<float> x(static_cast<size_t>(s.batch * s.cin * s.len)),
+          w(static_cast<size_t>(s.cout * s.cin * s.k)),
+          gout(static_cast<size_t>(s.batch * s.cout * s.len)),
+          gx(x.size()), gw(w.size()), gb(static_cast<size_t>(s.cout));
+      for (std::vector<float>* v : {&x, &w, &gout}) {
+        for (float& f : *v) f = rng.Uniform(-1.0f, 1.0f);
+      }
+      obs::Registry::Global().ResetAll();
+      kn::CausalConv1dBackward(x.data(), w.data(), gout.data(),
+                               s.with_gx ? gx.data() : nullptr, gw.data(),
+                               s.with_gb ? gb.data() : nullptr, s.batch,
+                               s.cin, s.cout, s.len, s.k, s.dilation);
+      int64_t taps = 0;  // post-pad tap coverage: 24, 79, 5
+      int64_t live = 0;  // taps with a term: 3, 2, 2
+      for (int64_t kk = 0; kk < s.k; ++kk) {
+        const int64_t terms = s.len - (s.k - 1 - kk) * s.dilation;
+        taps += std::max<int64_t>(0, terms);
+        if (terms > 0) ++live;
+      }
+      int64_t floats = 0;
+      if (tiled) {
+        const int64_t bpad = (s.batch + 15) / 16 * 16;  // 16, 32, 16
+        const int64_t row_blocks = bpad / 16;           // 1, 2, 1
+        const int64_t cin_blocks =
+            (s.cin + kn::kConvTileCout - 1) / kn::kConvTileCout;
+        const int64_t cout_blocks =
+            (s.cout + kn::kConvTileCout - 1) / kn::kConvTileCout;
+        const int64_t tiles = (s.len + kn::kConvTileLen - 1) / kn::kConvTileLen;
+        // gx tiles: gx loaded and stored once, gout over the tap coverage
+        // per input-channel block, each live weight per time tile.
+        if (s.with_gx) {
+          floats += s.batch * (2 * s.cin * s.len + cin_blocks * s.cout * taps +
+                               tiles * s.cout * s.cin * live);
+        }
+        // Both time-major regroups: read once, written padded to bpad.
+        floats += (s.cout + s.cin) * s.len * (s.batch + bpad);
+        // gb tiles: the regrouped gout once, gb updated per row block.
+        if (s.with_gb) {
+          floats += s.cout * s.len * bpad + 2 * s.cout * row_blocks;
+        }
+        // gw tiles: per cin and term, the regrouped x per output-channel
+        // block and the regrouped gout per output channel; gw updated per
+        // row block.
+        floats += s.cin * taps * bpad * (cout_blocks + s.cout) +
+                  2 * s.cout * s.cin * s.k * row_blocks;
+      } else {
+        // Per (row, co, ci): the weight and gw per tap, and per term gout,
+        // x and a gx read-modify-write; per (row, co) the gout row and gb.
+        floats = s.batch * s.cout * s.cin * (3 * s.k + 4 * taps);
+        if (s.with_gb) floats += s.batch * s.cout * (s.len + 2);
+        // Without a gx the loops zero-fill a scratch one first.
+        if (!s.with_gx) floats += s.batch * s.cin * s.len;
+      }
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.conv_bytes").Total(),
+          static_cast<uint64_t>(4 * floats))
+          << Name(be) << (tiled ? " tiled" : " scalar") << " arm, batch="
+          << s.batch << " len=" << s.len;
+      EXPECT_EQ(obs::Registry::Global()
+                    .GetCounter("kernels.conv_backward_calls")
+                    .Total(),
+                1u);
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.conv_flops").Total(),
+          static_cast<uint64_t>(4 * s.batch * s.cout * s.cin * s.k * s.len));
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.conv_calls").Total(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cit

@@ -567,40 +567,6 @@ TEST(CompiledKillSwitch, ReenablingCompilesAgain) {
   EXPECT_EQ(fn.stats().hits, 1);
 }
 
-// ---- Arena telemetry (obs wiring) -------------------------------------------
-
-TEST(ArenaStats, GuardedForwardsReportHitsAndBytes) {
-  obs::SetEnabled(true);
-  obs::Registry::Global().ResetAll();
-  math::Rng rng(4);
-  const Tensor x = Tensor::Uniform({16, 16}, rng, -1, 1);
-  for (int rep = 0; rep < 3; ++rep) {
-    ag::NoGradGuard no_grad;
-    (void)ag::Softmax(
-        ag::MatMul(ag::Var::Constant(x), ag::Var::Constant(x)));
-  }
-  obs::SetEnabled(false);
-  const uint64_t hits =
-      obs::Registry::Global().GetCounter("arena.hits").Total();
-  const uint64_t misses =
-      obs::Registry::Global().GetCounter("arena.misses").Total();
-  const uint64_t reused =
-      obs::Registry::Global().GetCounter("arena.reused_bytes").Total();
-  const uint64_t fresh =
-      obs::Registry::Global().GetCounter("arena.fresh_bytes").Total();
-  EXPECT_GT(misses, 0u);  // first pass allocates fresh
-  EXPECT_GT(hits, 0u);    // later passes recycle
-  EXPECT_GT(reused, 0u);
-  EXPECT_GT(fresh, 0u);
-  // The same events are visible without telemetry via the thread-local
-  // accessor (always on, used by bench output).
-  const math::ArenaStats now = math::ArenaStatsNow();
-  EXPECT_GE(now.hits, static_cast<int64_t>(hits));
-  EXPECT_GE(now.misses, static_cast<int64_t>(misses));
-  EXPECT_GE(now.reused_bytes, static_cast<int64_t>(reused));
-  EXPECT_GE(now.fresh_bytes, static_cast<int64_t>(fresh));
-}
-
 // ---- Single-owner enforcement ------------------------------------------------
 
 // The contract: a CompiledFn belongs to the first thread that runs it on

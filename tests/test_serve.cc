@@ -21,9 +21,14 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -237,12 +242,43 @@ std::string DecideLine(int64_t rows, int64_t cols,
 
 // ---- Stub model for daemon-behavior tests ------------------------------------
 
+// Blocks a stub decide until the test releases it, so the test knows
+// that one worker is busy and not accepting: a decide whose first price is
+// `marker` signals `entered` and then waits for `Release`.
+struct DecideLatch {
+  double marker = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+
+  // Bounded, so a test that fails before Release cannot hang the server's
+  // shutdown.
+  void EnterAndWait() {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10), [this] { return released; });
+  }
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [this] { return entered; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  }
+};
+
 // Deterministic, instant, and swap-aware: weights are the last row
-// normalized to sum 1, shifted by a bias read from the weights file (a
-// single ASCII double). Missing/unparseable files must fail the load.
+// normalized to sum 1, shifted by a bias read from the weights bytes (a
+// single ASCII double). Unparseable bytes must fail the load.
 class StubModel : public serve::ServedModel {
  public:
-  explicit StubModel(int64_t assets) : assets_(assets) {}
+  explicit StubModel(int64_t assets, DecideLatch* latch = nullptr)
+      : assets_(assets), latch_(latch) {}
 
   int64_t num_assets() const override { return assets_; }
   int64_t min_days() const override { return 1; }
@@ -251,6 +287,9 @@ class StubModel : public serve::ServedModel {
       const std::vector<const market::PricePanel*>& panels) override {
     std::vector<Result<std::vector<double>>> out;
     for (const market::PricePanel* panel : panels) {
+      if (latch_ != nullptr && panel->Close(0, 0) == latch_->marker) {
+        latch_->EnterAndWait();
+      }
       const int64_t last = panel->num_days() - 1;
       double sum = 0;
       for (int64_t a = 0; a < assets_; ++a) sum += panel->Close(last, a);
@@ -263,24 +302,25 @@ class StubModel : public serve::ServedModel {
     return out;
   }
 
-  Status LoadWeights(const std::string& path) override {
-    FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) return Status::IoError("cannot open " + path);
+  Status LoadWeights(const std::vector<uint8_t>& bytes) override {
+    const std::string text(bytes.begin(), bytes.end());
     double bias = 0;
-    const int got = std::fscanf(f, "%lf", &bias);
-    std::fclose(f);
-    if (got != 1) return Status::IoError("not a stub weights file: " + path);
+    if (std::sscanf(text.c_str(), "%lf", &bias) != 1) {
+      return Status::InvalidArgument("not a stub weights file");
+    }
     bias_ = bias;
     return Status::OK();
   }
 
  private:
   int64_t assets_;
+  DecideLatch* latch_;
   double bias_ = 0;
 };
 
-serve::ModelFactory StubFactory(int64_t assets) {
-  return [assets] { return std::make_unique<StubModel>(assets); };
+serve::ModelFactory StubFactory(int64_t assets,
+                                DecideLatch* latch = nullptr) {
+  return [assets, latch] { return std::make_unique<StubModel>(assets, latch); };
 }
 
 void WriteTextFile(const std::string& path, const std::string& text) {
@@ -634,6 +674,60 @@ TEST(ServeDaemon, SwapValidatesBeforeCommitting) {
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0], 0.75);  // 0.25 + bias
   EXPECT_EQ(w[1], 1.25);
+}
+
+// A swap publishes the bytes it validated, not the path: once "ok swapped
+// 1" is out, rewriting and then deleting the file changes nothing that any
+// worker serves under generation 1. Of two workers, the one that handled
+// the swap is parked inside a decide, so the next connection lands on the
+// other one, which must load the validated bytes.
+TEST(ServeDaemon, SwapServesTheValidatedBytesOnEveryWorker) {
+  DecideLatch latch;
+  latch.marker = 7.0;
+  serve::ServerConfig cfg;
+  cfg.socket_path = SockPath("serve_swapbytes.sock");
+  cfg.workers = 2;
+  serve::Server server(cfg, StubFactory(2, &latch));
+  ASSERT_TRUE(server.Start().ok());
+
+  Client swapper(cfg.socket_path);
+  ASSERT_TRUE(swapper.ok());
+  const std::string wpath = SockPath("stub_weights_swapbytes.txt");
+  WriteTextFile(wpath, "0.5\n");
+  std::string line;
+  ASSERT_TRUE(swapper.Send("swap " + wpath + "\n"));
+  ASSERT_TRUE(swapper.RecvLine(&line));
+  ASSERT_EQ(line, "ok swapped 1");
+  WriteTextFile(wpath, "0.9\n");
+  ASSERT_EQ(std::remove(wpath.c_str()), 0);
+
+  const auto expect_gen1 = [](const std::string& response, double w0,
+                              double w1) {
+    uint64_t gen = 0;
+    std::vector<double> w;
+    ASSERT_TRUE(serve::ParseDecideResponse(response, &gen, &w)) << response;
+    EXPECT_EQ(gen, 1u);
+    ASSERT_EQ(w.size(), 2u);
+    EXPECT_EQ(w[0], w0);  // last-row share + the validated bias 0.5
+    EXPECT_EQ(w[1], w1);
+  };
+
+  // Park the swapping worker; only the other worker accepts from here on.
+  ASSERT_TRUE(swapper.Send(DecideLine(1, 2, {7.0, 1.0})));
+  ASSERT_TRUE(latch.WaitEntered());
+  Client other(cfg.socket_path);
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(other.Send("ping\n"));
+  ASSERT_TRUE(other.RecvLine(&line));
+  EXPECT_EQ(line, "ok pong 1");
+  ASSERT_TRUE(other.Send(DecideLine(1, 2, {1.0, 3.0})));
+  ASSERT_TRUE(other.RecvLine(&line));
+  expect_gen1(line, 0.75, 1.25);
+
+  latch.Release();
+  ASSERT_TRUE(swapper.RecvLine(&line));
+  expect_gen1(line, 1.375, 0.625);
+  EXPECT_EQ(server.generation(), 1u);
 }
 
 // ---- The bitwise hot-swap soak ----------------------------------------------
