@@ -5,9 +5,9 @@
 #      tests inside the suite check bitwise identity in-process too) —
 #      then once per forced kernel backend (CIT_KERNEL=scalar and
 #      CIT_KERNEL=simd) so both dispatch arms pass the whole suite, then
-#      a smoke pipeline training run per backend whose output digests must
-#      be equal: the SIMD backward kernels keep the chains GCC -O3 compiles
-#      the scalar loops to, so this holds in the Release build only.
+#      smoke pipeline, sweep and serve_heavy runs per backend whose output
+#      digests must be equal: both backends issue the same chain for every
+#      GEMM, conv and backward output in this build.
 #   2. Focused correctness gates, most run at 1 and 4 threads: kernel
 #      backends (the adversarial GEMM/conv shape matrix and pack-allocation
 #      tests), observability (bitwise-identical curves with telemetry
@@ -66,26 +66,27 @@ run cmake --build build -j"$(nproc)"
     ctest --output-on-failure -j2)
 (cd build && run env CIT_KERNEL=simd CIT_NUM_THREADS=4 \
     ctest --output-on-failure -j2)
-# Training through both backends must print one digest. On AVX-512 builds
-# the SIMD backend's backward kernels (MatMulTransA/B, the conv backward)
-# keep each output's chain exactly as GCC -O3 compiles the scalar loops;
-# this gate is what ties the two. It holds only where GCC -O3 vectorizes
-# those loops as in this Release build: at -O2 (RelWithDebInfo, the
-# sanitizer builds) the scalar loops become all-FMA chains and the
-# digests differ.
-training_digest() {
-  env CIT_KERNEL="$1" ./build/bench/citbench --workload pipeline --smoke \
-      --seed 3 --seconds 1 --trace 0 --out "/tmp/cit_digest_$1.json" \
-      --work-dir "/tmp/cit_digest_$1" | grep '^output_digest'
+# Training, the sweep and batched serving must each print one digest
+# through both backends. Every forward GEMM (the GEMV included) and conv
+# keeps one chain per output on either backend; the backward kernels write
+# out the same chains as the SIMD backend's (see kernels.h, "Backward
+# kernels"), except the one-FMA-per-term ones, which the scalar loops get
+# from the compiler's contraction, as this build does.
+backend_digest() {
+  env CIT_KERNEL="$1" ./build/bench/citbench --workload "$2" --smoke \
+      --seed 3 --seconds 1 --trace 0 --out "/tmp/cit_digest_$1_$2.json" \
+      --work-dir "/tmp/cit_digest_$1_$2" | grep '^output_digest'
 }
-SCALAR_DIGEST=$(training_digest scalar)
-SIMD_DIGEST=$(training_digest simd)
-echo "scalar backend: $SCALAR_DIGEST"
-echo "simd backend:   $SIMD_DIGEST"
-if [[ "$SCALAR_DIGEST" != "$SIMD_DIGEST" ]]; then
-  echo "training digests differ between the scalar and SIMD backends"
-  exit 1
-fi
+for WORKLOAD in pipeline sweep serve_heavy; do
+  SCALAR_DIGEST=$(backend_digest scalar "$WORKLOAD")
+  SIMD_DIGEST=$(backend_digest simd "$WORKLOAD")
+  echo "scalar backend: $SCALAR_DIGEST"
+  echo "simd backend:   $SIMD_DIGEST"
+  if [[ "$SCALAR_DIGEST" != "$SIMD_DIGEST" ]]; then
+    echo "$WORKLOAD digests differ between the scalar and SIMD backends"
+    exit 1
+  fi
+done
 
 echo "=== kernel-backend gate (dispatch matrix at 1 and 4 threads) ==="
 # test_kernels runs the adversarial GEMM/conv shape matrix (prime and tail
@@ -93,8 +94,10 @@ echo "=== kernel-backend gate (dispatch matrix at 1 and 4 threads) ==="
 # at 1 and 4 pool threads (kernels are serial, so the pool size must never
 # show), simd-vs-scalar agreement, both direct-conv arms against
 # their bitwise reference loop (tile edges, non-finite weights, 6,000
-# seeded random shapes), the pack-buffer steady-state allocation check,
-# and the byte-accounting formula pins.
+# seeded random shapes), MatMul and the backward kernels against their
+# explicit-chain oracles on every backend whose chains they are, the
+# pack-buffer steady-state allocation check, and the byte-accounting
+# formula pins.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_kernels)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_kernels)
 

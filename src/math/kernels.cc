@@ -38,27 +38,39 @@ inline bool UseSimd() {
 // address, not what survives the cache hierarchy). Counter-only on purpose
 // — these calls are too frequent and too small to afford clock reads.
 //
-// For the blocked MatMul, with nJ = ceil(r/NR) column panels and
-// nK = ceil(q/KC) depth blocks, one call:
-//   - zero-fills C once                              (p*r stores),
+// MatMul, per arm, with nK = ceil(q/KC) depth blocks and nJ = ceil(r/NR)
+// column panels. Every arm zero-fills C once (p*r stores). The packed arm
+// (the scalar backend, and the SIMD backend without the tiled arm):
 //   - reads each B element once while packing        (q*r loads) and
 //     writes the zero-padded panels                  (nJ*q*NR stores),
 //   - streams A once per column panel               (nJ*p*q loads),
 //   - read-modify-writes each C tile once per depth
 //     block during accumulator write-back           (2*nK*p*r).
-// Register-tile re-reads of the L1-resident panel are not counted. Pinned
-// by tests/test_kernels.cc KernelObs.GemmBytesFormula.
-inline void CountGemmBlocked([[maybe_unused]] int64_t p,
-                             [[maybe_unused]] int64_t q,
-                             [[maybe_unused]] int64_t r) {
+// Register-tile re-reads of the L1-resident panel are not counted. The
+// tiled arm's in-place tile reads B's valid columns in place instead of
+// packing (q*r loads; later row tiles' re-reads, like the packed panel's,
+// are not counted), and streams A and updates C as above. Its GEMV
+// (r == 1) reads A once (p*q), b once per vector of kTileLanes rows
+// (ceil(p/16)*q) and read-modify-writes C once per depth block (2*nK*p).
+// Pinned by tests/test_kernels.cc KernelObs.GemmBytesFormula.
+inline void CountGemm([[maybe_unused]] int64_t p, [[maybe_unused]] int64_t q,
+                      [[maybe_unused]] int64_t r, [[maybe_unused]] bool tiled,
+                      [[maybe_unused]] bool gemv) {
   CIT_OBS_COUNT("kernels.gemm_calls", 1);
   CIT_OBS_COUNT("kernels.gemm_flops", 2 * p * q * r);
 #ifndef CIT_OBS_DISABLED
-  const int64_t nj = (r + kGemmNr - 1) / kGemmNr;
   const int64_t nk = (q + kGemmKc - 1) / kGemmKc;
-  CIT_OBS_COUNT("kernels.gemm_bytes",
-                int64_t{4} * (p * r + q * r + nj * q * kGemmNr +
-                              nj * p * q + 2 * nk * p * r));
+  const int64_t nj = (r + kGemmNr - 1) / kGemmNr;
+  int64_t floats = p * r;
+  if (gemv) {
+    const int64_t vectors = (p + simd::kTileLanes - 1) / simd::kTileLanes;
+    floats += p * q + vectors * q + 2 * nk * p;
+  } else if (tiled) {
+    floats += q * r + nj * p * q + 2 * nk * p * r;
+  } else {
+    floats += q * r + nj * q * kGemmNr + nj * p * q + 2 * nk * p * r;
+  }
+  CIT_OBS_COUNT("kernels.gemm_bytes", int64_t{4} * floats);
 #endif
 }
 
@@ -125,10 +137,10 @@ inline void CountGemmTransA([[maybe_unused]] int64_t p,
 }
 
 // ---- Blocked GEMM ----------------------------------------------------------
-// Register tile: kGemmMr rows of A against a kGemmNr-wide packed panel of
-// B, saxpy over k. kGemmKc limits the packed panel to ~KC*NR floats
-// (L1-resident). Each output element accumulates in ascending-k order
-// under either backend.
+// Register tile: kGemmMr rows of A against a kGemmNr-wide panel of B
+// (packed, except for the AVX-512 tile, which reads it in place), saxpy over
+// k. kGemmKc limits the panel to ~KC*NR floats (L1-resident). Each output
+// element accumulates in ascending-k order under either backend.
 
 // Per-thread packed-B panel (kGemmKc x kGemmNr floats, 64-byte aligned for
 // the SIMD loads), lazily allocated on the first GEMM a thread ever runs
@@ -345,33 +357,46 @@ void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
 
 void MatMul(const float* a, const float* b, float* c, int64_t p, int64_t q,
             int64_t r) {
-  CountGemmBlocked(p, q, r);
-  if (p == 0 || r == 0) return;  // C is empty (and may be null)
-  std::memset(c, 0, sizeof(float) * static_cast<size_t>(p * r));
-  if (q == 0) return;
   // The backend is latched once per call so a concurrent SetBackend can
   // never split one GEMM across implementations.
   const bool use_simd = UseSimd();
-  float* pack = PackBuffer();
+  // The tiled arm reads B in place, and takes r == 1 as a GEMV.
+  const bool tiled = simd::kHasTiles && use_simd;
+  const bool gemv = tiled && r == 1 && q <= simd::kGemvMaxDepth;
+  CountGemm(p, q, r, tiled, gemv);
+  if (p == 0 || r == 0) return;  // C is empty (and may be null)
+  std::memset(c, 0, sizeof(float) * static_cast<size_t>(p * r));
+  if (q == 0) return;
+  if constexpr (simd::kHasTiles) {
+    if (gemv) {
+      simd::Gemv(a, b, c, p, q);
+      return;
+    }
+  }
+  float* pack = tiled ? nullptr : PackBuffer();
   for (int64_t j0 = 0; j0 < r; j0 += kGemmNr) {
     const int64_t nr = std::min<int64_t>(kGemmNr, r - j0);
     for (int64_t k0 = 0; k0 < q; k0 += kGemmKc) {
       const int64_t kc = std::min<int64_t>(kGemmKc, q - k0);
-      // Pack B[k0:k0+kc, j0:j0+nr] into [kc, NR], zero-padding the tail
-      // columns so the microkernel always runs the full NR width.
-      for (int64_t k = 0; k < kc; ++k) {
-        const float* src = b + (k0 + k) * r + j0;
-        float* dst = pack + k * kGemmNr;
-        int64_t j = 0;
-        for (; j < nr; ++j) dst[j] = src[j];
-        for (; j < kGemmNr; ++j) dst[j] = 0.0f;
+      if (!tiled) {
+        // Pack B[k0:k0+kc, j0:j0+nr] into [kc, NR], zero-padding the tail
+        // columns so the microkernel always runs the full NR width.
+        for (int64_t k = 0; k < kc; ++k) {
+          const float* src = b + (k0 + k) * r + j0;
+          float* dst = pack + k * kGemmNr;
+          int64_t j = 0;
+          for (; j < nr; ++j) dst[j] = src[j];
+          for (; j < kGemmNr; ++j) dst[j] = 0.0f;
+        }
       }
       for (int64_t i0 = 0; i0 < p; i0 += kGemmMr) {
         const int64_t mr = std::min<int64_t>(kGemmMr, p - i0);
         const float* atile = a + i0 * q + k0;
         float* ctile = c + i0 * r + j0;
-        if (use_simd) {
-          simd::GemmTile(atile, q, pack, kc, ctile, r, mr, nr);
+        if (tiled) {
+          simd::GemmTile(atile, q, b + k0 * r + j0, r, kc, ctile, r, mr, nr);
+        } else if (use_simd) {
+          simd::GemmTile(atile, q, pack, kGemmNr, kc, ctile, r, mr, nr);
         } else {
           ScalarGemmTile(atile, q, pack, kc, ctile, r, mr, nr);
         }
@@ -379,6 +404,123 @@ void MatMul(const float* a, const float* b, float* c, int64_t p, int64_t q,
     }
   }
 }
+
+namespace {
+
+// ---- Backward loops of the scalar backend ----
+// MatMulTransB and the conv's gw run the 4*floor(T/4) rule (see kernels.h,
+// "Backward kernels"), written out: the products of the first 4*floor(T/4)
+// terms are rounded and then added in order from +0, and the last T mod 4
+// terms are fused with std::fmaf. fp-contract is off between the pragmas,
+// so no build fuses a product into its add, while GCC may still vectorize
+// the products; the two loop functions are never inlined, so that setting
+// stays with their bodies.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+// a * b + c as the one-FMA-per-term chains take it: fused where the target
+// has a fast fmaf (every build with FMA), with two roundings otherwise.
+inline float MulAdd(float a, float b, float c) {
+#ifdef FP_FAST_FMAF
+  return std::fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+// MatMulTransB's scalar loops.
+[[gnu::noinline]] void TransBLoops(const float* a, const float* bT, float* c,
+                                   int64_t p, int64_t q, int64_t r) {
+  const int64_t n4 = q / 4 * 4;
+  for (int64_t i = 0; i < p; ++i) {
+    const float* ar = a + i * q;
+    float* cr = c + i * r;
+    int64_t j = 0;
+    // Four independent dot-product chains give the vectorizer ILP.
+    for (; j + 3 < r; j += 4) {
+      const float* b0 = bT + (j + 0) * q;
+      const float* b1 = bT + (j + 1) * q;
+      const float* b2 = bT + (j + 2) * q;
+      const float* b3 = bT + (j + 3) * q;
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      int64_t k = 0;
+      for (; k < n4; ++k) {  // products rounded, added in order
+        const float av = ar[k];
+        s0 += av * b0[k];
+        s1 += av * b1[k];
+        s2 += av * b2[k];
+        s3 += av * b3[k];
+      }
+      for (; k < q; ++k) {  // the tail, fused
+        const float av = ar[k];
+        s0 = std::fmaf(av, b0[k], s0);
+        s1 = std::fmaf(av, b1[k], s1);
+        s2 = std::fmaf(av, b2[k], s2);
+        s3 = std::fmaf(av, b3[k], s3);
+      }
+      cr[j + 0] = s0;
+      cr[j + 1] = s1;
+      cr[j + 2] = s2;
+      cr[j + 3] = s3;
+    }
+    for (; j < r; ++j) {
+      const float* bj = bT + j * q;
+      float s = 0.0f;
+      int64_t k = 0;
+      for (; k < n4; ++k) s += ar[k] * bj[k];
+      for (; k < q; ++k) s = std::fmaf(ar[k], bj[k], s);
+      cr[j] = s;
+    }
+  }
+}
+
+// CausalConv1dBackward's scalar loops, into a non-null gx. gx and gw share
+// one pass over each tap's terms.
+[[gnu::noinline]] void ConvBackwardLoops(
+    const float* x, const float* w, const float* gout, float* gx, float* gw,
+    float* gb, int64_t batch, int64_t cin, int64_t cout, int64_t len,
+    int64_t k, int64_t dilation) {
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    for (int64_t co = 0; co < cout; ++co) {
+      const float* grow = gout + (bi * cout + co) * len;
+      if (gb != nullptr) {
+        float s = 0.0f;
+        for (int64_t t = 0; t < len; ++t) s += grow[t];
+        gb[co] += s;
+      }
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        const float* xrow = x + (bi * cin + ci) * len;
+        const float* wrow = w + (co * cin + ci) * k;
+        float* gxrow = gx + (bi * cin + ci) * len;
+        float* gwrow = gw + (co * cin + ci) * k;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const int64_t shift = (k - 1 - kk) * dilation;
+          const float wk = wrow[kk];
+          // Term t pairs x at time t with gout at time t + shift.
+          const int64_t terms = len - shift;
+          const int64_t n4 = terms / 4 * 4;
+          float gwk = 0.0f;
+          int64_t t = 0;
+          for (; t < n4; ++t) {  // gw's products rounded, added in order
+            const float g = grow[t + shift];
+            gxrow[t] = MulAdd(wk, g, gxrow[t]);
+            gwk += g * xrow[t];
+          }
+          for (; t < terms; ++t) {  // gw's tail, fused
+            const float g = grow[t + shift];
+            gxrow[t] = MulAdd(wk, g, gxrow[t]);
+            gwk = std::fmaf(g, xrow[t], gwk);
+          }
+          gwrow[kk] += gwk;
+        }
+      }
+    }
+  }
+}
+
+#pragma GCC pop_options
+
+}  // namespace
 
 void MatMulTransB(const float* a, const float* bT, float* c, int64_t p,
                   int64_t q, int64_t r) {
@@ -391,36 +533,7 @@ void MatMulTransB(const float* a, const float* bT, float* c, int64_t p,
       return;
     }
   }
-  for (int64_t i = 0; i < p; ++i) {
-    const float* ar = a + i * q;
-    float* cr = c + i * r;
-    int64_t j = 0;
-    // Four independent dot-product chains give the vectorizer ILP.
-    for (; j + 3 < r; j += 4) {
-      const float* b0 = bT + (j + 0) * q;
-      const float* b1 = bT + (j + 1) * q;
-      const float* b2 = bT + (j + 2) * q;
-      const float* b3 = bT + (j + 3) * q;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (int64_t k = 0; k < q; ++k) {
-        const float av = ar[k];
-        s0 += av * b0[k];
-        s1 += av * b1[k];
-        s2 += av * b2[k];
-        s3 += av * b3[k];
-      }
-      cr[j + 0] = s0;
-      cr[j + 1] = s1;
-      cr[j + 2] = s2;
-      cr[j + 3] = s3;
-    }
-    for (; j < r; ++j) {
-      const float* bj = bT + j * q;
-      float s = 0.0f;
-      for (int64_t k = 0; k < q; ++k) s += ar[k] * bj[k];
-      cr[j] = s;
-    }
-  }
+  TransBLoops(a, bT, c, p, q, r);
 }
 
 void MatMulTransA(const float* a, const float* b, float* c, int64_t p,
@@ -685,39 +798,14 @@ void CausalConv1dBackward(const float* x, const float* w, const float* gout,
       return;
     }
   }
-  // The loop below is the reference chain and stays as it is, so without a
-  // gx it writes the unwanted input gradient into this thread's scratch.
+  // The loops always compute gx, so without one they write the unwanted
+  // input gradient into this thread's scratch.
   if (gx == nullptr) {
     gx = ThreadScratch(batch * cin * len);
     std::fill(gx, gx + batch * cin * len, 0.0f);
   }
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    for (int64_t co = 0; co < cout; ++co) {
-      const float* grow = gout + (bi * cout + co) * len;
-      if (gb != nullptr) {
-        float s = 0.0f;
-        for (int64_t t = 0; t < len; ++t) s += grow[t];
-        gb[co] += s;
-      }
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        const float* xrow = x + (bi * cin + ci) * len;
-        const float* wrow = w + (co * cin + ci) * k;
-        float* gxrow = gx + (bi * cin + ci) * len;
-        float* gwrow = gw + (co * cin + ci) * k;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const int64_t shift = (k - 1 - kk) * dilation;
-          const float wk = wrow[kk];
-          float gwk = 0.0f;
-          for (int64_t t = shift; t < len; ++t) {
-            const float g = grow[t];
-            gxrow[t - shift] += wk * g;
-            gwk += g * xrow[t - shift];
-          }
-          gwrow[kk] += gwk;
-        }
-      }
-    }
-  }
+  ConvBackwardLoops(x, w, gout, gx, gw, gb, batch, cin, cout, len, k,
+                    dilation);
 }
 
 }  // namespace cit::math::kernels

@@ -18,10 +18,11 @@
 // Determinism contract, per backend: the scalar backend is the bitwise
 // reference, and the SIMD backend matches it exactly on the non-FMA arms
 // (plain elementwise add/sub/mul/div and scalar-parameter ops, plus any
-// FusedElemwise chain), on the causal conv forward and, in -O3 builds, on
-// the backward kernels (see "Backward kernels" below), while the FMA arms
-// (MatMul via the register-tiled microkernel, Axpy) may differ from scalar
-// by the usual one-rounding-per-fma tolerance — but never between thread
+// FusedElemwise chain) and on the causal conv forward, and, in optimized
+// builds with FMA, on MatMul and the backward kernels, whose FMA terms the
+// scalar loops fuse only there (see MatMul and "Backward kernels" below).
+// Axpy may differ from scalar by the usual one-rounding-per-fma tolerance
+// where the scalar expression does not contract — but never between thread
 // counts or runs within one backend.
 namespace cit::math::kernels {
 
@@ -162,8 +163,18 @@ void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
              int64_t inner);
 
 // ---- Linear algebra --------------------------------------------------------
-// c = a @ b with a:[p,q], b:[q,r], c:[p,r] (c overwritten). Cache-blocked
-// with packed B panels and an MR x NR register tile.
+// c = a @ b with a:[p,q], b:[q,r], c:[p,r] (c overwritten). Each c[i,j] is
+// one chain: +0, then per kGemmKc block of k (ascending), a chain from +0
+// with one FMA a[i,k] * b[k,j] per ascending k, added into c[i,j]. Two
+// arms, chosen by the backend read once per call:
+//  - an MR x NR register tile over kGemmKc-deep panels of B, which the
+//    scalar backend and the AVX2/NEON tiles read packed and zero-padded,
+//    and the SIMD backend of an AVX-512 build reads in place through
+//    masked loads;
+//  - on the SIMD backend of an AVX-512 build, r == 1 as a GEMV
+//    (simd::Gemv), lanes over 16 rows of a.
+// The SIMD arms issue the FMAs explicitly; the scalar tile's `acc += x * b`
+// contracts to them in optimized builds with FMA (GCC: -O2 and up).
 void MatMul(const float* a, const float* b, float* c, int64_t p, int64_t q,
             int64_t r);
 // c = a @ b with b supplied transposed (bT:[r,q]): c[i,j] = <a_i, bT_j>,
@@ -226,21 +237,19 @@ void CausalConv1dForward(const float* x, const float* w, const float* bias,
 //    shift, so a tap whose shift is at least len adds +0 per row.
 //
 // ---- Backward kernels ----
-// The chains above are what GCC -O3 (the Release build) compiles the
-// scalar backend's plain loops in kernels.cc to. The 4*floor(T/4) rule
-// comes from its in-order vector reduction: of a T-term chain from +0,
-// the first 4*floor(T/4) terms have their product rounded and then added
-// in order, and the last T mod 4 terms, its scalar tail, are fused.
+// The 4*floor(T/4) rule: of a T-term chain from +0, the first 4*floor(T/4)
+// terms have their product rounded and then added in order, and the last
+// T mod 4 terms are fused. The scalar loops in kernels.cc write it out
+// with fp-contract off, so it holds in every build. Their one-FMA-per-term
+// chains fuse where the target has FMA: MatMulTransA's through GCC's
+// contraction of `+= x * y` (-O2 and up), gx's through std::fmaf; a
+// portable build rounds those products.
 // On the SIMD backend of an AVX-512 build the three kernels run
 // register-tiled arms (simd::GemmTransA, GemmTransB, ConvBackward) that
 // vectorize across independent outputs and issue exactly these chains in
-// every build; tests/test_kernels.cc pins them against explicit-chain
-// oracles (KernelDispatch.*MatchesChainOracleBitwise). The scalar loops
-// meet the chains only where GCC -O3 vectorizes them that way: at -O2
-// (RelWithDebInfo and the sanitizer builds) they compile to all-FMA
-// chains, and without FMA (portable builds) every product is rounded. So
-// the two backends train bitwise alike in the Release build, which
-// scripts/check.sh checks by training digest, and not in every build.
+// every build. tests/test_kernels.cc pins both against explicit-chain
+// oracles (KernelDispatch.*MatchesChainOracleBitwise), and
+// scripts/check.sh checks that the two backends train bitwise alike.
 // AVX2, NEON and portable builds run the scalar loops on both backends.
 void CausalConv1dBackward(const float* x, const float* w, const float* gout,
                           float* gx, float* gw, float* gb, int64_t batch,

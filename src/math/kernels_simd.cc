@@ -11,11 +11,13 @@
 //    FusedElemwise chains) use one IEEE operation per element, so the
 //    vector lanes and the scalar tail produce bit-identical results — and
 //    bit-identical to the scalar backend.
-//  - FMA arms (GemmTile, Axpy) fuse the multiply-add. Scalar tails use
-//    std::fmaf, the same single-rounding operation as the vector lanes, so
-//    an offset moving an element between vector body and tail (a request
-//    alone vs. inside a stacked batch) can never change its value, while
-//    values differ from the scalar backend by at most one rounding per fma.
+//  - FMA arms (GemmTile, Gemv, Axpy) fuse the multiply-add. Scalar tails
+//    use std::fmaf, the same single-rounding operation as the vector
+//    lanes, so an offset moving an element between vector body and tail (a
+//    request alone vs. inside a stacked batch) can never change its value.
+//    GemmTile and Gemv issue MatMul's chain (see kernels::MatMul), which
+//    the scalar tile contracts to in optimized builds with FMA; Axpy may
+//    differ from the scalar backend by one rounding per element.
 //  - FusedElemwise chains containing a libm op (exp/log/tanh/sigmoid) are
 //    rejected by FusedChainExact and stay on the scalar ElemApply sweep:
 //    a vector approximation would break the fused == unfused bitwise
@@ -28,7 +30,7 @@
 //    out of the FMA as well as the load, so a zero-filled lane never meets
 //    a weight (inf * 0 would be NaN, and +0 added to a -0 sum is +0).
 //  - The backward kernels (GemmTransA, GemmTransB, ConvBackward, AVX-512
-//    only) issue the chains GCC -O3 compiles the scalar loops to (see
+//    only) issue the scalar loops' chains (see
 //    kernels::CausalConv1dBackward): FMA terms where those chains fuse,
 //    separately rounded products through MulRn/AddRn where they do not.
 //    Lanes run over independent outputs, so no chain is reordered.
@@ -87,6 +89,13 @@ inline VF VAbs(VF a) {
       _mm512_castps_si512(a), _mm512_set1_epi32(0x7fffffff)));
 }
 inline VF VFma(VF a, VF b, VF c) { return _mm512_fmadd_ps(a, b, c); }
+using LaneMask = __mmask16;
+constexpr unsigned kAllLanes = (1u << kLanes) - 1u;
+// Lanes j with j < n.
+inline LaneMask LanesBelow(int64_t n) {
+  return static_cast<LaneMask>(
+      kAllLanes >> (kLanes - std::clamp<int64_t>(n, 0, kLanes)));
+}
 
 #elif defined(CIT_SIMD_AVX2)
 
@@ -138,15 +147,63 @@ namespace {
 
 constexpr int kRowVecs = static_cast<int>(kGemmNr / kLanes);
 
+#if defined(CIT_SIMD_AVX512)
+
+// The whole 32-column accumulator block (2 vectors/row) stays in
+// registers; without the unroll pragmas GCC 12 stored all of it to the
+// stack on every k. The panel's rows are read in place with the columns at
+// or past nr masked to zero, the values the padded pack holds there, and C
+// is read and written through the same masks, so the partial-column edge
+// runs the full tile's adds.
 template <int MR>
-void GemmTileImpl(const float* a, int64_t lda, const float* pack, int64_t kc,
-                  float* c, int64_t ldc, int64_t nr) {
-  // AVX-512 holds the whole 32-column accumulator block (2 vectors/row) in
-  // registers; AVX2 and NEON rows take 4 and 8 vectors, so they are split
-  // into two 16-column half-tiles to stay within the register file. The
-  // half split only changes *which* registers hold a lane, never the
-  // ascending-k fma chain that computes it.
-  constexpr int kHalfVecs = kRowVecs >= 4 ? kRowVecs / 2 : kRowVecs;
+void GemmTileImpl(const float* a, int64_t lda, const float* b, int64_t ldb,
+                  int64_t kc, float* c, int64_t ldc, int64_t nr) {
+  LaneMask live[kRowVecs];
+  VF acc[MR][kRowVecs];
+#pragma GCC unroll 2
+  for (int v = 0; v < kRowVecs; ++v) live[v] = LanesBelow(nr - v * kLanes);
+#pragma GCC unroll 4
+  for (int i = 0; i < MR; ++i) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kRowVecs; ++v) acc[i][v] = VSet1(0.0f);
+  }
+  for (int64_t k = 0; k < kc; ++k) {
+    VF bv[kRowVecs];
+#pragma GCC unroll 2
+    for (int v = 0; v < kRowVecs; ++v) {
+      bv[v] = _mm512_maskz_loadu_ps(live[v], b + k * ldb + v * kLanes);
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < MR; ++i) {
+      const VF av = VSet1(a[i * lda + k]);
+#pragma GCC unroll 2
+      for (int v = 0; v < kRowVecs; ++v) {
+        acc[i][v] = VFma(av, bv[v], acc[i][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int i = 0; i < MR; ++i) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kRowVecs; ++v) {
+      float* p = c + i * ldc + v * kLanes;
+      _mm512_mask_storeu_ps(
+          p, live[v], VAdd(_mm512_maskz_loadu_ps(live[v], p), acc[i][v]));
+    }
+  }
+}
+
+#else
+
+template <int MR>
+void GemmTileImpl(const float* a, int64_t lda, const float* pack,
+                  int64_t ldb, int64_t kc, float* c, int64_t ldc,
+                  int64_t nr) {
+  // AVX2 and NEON rows take 4 and 8 vectors, so they are split into two
+  // 16-column half-tiles to stay within the register file. The half split
+  // only changes *which* registers hold a lane, never the ascending-k fma
+  // chain that computes it.
+  constexpr int kHalfVecs = kRowVecs / 2;
   constexpr int64_t kHalfCols = kHalfVecs * kLanes;
   for (int64_t jh = 0; jh < kGemmNr; jh += kHalfCols) {
     if (nr <= jh) break;  // fully past the valid columns: nothing to add
@@ -156,7 +213,7 @@ void GemmTileImpl(const float* a, int64_t lda, const float* pack, int64_t kc,
     }
     for (int64_t k = 0; k < kc; ++k) {
       VF b[kHalfVecs];
-      const float* bp = pack + k * kGemmNr + jh;
+      const float* bp = pack + k * ldb + jh;
       for (int v = 0; v < kHalfVecs; ++v) b[v] = VLoad(bp + v * kLanes);
       for (int i = 0; i < MR; ++i) {
         const VF av = VSet1(a[i * lda + k]);
@@ -187,15 +244,17 @@ void GemmTileImpl(const float* a, int64_t lda, const float* pack, int64_t kc,
   }
 }
 
+#endif
+
 }  // namespace
 
-void GemmTile(const float* a, int64_t lda, const float* pack, int64_t kc,
-              float* c, int64_t ldc, int64_t mr, int64_t nr) {
+void GemmTile(const float* a, int64_t lda, const float* b, int64_t ldb,
+              int64_t kc, float* c, int64_t ldc, int64_t mr, int64_t nr) {
   switch (mr) {
-    case 4: GemmTileImpl<4>(a, lda, pack, kc, c, ldc, nr); break;
-    case 3: GemmTileImpl<3>(a, lda, pack, kc, c, ldc, nr); break;
-    case 2: GemmTileImpl<2>(a, lda, pack, kc, c, ldc, nr); break;
-    case 1: GemmTileImpl<1>(a, lda, pack, kc, c, ldc, nr); break;
+    case 4: GemmTileImpl<4>(a, lda, b, ldb, kc, c, ldc, nr); break;
+    case 3: GemmTileImpl<3>(a, lda, b, ldb, kc, c, ldc, nr); break;
+    case 2: GemmTileImpl<2>(a, lda, b, ldb, kc, c, ldc, nr); break;
+    case 1: GemmTileImpl<1>(a, lda, b, ldb, kc, c, ldc, nr); break;
     default: break;  // mr in [1, kGemmMr] by construction
   }
 }
@@ -332,9 +391,6 @@ void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
 
 namespace {
 
-using ConvMask = __mmask16;
-constexpr unsigned kAllLanes = (1u << kLanes) - 1u;
-
 // Runs body(integral_constant<int, N>) for N = min(n, kMax), n >= 1: the
 // tile templates' row or channel count for a block's remainder.
 template <int64_t kMax, typename F>
@@ -343,12 +399,6 @@ inline void DispatchUpTo(int64_t n, F body) {
     if (n < kMax) return DispatchUpTo<kMax - 1>(n, body);
   }
   body(std::integral_constant<int, static_cast<int>(kMax)>{});
-}
-
-// Lanes j with j < n.
-inline ConvMask LanesBelow(int64_t n) {
-  return static_cast<ConvMask>(
-      kAllLanes >> (kLanes - std::clamp<int64_t>(n, 0, kLanes)));
 }
 
 // Output channels [co0, co0 + CO) x time steps [t0, t0 + kLanes*NV) ∩
@@ -361,7 +411,7 @@ void ConvTile(const float* x, const float* w, const float* bias, float* out,
               int64_t dilation, int64_t co0, int64_t t0) {
   const int64_t wstride = cin * k;  // between output channels
   const float* wblock = w + co0 * wstride;
-  ConvMask tail[NV];  // lanes before len
+  LaneMask tail[NV];  // lanes before len
 #pragma GCC unroll 4
   for (int v = 0; v < NV; ++v) tail[v] = LanesBelow(len - t0 - kLanes * v);
   for (int64_t bi = 0; bi < batch; ++bi) {
@@ -377,18 +427,18 @@ void ConvTile(const float* x, const float* w, const float* bias, float* out,
       for (int64_t kk = 0; kk < k; ++kk) {
         const int64_t shift = (k - 1 - kk) * dilation;
         VF xv[NV];
-        ConvMask head[NV];  // lanes at or after the shift
+        LaneMask head[NV];  // lanes at or after the shift
 #pragma GCC unroll 4
         for (int v = 0; v < NV; ++v) {
           // Lane j reads x[t + j - shift]. A vector that starts before the
           // shift expand-loads from the row's start into its lanes
           // j >= shift - t, so no address before the row is ever formed.
           const int64_t off = t0 + kLanes * v - shift;
-          head[v] = static_cast<ConvMask>(
+          head[v] = static_cast<LaneMask>(
               kAllLanes << std::clamp<int64_t>(-off, 0, kLanes));
           xv[v] = off >= 0 ? _mm512_maskz_loadu_ps(tail[v], xrow + off)
                            : _mm512_maskz_expandloadu_ps(
-                                 static_cast<ConvMask>(head[v] & tail[v]),
+                                 static_cast<LaneMask>(head[v] & tail[v]),
                                  xrow);
         }
         const float* wp = wblock + ci * k + kk;
@@ -458,11 +508,37 @@ void ConvDirect(const float* x, const float* w, const float* bias, float* out,
   }
 }
 
+// ---- GEMV (AVX-512 only) ---------------------------------------------------
+// Lanes run over 16 rows of a; each k gathers the rows' column k at the
+// int32 offsets lane * q and broadcasts b[k]. Lanes past p are masked out
+// of the gather, the load and the store.
+void Gemv(const float* a, const float* b, float* c, int64_t p, int64_t q) {
+  const __m512i offsets = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(q)));
+  for (int64_t i0 = 0; i0 < p; i0 += kLanes) {
+    const LaneMask rows = LanesBelow(p - i0);
+    const float* ablock = a + i0 * q;
+    float* cblock = c + i0;
+    for (int64_t k0 = 0; k0 < q; k0 += kGemmKc) {
+      const int64_t k1 = std::min<int64_t>(q, k0 + kGemmKc);
+      VF acc = VSet1(0.0f);
+      for (int64_t k = k0; k < k1; ++k) {
+        const VF av = _mm512_mask_i32gather_ps(VSet1(0.0f), rows, offsets,
+                                               ablock + k, 4);
+        acc = VFma(av, VSet1(b[k]), acc);
+      }
+      _mm512_mask_storeu_ps(
+          cblock, rows, VAdd(_mm512_maskz_loadu_ps(rows, cblock), acc));
+    }
+  }
+}
+
 // ---- Backward kernels (AVX-512 only) ---------------------------------------
 // MatMulTransA, MatMulTransB and CausalConv1dBackward of the SIMD backend.
 // Each vectorizes across independent outputs and keeps every output's
-// chain exactly as the scalar loops run it in a -O3 build (see kernels.h,
-// "Backward kernels", for the chains and the 4*floor(T/4) rule).
+// chain exactly as the scalar loops run it (see kernels.h, "Backward
+// kernels", for the chains and the 4*floor(T/4) rule).
 // Products that the chain rounds on their own go through MulRn/AddRn:
 // under GCC's default -ffp-contract=fast, _mm512_add_ps(acc,
 // _mm512_mul_ps(a, b)) is contracted into one FMA, while the embedded
@@ -536,7 +612,7 @@ void TransBTile(const float* a, const float* pack, float* c, int64_t q,
 template <int JR, int NV>
 void TransATile(const float* a, const float* b, float* c, int64_t p,
                 int64_t q, int64_t r, int64_t j0, int64_t l0) {
-  ConvMask tail[NV];
+  LaneMask tail[NV];
   VF acc[JR][NV];
 #pragma GCC unroll 4
   for (int v = 0; v < NV; ++v) tail[v] = LanesBelow(r - l0 - v * kLanes);
@@ -558,7 +634,7 @@ void TransATile(const float* a, const float* b, float* c, int64_t p,
     for (int j = 0; j < JR; ++j) {
       const VF av = VSet1(arow[j]);
       // Unordered-or-unequal: -0 is skipped like +0, NaN is not.
-      const ConvMask live = _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
+      const LaneMask live = _mm512_cmp_ps_mask(av, zero, _CMP_NEQ_UQ);
 #pragma GCC unroll 4
       for (int v = 0; v < NV; ++v) {
         acc[j][v] = _mm512_mask3_fmadd_ps(av, bv[v], acc[j][v], live);
@@ -580,7 +656,7 @@ void TransATile(const float* a, const float* b, float* c, int64_t p,
 template <int NV>
 void TransAColumnTile(const float* a, const float* b, float* c, int64_t p,
                       int64_t q, int64_t j0) {
-  ConvMask tail[NV];
+  LaneMask tail[NV];
   VF acc[NV];
 #pragma GCC unroll 4
   for (int v = 0; v < NV; ++v) {
@@ -594,7 +670,7 @@ void TransAColumnTile(const float* a, const float* b, float* c, int64_t p,
 #pragma GCC unroll 4
     for (int v = 0; v < NV; ++v) {
       const VF av = _mm512_maskz_loadu_ps(tail[v], arow + v * kLanes);
-      const ConvMask live =
+      const LaneMask live =
           _mm512_mask_cmp_ps_mask(tail[v], av, zero, _CMP_NEQ_UQ);
       acc[v] = _mm512_mask3_fmadd_ps(av, bv, acc[v], live);
     }
@@ -614,7 +690,7 @@ template <int CI, int NV>
 void ConvInputGradTile(const float* w, const float* gout, float* gx,
                        int64_t batch, int64_t cin, int64_t cout, int64_t len,
                        int64_t k, int64_t dilation, int64_t ci0, int64_t t0) {
-  ConvMask tail[NV];
+  LaneMask tail[NV];
 #pragma GCC unroll 4
   for (int v = 0; v < NV; ++v) tail[v] = LanesBelow(len - t0 - kLanes * v);
   const float* wblock = w + ci0 * k;
@@ -636,7 +712,7 @@ void ConvInputGradTile(const float* w, const float* gout, float* gx,
         const int64_t shift = (k - 1 - kk) * dilation;
         if (shift >= len) continue;  // the tap has no term
         VF gv[NV];
-        ConvMask live[NV];
+        LaneMask live[NV];
 #pragma GCC unroll 4
         for (int v = 0; v < NV; ++v) {
           live[v] = LanesBelow(len - shift - t0 - kLanes * v);
@@ -754,7 +830,7 @@ inline void Transpose16(VF (&r)[kLanes]) {
       _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
   constexpr struct {
     int h;
-    ConvMask with_bit_h;  // lanes whose index has bit h set
+    LaneMask with_bit_h;  // lanes whose index has bit h set
   } kRounds[] = {{8, 0xff00}, {4, 0xf0f0}, {2, 0xcccc}, {1, 0xaaaa}};
 #pragma GCC unroll 4
   for (const auto& round : kRounds) {
@@ -787,7 +863,7 @@ inline void Transpose16(VF (&r)[kLanes]) {
 inline void TransposeBlock(const float* src, int64_t src_stride, int64_t rows,
                            int64_t cols, float* dst, int64_t dst_stride) {
   VF r[kLanes];
-  const ConvMask live = LanesBelow(cols);
+  const LaneMask live = LanesBelow(cols);
   for (int i = 0; i < kLanes; ++i) {
     r[i] = i < rows ? _mm512_maskz_loadu_ps(live, src + i * src_stride)
                     : VSet1(0.0f);
@@ -924,15 +1000,15 @@ void ConvBackward(const float* x, const float* w, const float* gout,
 bool Available() { return false; }
 const char* IsaName() { return "none"; }
 
-void GemmTile(const float* a, int64_t lda, const float* pack, int64_t kc,
-              float* c, int64_t ldc, int64_t mr, int64_t nr) {
+void GemmTile(const float* a, int64_t lda, const float* b, int64_t ldb,
+              int64_t kc, float* c, int64_t ldc, int64_t mr, int64_t nr) {
   for (int64_t i = 0; i < mr; ++i) {
     float* cr = c + i * ldc;
     const float* ar = a + i * lda;
     for (int64_t j = 0; j < nr; ++j) {
       float acc = 0.0f;
       for (int64_t k = 0; k < kc; ++k) {
-        acc = std::fmaf(ar[k], pack[k * kGemmNr + j], acc);
+        acc = std::fmaf(ar[k], b[k * ldb + j], acc);
       }
       cr[j] += acc;
     }

@@ -21,9 +21,10 @@
 //
 // Determinism within the SIMD backend: every entry point computes each
 // output element with a lane-position-independent formula. The FMA arms
-// (GemmTile, Axpy) finish scalar tails with std::fmaf, which performs the
-// same single-rounding fused multiply-add as the vector lanes, so a value
-// cannot depend on whether it fell in the vector body or the tail. The
+// run their edges as their vector body does: GemmTile and Gemv mask or
+// zero-pad them, and Axpy finishes with std::fmaf, the same single-rounding
+// fused multiply-add as the vector lanes, so a value cannot depend on
+// whether it fell in the vector body or the tail. The
 // split does move: a request's rows sit at a different offset in a stacked
 // batch than alone, and stacked decides must equal single ones bitwise.
 
@@ -55,15 +56,17 @@ bool Available();
 // "avx512", "avx2", "neon", or "none".
 const char* IsaName();
 
-// GEMM register tile: c[i, j] += sum_k a[i*lda + k] * pack[k*kGemmNr + j]
-// for i in [0, mr), j in [0, nr), accumulating each output element with
-// one FMA chain in ascending-k order. `pack` is a 64-byte-aligned
-// [kc, kGemmNr] panel zero-padded past nr, so the vector body always runs
-// the full kGemmNr width and per-row numerics are identical no matter how
-// many rows the tile holds (mr in [1, kGemmMr]), so a row's result does not
-// depend on where it sits in a (for instance stacked) A.
-void GemmTile(const float* a, int64_t lda, const float* pack, int64_t kc,
-              float* c, int64_t ldc, int64_t mr, int64_t nr);
+// GEMM register tile: c[i, j] += sum_k a[i*lda + k] * b[k*ldb + j] for
+// i in [0, mr), j in [0, nr), accumulating each output element with one FMA
+// chain from +0 in ascending-k order. The vector body always runs the full
+// kGemmNr width, so per-row numerics are identical no matter how many rows
+// the tile holds (mr in [1, kGemmMr]), and a row's result does not depend
+// on where it sits in a (for instance stacked) A. The AVX-512 arm reads b
+// in place, masking the columns at or past nr to zero; the AVX2 and NEON
+// arms load every column, so their b must be the zero-padded [kc, kGemmNr]
+// pack (ldb = kGemmNr).
+void GemmTile(const float* a, int64_t lda, const float* b, int64_t ldb,
+              int64_t kc, float* c, int64_t ldc, int64_t mr, int64_t nr);
 
 // Elementwise sweeps over [0, n). All IEEE-exact (single add/sub/mul/div
 // per element), hence bitwise identical to the scalar backend.
@@ -89,10 +92,10 @@ bool FusedChainExact(const ElemOp* ops, int count);
 void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
                    int count);
 
-// The register-tiled arm: the direct causal conv and the three backward
-// kernels on the SIMD backend. Only the AVX-512 arm compiles them;
-// kHasTiles says whether this build has them, and no other build may call
-// them.
+// The register-tiled arm: the r == 1 GEMM, the direct causal conv and the
+// three backward kernels on the SIMD backend. Only the AVX-512 arm compiles
+// them; kHasTiles says whether this build has them, and no other build may
+// call them.
 #if defined(CIT_SIMD_AVX512)
 inline constexpr bool kHasTiles = true;
 #else
@@ -101,6 +104,12 @@ inline constexpr bool kHasTiles = false;
 // Floats per vector of the tiled arm: GemmTransB pads its pack to a
 // multiple of this, and the kernels.gemm_bytes formulas read it.
 inline constexpr int64_t kTileLanes = 16;
+// kernels::MatMul's arm for r == 1: c[i] += the chain of a's row i against
+// b:[q] (see kernels::MatMul), with lanes over kTileLanes rows of a:[p, q].
+// It gathers a's columns at int32 offsets of up to (kTileLanes - 1) * q,
+// so q must be at most kGemvMaxDepth.
+inline constexpr int64_t kGemvMaxDepth = INT32_MAX / (kTileLanes - 1);
+void Gemv(const float* a, const float* b, float* c, int64_t p, int64_t q);
 // kernels::CausalConv1dForward's tiled arm (see there for the tile, the
 // masks and the bitwise contract).
 void ConvDirect(const float* x, const float* w, const float* bias, float* out,

@@ -14,6 +14,9 @@
 //    SIMD backend's register-tiled AVX-512 arm, bitwise equal to a plain
 //    per-row triple loop at the model's shapes, at every tile edge, on
 //    special inputs and weights, and over thousands of seeded random shapes;
+//  - MatMul (its GEMV and masked tile edges included) and the backward
+//    kernels bitwise equal to oracles that write each output's chain out,
+//    on every backend whose chains they are;
 //  - the packed-panel buffer staying allocation-free in steady state
 //    (kernels.gemm_pack_allocs);
 //  - the kernels.gemm_bytes / conv_bytes traffic formulas, pinned against
@@ -109,6 +112,8 @@ const GemmShape kGemmShapes[] = {
     {64, 64, 64},                                    // exact multiples
     {1, 300, 2},                                     // wide-and-flat aspect
     {200, 1, 37},                                    // q == 1
+    {481, 6, 1},                                     // r == 1, row tail
+    {17, 257, 1},                                    // r == 1, kc tail
     {0, 8, 8},                                       // empty output rows
     {8, 0, 8},                                       // empty reduction
     {8, 8, 0},                                       // empty output cols
@@ -613,21 +618,31 @@ TEST(KernelDispatch, ConvDirectEmptyOutputTouchesNothing) {
   }).join();
 }
 
-// ---- Backward kernels: explicit-chain oracles ------------------------------
+// ---- Explicit-chain oracles -------------------------------------------------
 //
-// In a -O3 build GCC compiles the scalar backward loops to one fixed chain
-// per output, and the SIMD backend's AVX-512 arm keeps every chain exactly
-// (see kernels.h, "Backward kernels"). The oracles below write the chains
-// out. A product that a chain rounds on its own is stored through a
-// volatile, so no build can fuse it: at -O2 (the RelWithDebInfo sanitizer
-// builds) GCC compiles the scalar loops to all-FMA chains instead, so the
-// oracles are compared with the SIMD arm, whose chains do not depend on
-// the optimization level, and never with the scalar loops.
+// Every GEMM and conv backward output is one fixed chain (see kernels.h,
+// "Linear algebra" and "Backward kernels"). The oracles below write the
+// chains out. A product that a chain rounds on its own is stored through a
+// volatile, so no build can fuse it; a fused term is std::fmaf. The SIMD
+// backend issues every chain explicitly. The scalar backend writes out the
+// 4*floor(T/4) rule too, but its one-FMA-per-term chains fuse only where
+// the target has FMA, so those are compared with it only there.
 
 // True where the build compiled the tiled arm (AVX-512).
 bool TiledArmCompiled() {
   return kn::SimdAvailable() && std::strcmp(kn::SimdIsaName(), "avx512") == 0;
 }
+
+// True where the scalar loops' one-FMA-per-term chains fuse: the target
+// has a fast fmaf (every build with FMA: native and the AVX2 build, not the
+// portable x86 build), so GCC contracts their `+= x * y` (at -O2 and up)
+// and the conv backward's MulAdd calls fmaf.
+constexpr bool kScalarLoopsFuse =
+#ifdef FP_FAST_FMAF
+    true;
+#else
+    false;
+#endif
 
 // a * b rounded to float on its own, never contracted into an FMA.
 float RoundedProduct(float a, float b) {
@@ -802,15 +817,16 @@ std::string FirstBitDifference(const std::vector<float>& got,
   return "";
 }
 
-// Runs each case through `run` on the SIMD backend, spread round-robin
-// over `threads` threads that run at once (so each uses its own kernel
-// scratch concurrently), and memcmps it against the oracle's result.
-// Returns the first mismatch, described by `what`.
+// Runs each case through `run` on `backend`, spread round-robin over
+// `threads` threads that run at once (so each uses its own kernel scratch
+// concurrently), and memcmps it against the oracle's result. Returns the
+// first mismatch, described by `what`.
 template <typename Case, typename Run, typename What>
-std::string CompareWithOracle(const std::vector<Case>& cases,
+std::string CompareWithOracle(kn::Backend backend,
+                              const std::vector<Case>& cases,
                               const std::vector<std::vector<float>>& want,
                               int threads, Run run, What what) {
-  BackendGuard bg(kn::Backend::kSimd);
+  BackendGuard bg(backend);
   std::vector<std::string> first(static_cast<size_t>(threads));
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
@@ -827,37 +843,39 @@ std::string CompareWithOracle(const std::vector<Case>& cases,
   }
   for (std::thread& w : workers) w.join();
   for (const std::string& f : first) {
-    if (!f.empty()) return f + " at " + std::to_string(threads) + " threads";
+    if (!f.empty()) {
+      return f + " on the " + Name(backend) + " backend at " +
+             std::to_string(threads) + " threads";
+    }
   }
   return "";
 }
 
-struct GemmBackwardCase {
+struct GemmCase {
   GemmShape s;
   std::vector<float> a, b;
 };
 
-std::string Describe(const GemmBackwardCase& c) {
+std::string Describe(const GemmCase& c) {
   return "p=" + std::to_string(c.s.p) + " q=" + std::to_string(c.s.q) +
          " r=" + std::to_string(c.s.r);
 }
 
-// The GEMM backward matrix: the U.S. actor's shapes, empty shapes, then
-// seeded random ones. Every third case draws special values.
-// a is [p, q] for both kernels; b is [p, r] for TransA and bT [r, q] for
-// TransB.
-std::vector<GemmBackwardCase> GemmBackwardCases(
+// A GEMM matrix: the given shapes, then seeded random ones. Every third
+// case draws special values. a is [p, q]; b is [p, r] for TransA, and
+// [q, r] (MatMul) or bT [r, q] (TransB) otherwise.
+std::vector<GemmCase> GemmCases(
     std::vector<GemmShape> shapes, uint64_t seed, int random_shapes,
     const std::function<GemmShape(Rng&)>& random_shape, bool trans_a,
     double a_zeros) {
   Rng pick(seed);
   for (int i = 0; i < random_shapes; ++i) shapes.push_back(random_shape(pick));
-  std::vector<GemmBackwardCase> cases;
+  std::vector<GemmCase> cases;
   for (size_t i = 0; i < shapes.size(); ++i) {
     const GemmShape& s = shapes[i];
     Rng rng(seed + 1 + i);
     const bool special = i % 3 == 2;
-    GemmBackwardCase c{s, {}, {}};
+    GemmCase c{s, {}, {}};
     c.a = BackwardDraws(rng, s.p * s.q, special, a_zeros);
     c.b = BackwardDraws(rng, trans_a ? s.p * s.r : s.r * s.q, special, 0.05);
     cases.push_back(std::move(c));
@@ -865,11 +883,88 @@ std::vector<GemmBackwardCase> GemmBackwardCases(
   return cases;
 }
 
-TEST(KernelDispatch, TransBMatchesChainOracleBitwise) {
-  if (!TiledArmCompiled()) {
-    GTEST_SKIP() << "no AVX-512 tiled arm compiled: MatMulTransB runs the "
-                    "scalar loop only";
+// c[i, j] = +0; then per kGemmKc block of k, a chain from +0 with one fmaf
+// per ascending k, added into c.
+std::vector<float> OracleGemm(const std::vector<float>& a,
+                              const std::vector<float>& b, int64_t p,
+                              int64_t q, int64_t r) {
+  std::vector<float> c(static_cast<size_t>(p * r));
+  for (int64_t i = 0; i < p; ++i) {
+    for (int64_t j = 0; j < r; ++j) {
+      float v = 0.0f;
+      for (int64_t k0 = 0; k0 < q; k0 += kn::kGemmKc) {
+        float acc = 0.0f;
+        for (int64_t k = k0; k < std::min(q, k0 + kn::kGemmKc); ++k) {
+          acc = std::fmaf(a[i * q + k], b[k * r + j], acc);
+        }
+        v = v + acc;
+      }
+      c[i * r + j] = v;
+    }
   }
+  return c;
+}
+
+// Every SIMD arm issues the forward chain explicitly (the AVX-512 GEMV and
+// in-place tile, the AVX2 and NEON packed tiles); the scalar tile is
+// `acc += x * b`, so it meets the chain where that contracts.
+TEST(KernelDispatch, GemmMatchesChainOracleBitwise) {
+  std::vector<kn::Backend> backends;
+  for (kn::Backend b : AllBackends()) {
+    if (b == kn::Backend::kSimd || kScalarLoopsFuse) backends.push_back(b);
+  }
+  if (backends.empty()) {
+    GTEST_SKIP() << "no SIMD path compiled and the scalar tile does not fuse";
+  }
+  // c = a @ b, a:[p, q], b:[q, r]. The actor's r = 1 GEMMs at U.S. and citd
+  // shape, alone and (citd) stacked 8 deep; rows around the 16-row vector;
+  // depths around kGemmKc; columns around the 16-lane vector and the
+  // 32-column panel; the actor's and critic's r > 1 GEMMs; empty shapes;
+  // then random shapes with p 0-40, q 0-300 and r 0-70, r = 1 one time in
+  // three.
+  const std::vector<GemmShape> shapes = {
+      {120, 24, 1},  {480, 6, 1},   {20, 24, 1},   {48, 16, 1},
+      {128, 6, 1},   {8, 16, 1},    {384, 16, 1},  {1024, 6, 1},
+      {64, 16, 1},   {15, 24, 1},   {16, 24, 1},   {17, 6, 1},
+      {31, 13, 1},   {33, 40, 1},   {5, 1, 1},     {19, 255, 1},
+      {19, 256, 1},  {19, 257, 1},  {7, 513, 1},   {9, 20, 15},
+      {9, 20, 16},   {9, 20, 17},   {9, 20, 31},   {9, 20, 32},
+      {9, 20, 33},   {9, 20, 144},  {20, 6, 24},   {20, 24, 20},
+      {20, 20, 20},  {20, 20, 144}, {20, 12, 24},  {20, 11, 24},
+      {1, 285, 48},  {1, 48, 1},    {3, 513, 40},  {0, 5, 1},
+      {5, 0, 1},     {5, 7, 0},     {5, 0, 7},     {0, 0, 0},
+  };
+  const std::vector<GemmCase> cases = GemmCases(
+      shapes, 20261022, 200,
+      [](Rng& rng) {
+        const int64_t p = rng.UniformInt(41), q = rng.UniformInt(301);
+        const int64_t r = rng.UniformInt(3) == 0 ? 1 : rng.UniformInt(71);
+        return GemmShape{p, q, r};
+      },
+      /*trans_a=*/false, /*a_zeros=*/0.05);
+  std::vector<std::vector<float>> want;
+  for (const GemmCase& c : cases) {
+    want.push_back(OracleGemm(c.a, c.b, c.s.p, c.s.q, c.s.r));
+  }
+  for (kn::Backend be : backends) {
+    for (int threads : {1, 4}) {
+      const std::string diff = CompareWithOracle(
+          be, cases, want, threads,
+          [](const GemmCase& c) {
+            std::vector<float> out(static_cast<size_t>(c.s.p * c.s.r), 7.25f);
+            kn::MatMul(c.a.data(), c.b.data(), out.data(), c.s.p, c.s.q,
+                       c.s.r);
+            return out;
+          },
+          [](const GemmCase& c) { return "MatMul " + Describe(c); });
+      ASSERT_EQ(diff, "");
+    }
+  }
+}
+
+// Both backends write the 4*floor(q/4) rule out, so both match the oracle
+// in every build.
+TEST(KernelDispatch, TransBMatchesChainOracleBitwise) {
   // c = a @ bT^T, a:[p, q], bT:[r, q]. The U.S. actor's shapes, empty
   // shapes, inner extents past 256 over all four q mod 4 residues, r = 1
   // and r past 32; then random shapes with p 0-40, q 0-300, r 0-70.
@@ -880,7 +975,7 @@ TEST(KernelDispatch, TransBMatchesChainOracleBitwise) {
       {3, 256, 33}, {3, 257, 33}, {3, 258, 31}, {3, 259, 17}, {2, 300, 70},
       {40, 13, 1},  {7, 9, 33},   {5, 6, 65},   {4, 3, 16},   {5, 2, 32},
   };
-  const std::vector<GemmBackwardCase> cases = GemmBackwardCases(
+  const std::vector<GemmCase> cases = GemmCases(
       shapes, 20261019, 300,
       [](Rng& rng) {
         return GemmShape{rng.UniformInt(41), rng.UniformInt(301),
@@ -888,27 +983,41 @@ TEST(KernelDispatch, TransBMatchesChainOracleBitwise) {
       },
       /*trans_a=*/false, /*a_zeros=*/0.05);
   std::vector<std::vector<float>> want;
-  for (const GemmBackwardCase& c : cases) {
+  for (const GemmCase& c : cases) {
     want.push_back(OracleTransB(c.a, c.b, c.s.p, c.s.q, c.s.r));
   }
-  for (int threads : {1, 4}) {
-    const std::string diff = CompareWithOracle(
-        cases, want, threads,
-        [](const GemmBackwardCase& c) {
-          std::vector<float> out(static_cast<size_t>(c.s.p * c.s.r), 7.25f);
-          kn::MatMulTransB(c.a.data(), c.b.data(), out.data(), c.s.p, c.s.q,
-                           c.s.r);
-          return out;
-        },
-        [](const GemmBackwardCase& c) { return "TransB " + Describe(c); });
-    ASSERT_EQ(diff, "");
+  for (kn::Backend be : AllBackends()) {
+    for (int threads : {1, 4}) {
+      const std::string diff = CompareWithOracle(
+          be, cases, want, threads,
+          [](const GemmCase& c) {
+            std::vector<float> out(static_cast<size_t>(c.s.p * c.s.r), 7.25f);
+            kn::MatMulTransB(c.a.data(), c.b.data(), out.data(), c.s.p,
+                             c.s.q, c.s.r);
+            return out;
+          },
+          [](const GemmCase& c) { return "TransB " + Describe(c); });
+      ASSERT_EQ(diff, "");
+    }
   }
 }
 
+// The backends whose backward kernels issue one FMA per term where the
+// chains say so: the tiled arm in every build, the scalar loops (which the
+// SIMD backend also runs in builds without the tiled arm) where they fuse.
+std::vector<kn::Backend> FusedChainBackends() {
+  std::vector<kn::Backend> v;
+  for (kn::Backend b : AllBackends()) {
+    if ((b == kn::Backend::kSimd && TiledArmCompiled()) || kScalarLoopsFuse) {
+      v.push_back(b);
+    }
+  }
+  return v;
+}
+
 TEST(KernelDispatch, TransAMatchesChainOracleBitwise) {
-  if (!TiledArmCompiled()) {
-    GTEST_SKIP() << "no AVX-512 tiled arm compiled: MatMulTransA runs the "
-                    "scalar loop only";
+  if (FusedChainBackends().empty()) {
+    GTEST_SKIP() << "no tiled arm compiled and the scalar loops do not fuse";
   }
   // c = a^T @ b, a:[p, q], b:[p, r]; the inner extent is p. a holds 30%
   // zeros of both signs (ReLU activations in the model). Random shapes
@@ -920,7 +1029,7 @@ TEST(KernelDispatch, TransAMatchesChainOracleBitwise) {
       {0, 0, 1},    {300, 40, 1}, {257, 33, 2}, {259, 3, 70}, {7, 70, 1},
       {9, 4, 33},   {6, 5, 16},   {6, 17, 32},
   };
-  const std::vector<GemmBackwardCase> cases = GemmBackwardCases(
+  const std::vector<GemmCase> cases = GemmCases(
       shapes, 20261020, 300,
       [](Rng& rng) {
         const int64_t p = rng.UniformInt(301), q = rng.UniformInt(41);
@@ -929,27 +1038,29 @@ TEST(KernelDispatch, TransAMatchesChainOracleBitwise) {
       },
       /*trans_a=*/true, /*a_zeros=*/0.3);
   std::vector<std::vector<float>> want;
-  for (const GemmBackwardCase& c : cases) {
+  for (const GemmCase& c : cases) {
     want.push_back(OracleTransA(c.a, c.b, c.s.p, c.s.q, c.s.r));
   }
-  for (int threads : {1, 4}) {
-    const std::string diff = CompareWithOracle(
-        cases, want, threads,
-        [](const GemmBackwardCase& c) {
-          std::vector<float> out(static_cast<size_t>(c.s.q * c.s.r), 7.25f);
-          kn::MatMulTransA(c.a.data(), c.b.data(), out.data(), c.s.p, c.s.q,
-                           c.s.r);
-          return out;
-        },
-        [](const GemmBackwardCase& c) { return "TransA " + Describe(c); });
-    ASSERT_EQ(diff, "");
+  for (kn::Backend be : FusedChainBackends()) {
+    for (int threads : {1, 4}) {
+      const std::string diff = CompareWithOracle(
+          be, cases, want, threads,
+          [](const GemmCase& c) {
+            std::vector<float> out(static_cast<size_t>(c.s.q * c.s.r), 7.25f);
+            kn::MatMulTransA(c.a.data(), c.b.data(), out.data(), c.s.p,
+                             c.s.q, c.s.r);
+            return out;
+          },
+          [](const GemmCase& c) { return "TransA " + Describe(c); });
+      ASSERT_EQ(diff, "");
+    }
   }
 }
 
 TEST(KernelDispatch, ConvBackwardMatchesChainOracleBitwise) {
-  if (!TiledArmCompiled()) {
-    GTEST_SKIP() << "no AVX-512 tiled arm compiled: CausalConv1dBackward "
-                    "runs the scalar loop only";
+  if (FusedChainBackends().empty()) {
+    GTEST_SKIP() << "no tiled arm compiled and the scalar loops do not fuse "
+                    "gx";
   }
   // The U.S. TCN's five convs (the first conv and the projection read a
   // constant, so no gx), empty shapes, gw chains past 256 terms, shifts at
@@ -993,32 +1104,34 @@ TEST(KernelDispatch, ConvBackwardMatchesChainOracleBitwise) {
   }
   std::vector<std::vector<float>> want;
   for (const ConvBackwardCase& c : cases) want.push_back(OracleConvBackward(c));
-  for (int threads : {1, 4}) {
-    const std::string diff = CompareWithOracle(
-        cases, want, threads,
-        [](const ConvBackwardCase& c) {
-          const ConvBackwardShape& s = c.s;
-          std::vector<float> gx = c.gx, gw = c.gw, gb = c.gb;
-          kn::CausalConv1dBackward(
-              c.x.data(), c.w.data(), c.gout.data(),
-              s.with_gx ? gx.data() : nullptr, gw.data(),
-              s.with_gb ? gb.data() : nullptr, s.batch, s.cin, s.cout, s.len,
-              s.k, s.dilation);
-          gx.insert(gx.end(), gw.begin(), gw.end());
-          gx.insert(gx.end(), gb.begin(), gb.end());
-          return gx;
-        },
-        [](const ConvBackwardCase& c) {
-          const ConvBackwardShape& s = c.s;
-          return "conv backward batch=" + std::to_string(s.batch) +
-                 " cin=" + std::to_string(s.cin) +
-                 " cout=" + std::to_string(s.cout) +
-                 " len=" + std::to_string(s.len) +
-                 " k=" + std::to_string(s.k) +
-                 " dilation=" + std::to_string(s.dilation) +
-                 (s.with_gx ? "" : " no gx") + (s.with_gb ? "" : " no gb");
-        });
-    ASSERT_EQ(diff, "");
+  for (kn::Backend be : FusedChainBackends()) {
+    for (int threads : {1, 4}) {
+      const std::string diff = CompareWithOracle(
+          be, cases, want, threads,
+          [](const ConvBackwardCase& c) {
+            const ConvBackwardShape& s = c.s;
+            std::vector<float> gx = c.gx, gw = c.gw, gb = c.gb;
+            kn::CausalConv1dBackward(
+                c.x.data(), c.w.data(), c.gout.data(),
+                s.with_gx ? gx.data() : nullptr, gw.data(),
+                s.with_gb ? gb.data() : nullptr, s.batch, s.cin, s.cout,
+                s.len, s.k, s.dilation);
+            gx.insert(gx.end(), gw.begin(), gw.end());
+            gx.insert(gx.end(), gb.begin(), gb.end());
+            return gx;
+          },
+          [](const ConvBackwardCase& c) {
+            const ConvBackwardShape& s = c.s;
+            return "conv backward batch=" + std::to_string(s.batch) +
+                   " cin=" + std::to_string(s.cin) +
+                   " cout=" + std::to_string(s.cout) +
+                   " len=" + std::to_string(s.len) +
+                   " k=" + std::to_string(s.k) +
+                   " dilation=" + std::to_string(s.dilation) +
+                   (s.with_gx ? "" : " no gx") + (s.with_gb ? "" : " no gb");
+          });
+      ASSERT_EQ(diff, "");
+    }
   }
 }
 
@@ -1053,21 +1166,42 @@ TEST(KernelObs, GemmBytesFormula) {
 #endif
   TelemetryGuard telemetry(true);
   ThreadCountGuard tg(1);
-  obs::Registry::Global().ResetAll();
-  const int64_t p = 50, q = 300, r = 40;
-  RunGemm({p, q, r}, kn::ActiveBackend(), 1);
-  // Blocked-traffic closed form (see CountGemmBlocked in kernels.cc):
-  // C memset + B pack reads + padded panel writes + A stream per column
-  // panel + C read-modify-write per depth block.
-  const int64_t nj = (r + kn::kGemmNr - 1) / kn::kGemmNr;  // 2
-  const int64_t nk = (q + kn::kGemmKc - 1) / kn::kGemmKc;  // 2
-  const int64_t expected =
-      4 * (p * r + q * r + nj * q * kn::kGemmNr + nj * p * q +
-           2 * nk * p * r);
-  EXPECT_EQ(obs::Registry::Global().GetCounter("kernels.gemm_bytes").Total(),
-            static_cast<uint64_t>(expected));
-  EXPECT_EQ(obs::Registry::Global().GetCounter("kernels.gemm_flops").Total(),
-            static_cast<uint64_t>(2 * p * q * r));
+  for (kn::Backend be : AllBackends()) {
+    const bool tiled = be == kn::Backend::kSimd && TiledArmCompiled();
+    for (const GemmShape& s : {GemmShape{50, 300, 40}, GemmShape{37, 300, 1}}) {
+      const int64_t p = s.p, q = s.q, r = s.r;
+      obs::Registry::Global().ResetAll();
+      RunGemm(s, be, 1);
+      // Closed forms (see CountGemm in kernels.cc), after the C zero-fill.
+      const int64_t nj = (r + kn::kGemmNr - 1) / kn::kGemmNr;  // 2, 1
+      const int64_t nk = (q + kn::kGemmKc - 1) / kn::kGemmKc;  // 2
+      int64_t floats = p * r;
+      if (tiled && r == 1) {
+        // GEMV: A once, b once per 16-row vector, C read-modify-written
+        // per depth block.
+        const int64_t vectors = (p + 15) / 16;  // 3
+        floats += p * q + vectors * q + 2 * nk * p;
+      } else if (tiled) {
+        // In-place tile: B's valid columns once, A per column panel, C
+        // read-modify-written per depth block.
+        floats += q * r + nj * p * q + 2 * nk * p * r;
+      } else {
+        // Packed: B pack reads + padded panel writes, A per column panel,
+        // C read-modify-written per depth block.
+        floats += q * r + nj * q * kn::kGemmNr + nj * p * q + 2 * nk * p * r;
+      }
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_bytes").Total(),
+          static_cast<uint64_t>(4 * floats))
+          << Name(be) << " p=" << p << " r=" << r;
+      // Calls and FLOPs do not depend on the arm.
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_calls").Total(), 1u);
+      EXPECT_EQ(
+          obs::Registry::Global().GetCounter("kernels.gemm_flops").Total(),
+          static_cast<uint64_t>(2 * p * q * r));
+    }
+  }
 }
 
 TEST(KernelObs, GemmTransBBytesFormula) {

@@ -98,20 +98,39 @@ Tensor RunWithThreads(int n_threads, F compute) {
   return compute();
 }
 
+// Same shape and the same bits: unlike a float compare, -0 differs from +0
+// and a NaN equals itself.
+::testing::AssertionResult BitwiseEqual(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure() << "shapes differ";
+  }
+  if (std::memcmp(a.data(), b.data(),
+                  sizeof(float) * static_cast<size_t>(a.numel())) != 0) {
+    return ::testing::AssertionFailure() << "bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(Determinism, MatMulBitwiseIdenticalAcrossThreadCounts) {
   Rng rng(1);
-  // Odd sizes exercise the micro-kernel's row and column tails.
-  Tensor a = Tensor::Uniform({173, 211}, rng, -1, 1);
-  Tensor b = Tensor::Uniform({211, 97}, rng, -1, 1);
-  auto compute = [&] {
-    Tensor c({173, 97});
-    math::kernels::MatMul(a.data(), b.data(), c.data(), 173, 211, 97);
-    return c;
+  // Odd sizes exercise the micro-kernel's row and column tails; r = 1 is
+  // the SIMD backend's GEMV on AVX-512 builds.
+  struct Case {
+    int64_t p, q, r;
   };
-  const Tensor c1 = RunWithThreads(1, compute);
-  for (int t : {2, 4}) {
-    const Tensor ct = RunWithThreads(t, compute);
-    ASSERT_TRUE(math::TensorEquals(c1, ct)) << t << " threads";
+  for (const Case& s : {Case{173, 211, 97}, Case{481, 24, 1}}) {
+    Tensor a = Tensor::Uniform({s.p, s.q}, rng, -1, 1);
+    Tensor b = Tensor::Uniform({s.q, s.r}, rng, -1, 1);
+    auto compute = [&] {
+      Tensor c({s.p, s.r});
+      math::kernels::MatMul(a.data(), b.data(), c.data(), s.p, s.q, s.r);
+      return c;
+    };
+    const Tensor c1 = RunWithThreads(1, compute);
+    for (int t : {2, 4}) {
+      const Tensor ct = RunWithThreads(t, compute);
+      ASSERT_TRUE(BitwiseEqual(c1, ct)) << t << " threads, r=" << s.r;
+    }
   }
 }
 
@@ -130,9 +149,9 @@ TEST(Determinism, MatMulTransposedVariantsBitwiseIdentical) {
     math::kernels::MatMulTransA(a.data(), g.data(), c.data(), 150, 170, 130);
     return c;
   };
-  ASSERT_TRUE(math::TensorEquals(RunWithThreads(1, trans_b),
+  ASSERT_TRUE(BitwiseEqual(RunWithThreads(1, trans_b),
                                  RunWithThreads(4, trans_b)));
-  ASSERT_TRUE(math::TensorEquals(RunWithThreads(1, trans_a),
+  ASSERT_TRUE(BitwiseEqual(RunWithThreads(1, trans_a),
                                  RunWithThreads(4, trans_a)));
 }
 
@@ -153,7 +172,7 @@ TEST(Determinism, CausalConvBitwiseIdenticalBothPaths) {
                                          c.len, c.k, c.dilation);
       return out;
     };
-    ASSERT_TRUE(math::TensorEquals(RunWithThreads(1, compute),
+    ASSERT_TRUE(BitwiseEqual(RunWithThreads(1, compute),
                                    RunWithThreads(4, compute)))
         << "len=" << c.len;
   }
@@ -168,7 +187,7 @@ TEST(Determinism, ElementwiseAndSoftmaxBitwiseIdentical) {
                        [](float v) { return std::exp(v) * 0.5f + v * v; });
     return out;
   };
-  ASSERT_TRUE(math::TensorEquals(RunWithThreads(1, mapped),
+  ASSERT_TRUE(BitwiseEqual(RunWithThreads(1, mapped),
                                  RunWithThreads(4, mapped)));
 
   Tensor s = Tensor::Uniform({512, 80}, rng, -5, 5);
@@ -177,7 +196,7 @@ TEST(Determinism, ElementwiseAndSoftmaxBitwiseIdentical) {
     math::kernels::SoftmaxLastAxis(out.data(), 512, 80);
     return out;
   };
-  ASSERT_TRUE(math::TensorEquals(RunWithThreads(1, softmaxed),
+  ASSERT_TRUE(BitwiseEqual(RunWithThreads(1, softmaxed),
                                  RunWithThreads(4, softmaxed)));
 }
 
@@ -194,8 +213,8 @@ TEST(Determinism, TrainingStepGradientsBitwiseIdentical) {
   };
   const auto g1 = grads(1);
   const auto g4 = grads(4);
-  ASSERT_TRUE(math::TensorEquals(g1.first, g4.first));
-  ASSERT_TRUE(math::TensorEquals(g1.second, g4.second));
+  ASSERT_TRUE(BitwiseEqual(g1.first, g4.first));
+  ASSERT_TRUE(BitwiseEqual(g1.second, g4.second));
 }
 
 // Kernels are serial: however large the shape, no kernel forks a pool job
