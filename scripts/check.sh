@@ -30,9 +30,10 @@
 #      CIT_OVERSUBSCRIBE=1 so the pool's workers really run sweep cells
 #      concurrently even on small hosts.
 #   5. A CIT_OBS=OFF build, proving the instrumentation compiles out.
-#   6. A portable (-DCIT_NATIVE_ARCH=OFF) build running test_kernels at 1
-#      and 4 threads: the direct conv's bitwise reference test must also
-#      hold where the compiler emits no FMA.
+#   6. A portable (-DCIT_NATIVE_ARCH=OFF) build running test_kernels and
+#      test_plan at 1 and 4 threads: the direct conv's bitwise reference
+#      test and the op-by-op compiled-equals-interpreted matrix
+#      (CompiledOps) must also hold where the compiler emits no FMA.
 #   7. An AVX2 build (-DCIT_NATIVE_ARCH=OFF -DCMAKE_CXX_FLAGS="-mavx2
 #      -mfma") running test_kernels and test_plan at 1 and 4 threads: the
 #      SIMD backend's AVX2 arms compile only where AVX-512 is absent, so no
@@ -280,18 +281,20 @@ run cmake -B build-noobs -S . -DCMAKE_BUILD_TYPE=Release -DCIT_OBS=OFF
 run cmake --build build-noobs -j"$(nproc)" --target test_obs
 (cd build-noobs && run ./tests/test_obs)
 
-echo "=== portable build (CIT_NATIVE_ARCH=OFF) + kernel tests ==="
+echo "=== portable build (CIT_NATIVE_ARCH=OFF) + kernel and plan tests ==="
 # No -march=native: on x86 there is no SIMD path and no FMA contraction,
 # so the kernels and their bitwise references round every multiply-add
-# twice.
+# twice, and each replayed op must still equal its interpreted forward.
 run cmake -B build-portable -S . -DCMAKE_BUILD_TYPE=Release \
     -DCIT_NATIVE_ARCH=OFF
-run cmake --build build-portable -j"$(nproc)" --target test_kernels
+run cmake --build build-portable -j"$(nproc)" --target test_kernels test_plan
 (cd build-portable && run env CIT_NUM_THREADS=1 ./tests/test_kernels)
 (cd build-portable && run env CIT_NUM_THREADS=4 ./tests/test_kernels)
+(cd build-portable && run env CIT_NUM_THREADS=1 ./tests/test_plan)
+(cd build-portable && run env CIT_NUM_THREADS=4 ./tests/test_plan)
 
 echo "=== AVX2 build (-mavx2 -mfma) + kernel and plan tests ==="
-# The SIMD backend's AVX2 arms (GEMM tile, elementwise sweeps, Axpy, fused
+# The SIMD backend's AVX2 arms (GEMM tile, elementwise sweeps, fused
 # chains) compile only where AVX-512 is absent. Here SimdIsaName() is avx2
 # (KernelDispatch.IsaNameMatchesCompileTarget checks it), the direct conv
 # takes the time-major arm on both backends, and the scalar loops contract

@@ -49,10 +49,6 @@ struct CrossInsightConfig {
   // state. A compact market summary keeps the critic sensitive to the
   // action/pre-decision slots, which the counterfactual baselines need.
   int64_t critic_market_days = 8;
-  // Standardize policy-gradient weights per policy across each rollout
-  // (state-independent rescaling). Off by default: with the counterfactual
-  // baselines the raw advantage scale is already well-conditioned.
-  bool normalize_advantages = false;
   BackboneKind backbone = BackboneKind::kTcnAttention;
   CreditMode credit = CreditMode::kCounterfactual;
 

@@ -1,7 +1,6 @@
 #include "core/trader.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/check.h"
@@ -260,9 +259,8 @@ namespace {
 struct StepRecord {
   std::vector<Var> horizon_logp;           // n
   Var cross_logp;
-  std::vector<std::vector<double>> pre;    // executed pre-decisions [n][m]
   std::vector<std::vector<double>> mu;     // Gaussian-mean weights  [n][m]
-  Tensor pre_dec;                          // [n*m]
+  Tensor pre_dec;                          // executed pre-decisions [n*m]
   std::vector<double> action;              // executed final weights [m]
   std::vector<double> cross_mu;            // cross-policy mean weights [m]
   int64_t day = 0;
@@ -295,15 +293,21 @@ std::vector<double> CrossInsightTrader::Train(
     for (double x : v) s += x;
     return v.empty() ? 0.0 : s / static_cast<double>(v.size());
   };
-  auto standardize = [](std::vector<double>* adv) {
-    double mean = 0.0;
-    for (double v : *adv) mean += v;
-    mean /= adv->size();
-    double var = 0.0;
-    for (double v : *adv) var += (v - mean) * (v - mean);
-    const double stddev = std::sqrt(var / adv->size());
-    if (stddev < 1e-8) return;
-    for (double& v : *adv) v /= stddev;
+  // Critic c's Q-value of (pre_dec, action) on a day's features; c is 0
+  // for the centralized critic. The decentralized critic c < n reads band
+  // c's flat and policy c's pre-decision (its slot of pre_dec, an O(1)
+  // view), critic n the market flat and the action; the centralized critic
+  // reads the market flat, every pre-decision and the action.
+  auto q = [&](int64_t c, const DayFeatures& f, const Tensor& pre_dec,
+               const std::vector<double>& action) -> Var {
+    if (!dec) {
+      return critic_->Forward(f.market_flat, pre_dec, WeightsTensor(action));
+    }
+    if (c < n) {
+      return dec_critics_[c]->Forward(
+          f.band_flats[c], pre_dec.Slice(0, c * num_assets_, num_assets_));
+    }
+    return dec_critics_[c]->Forward(f.market_flat, WeightsTensor(action));
   };
 
   auto update = [&](int64_t step) -> double {
@@ -328,19 +332,17 @@ std::vector<double> CrossInsightTrader::Train(
         const DayFeatures& f = FeaturesAt(panel, day);
         StepRecord rec;
         rec.day = day;
-        rec.pre.resize(n);
         rec.mu.resize(n);
         for (int64_t k = 0; k < n; ++k) {
           Var mean = actors_[k]->Forward(f.bands[k], PrevTensor(held[k]));
           GaussianAction act =
               SampleGaussianSimplex(mean, actors_[k]->log_std(), &rng);
-          rec.pre[k] = act.weights;
           rec.mu[k] = SoftmaxWeights(mean.value());
           rec.horizon_logp.push_back(act.log_prob);
           held[k] = act.weights;
         }
-        rec.pre_dec = n > 0 ? ConcatWeights(rec.pre, num_assets_)
-                            : Tensor({0});
+        // held now holds this step's pre-decisions.
+        rec.pre_dec = n > 0 ? ConcatWeights(held, num_assets_) : Tensor({0});
         Var cross_mean = cross_actor_->Forward(f.market, rec.pre_dec);
         GaussianAction cross_act = SampleGaussianSimplex(
             cross_mean, cross_actor_->log_std(), &rng);
@@ -380,39 +382,11 @@ std::vector<double> CrossInsightTrader::Train(
         for (int64_t t = 0; t < len; ++t) {
           const StepRecord& rec = rollout[t];
           const DayFeatures& f = FeaturesAt(panel, rec.day);
-          Var q;
-          if (dec) {
-            if (c < n) {
-              q = dec_critics_[c]->Forward(f.band_flats[c],
-                                           WeightsTensor(rec.pre[c]));
-            } else {
-              q = dec_critics_[c]->Forward(f.market_flat,
-                                           WeightsTensor(rec.action));
-            }
-          } else {
-            q = critic_->Forward(f.market_flat, rec.pre_dec,
-                                 WeightsTensor(rec.action));
-          }
-          values[t] = q.value().Item();
+          values[t] = q(c, f, rec.pre_dec, rec.action).value().Item();
         }
         if (boot_day >= 0) {
           const DayFeatures& f = FeaturesAt(panel, boot_day);
-          Var q;
-          if (dec) {
-            if (c < n) {
-              std::vector<double> own(boot_pre.data() + c * num_assets_,
-                                      boot_pre.data() + (c + 1) * num_assets_);
-              q = dec_critics_[c]->Forward(f.band_flats[c],
-                                           WeightsTensor(own));
-            } else {
-              q = dec_critics_[c]->Forward(f.market_flat,
-                                           WeightsTensor(boot_action));
-            }
-          } else {
-            q = critic_->Forward(f.market_flat, boot_pre,
-                                 WeightsTensor(boot_action));
-          }
-          values[len] = q.value().Item();
+          values[len] = q(c, f, boot_pre, boot_action).value().Item();
         }
         targets[c] = rl::LambdaReturns(rewards, values, config_.gamma,
                                        config_.lambda, config_.n_step);
@@ -428,24 +402,11 @@ std::vector<double> CrossInsightTrader::Train(
     for (int64_t t = 0; t < len; ++t) {
       const StepRecord& rec = rollout[t];
       const DayFeatures& f = FeaturesAt(panel, rec.day);
-      if (dec) {
-        for (int64_t c = 0; c < num_critics; ++c) {
-          Var q = (c < n)
-                      ? dec_critics_[c]->Forward(
-                            f.band_flats[c], WeightsTensor(rec.pre[c]))
-                      : dec_critics_[c]->Forward(
-                            f.market_flat, WeightsTensor(rec.action));
-          critic_loss = ag::Add(
-              critic_loss,
-              ag::Square(ag::AddScalar(
-                  q, -static_cast<float>(targets[c][t]))));
-        }
-      } else {
-        Var q = critic_->Forward(f.market_flat, rec.pre_dec,
-                                 WeightsTensor(rec.action));
+      for (int64_t c = 0; c < num_critics; ++c) {
         critic_loss = ag::Add(
             critic_loss,
-            ag::Square(ag::AddScalar(q, -static_cast<float>(targets[0][t]))));
+            ag::Square(ag::AddScalar(q(c, f, rec.pre_dec, rec.action),
+                                     -static_cast<float>(targets[c][t]))));
       }
     }
     critic_loss =
@@ -465,94 +426,61 @@ std::vector<double> CrossInsightTrader::Train(
     {
     CIT_OBS_SPAN("train.advantages");
     ag::NoGradGuard no_grad;
-    std::vector<double> q_joint(len, 0.0);
-    std::vector<std::vector<double>> q_dec(num_critics,
-                                           std::vector<double>(len, 0.0));
+    // Each critic's Q of the executed step; qs[0] is the joint Q of the
+    // centralized critic.
+    std::vector<std::vector<double>> qs(num_critics,
+                                        std::vector<double>(len, 0.0));
     std::vector<std::vector<double>> baselines(
         n, std::vector<double>(len, 0.0));
     std::vector<double> cross_baseline(len, 0.0);
     for (int64_t t = 0; t < len; ++t) {
       const StepRecord& rec = rollout[t];
       const DayFeatures& f = FeaturesAt(panel, rec.day);
-      if (dec) {
-        for (int64_t c = 0; c < num_critics; ++c) {
-          Var q = (c < n)
-                      ? dec_critics_[c]->Forward(
-                            f.band_flats[c], WeightsTensor(rec.pre[c]))
-                      : dec_critics_[c]->Forward(
-                            f.market_flat, WeightsTensor(rec.action));
-          q_dec[c][t] = q.value().Item();
-        }
-        cross_baseline[t] =
-            dec_critics_[num_critics - 1]
-                ->Forward(f.market_flat, WeightsTensor(rec.cross_mu))
-                .value()
-                .Item();
-      } else {
-        q_joint[t] = critic_
-                         ->Forward(f.market_flat, rec.pre_dec,
-                                   WeightsTensor(rec.action))
-                         .value()
-                         .Item();
-        // Counterfactual baseline for the cross-insight policy itself:
-        // the executed trade action replaced by the Gaussian-mean action.
-        // State-dependent but independent of the sampled action, so it
-        // reduces variance without biasing Eq. (3)'s gradient.
-        cross_baseline[t] = critic_
-                                ->Forward(f.market_flat, rec.pre_dec,
-                                          WeightsTensor(rec.cross_mu))
-                                .value()
-                                .Item();
-        if (config_.credit == CreditMode::kCounterfactual) {
-          for (int64_t k = 0; k < n; ++k) {
-            // Counterfactual baseline B^k (Eq. 8): policy k's
-            // pre-decision replaced by its Gaussian-mean action.
-            Tensor cf = ReplaceSlot(rec.pre_dec, k, num_assets_, rec.mu[k]);
-            baselines[k][t] = critic_
-                                  ->Forward(f.market_flat, cf,
-                                            WeightsTensor(rec.action))
-                                  .value()
-                                  .Item();
-          }
+      for (int64_t c = 0; c < num_critics; ++c) {
+        qs[c][t] = q(c, f, rec.pre_dec, rec.action).value().Item();
+      }
+      // Counterfactual baseline for the cross-insight policy itself: the
+      // executed trade action replaced by the Gaussian-mean action.
+      // State-dependent but independent of the sampled action, so it
+      // reduces variance without biasing Eq. (3)'s gradient.
+      cross_baseline[t] =
+          q(num_critics - 1, f, rec.pre_dec, rec.cross_mu).value().Item();
+      if (config_.credit == CreditMode::kCounterfactual) {
+        for (int64_t k = 0; k < n; ++k) {
+          // Counterfactual baseline B^k (Eq. 8): policy k's pre-decision
+          // replaced by its Gaussian-mean action.
+          Tensor cf = ReplaceSlot(rec.pre_dec, k, num_assets_, rec.mu[k]);
+          baselines[k][t] = q(0, f, cf, rec.action).value().Item();
         }
       }
     }
     // Constant (state-independent) baseline for Q-weighted terms: the
     // rollout mean. Reduces variance without biasing the gradient.
-    std::vector<double> dec_means(num_critics, 0.0);
-    for (int64_t c = 0; c < num_critics; ++c) {
-      dec_means[c] = mean_of(q_dec[c]);
-    }
+    std::vector<double> q_means(num_critics, 0.0);
+    for (int64_t c = 0; c < num_critics; ++c) q_means[c] = mean_of(qs[c]);
 
-    // Per-policy advantage series; optionally standardized across the
-    // rollout (a state-independent rescaling that equalizes learning
-    // speed between the horizon and cross-insight policies).
+    // Per-policy advantage series.
     for (int64_t t = 0; t < len; ++t) {
       for (int64_t k = 0; k < n; ++k) {
         switch (config_.credit) {
           case CreditMode::kCounterfactual:
-            horizon_adv[k][t] = q_joint[t] - baselines[k][t];
+            horizon_adv[k][t] = qs[0][t] - baselines[k][t];
             break;
           case CreditMode::kSharedQ:
             // The ablation's "same Q-value for every policy": the raw
             // Q, no per-policy baseline — Fig. 8's comparison variant.
-            horizon_adv[k][t] = q_joint[t];
+            horizon_adv[k][t] = qs[0][t];
             break;
           case CreditMode::kDecCritic:
-            horizon_adv[k][t] = q_dec[k][t] - dec_means[k];
+            horizon_adv[k][t] = qs[k][t] - q_means[k];
             break;
         }
       }
       if (config_.credit == CreditMode::kSharedQ) {
-        cross_adv[t] = q_joint[t];  // same Q for the cross policy too
+        cross_adv[t] = qs[0][t];  // same Q for the cross policy too
       } else {
-        cross_adv[t] = dec ? q_dec[num_critics - 1][t] - cross_baseline[t]
-                           : q_joint[t] - cross_baseline[t];
+        cross_adv[t] = qs[num_critics - 1][t] - cross_baseline[t];
       }
-    }
-    if (config_.normalize_advantages) {
-      for (auto& adv : horizon_adv) standardize(&adv);
-      standardize(&cross_adv);
     }
     }
 

@@ -1,8 +1,8 @@
 #include "math/autograd.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -161,16 +161,17 @@ void Var::Backward() {
 
 Var Var::Detach() const { return Var::Constant(value()); }
 
-Var MakeOpImpl(Tensor value, std::vector<Var> inputs,
+Var MakeOpImpl(Tensor value, const Var* const* inputs, size_t n,
                std::function<void(Node&)> backward_fn) {
   bool requires_grad = false;
-  for (const Var& v : inputs) requires_grad |= v.requires_grad();
+  for (size_t i = 0; i < n; ++i) requires_grad |= inputs[i]->requires_grad();
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
   node->requires_grad = requires_grad;
   if (requires_grad) {
-    node->parents.reserve(inputs.size());
-    for (Var& v : inputs) {
+    node->parents.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Var& v = *inputs[i];
       std::shared_ptr<Node> p = v.node();
       if (p == nullptr && v.defined()) {
         // A node-free constant (produced under an earlier NoGradGuard) is
@@ -188,6 +189,45 @@ Var MakeOpImpl(Tensor value, std::vector<Var> inputs,
 }
 
 namespace {
+
+// An op's forward: `ins[k]` is the data of its k-th input, `out` the
+// output it writes.
+using In = const float* const*;
+
+// Runs an op's forward, written once as the kernel callable `kernel(ins,
+// out)`: allocates the output, calls the kernel over the inputs' data, and,
+// while a plan records, hands the recorder that same callable as the op's
+// replay step. The interpreted value and every replay of it therefore run
+// one kernel call.
+template <typename Kernel>
+Tensor RunKernel(Shape shape, const Var* const* ins, size_t n,
+                 Kernel kernel) {
+  Tensor out(std::move(shape));
+  // Only a Concat of many parts needs the heap for its input pointers.
+  const float* inline_data[4];
+  std::vector<const float*> heap_data;
+  const float** data = inline_data;
+  if (n > std::size(inline_data)) {
+    heap_data.resize(n);
+    data = heap_data.data();
+  }
+  for (size_t i = 0; i < n; ++i) data[i] = ins[i]->value().data();
+  kernel(data, out.data());
+  if (plan::Recording()) plan::RecordStep(out, ins, n, std::move(kernel));
+  return out;
+}
+
+// Runs a one-op FusedElemwise chain, the kernel an unfused plan replay
+// runs, and records the op as a fusable elementwise step, so the
+// interpreted path, an unfused replay and a fused sweep all evaluate the
+// identical expression (exact ops may take the SIMD sweep, libm ops keep
+// the scalar one).
+Tensor RunElem(const Var& a, kernels::ElemOp op) {
+  Tensor out(a.shape());
+  kernels::FusedElemwise(a.value().data(), out.data(), out.numel(), &op, 1);
+  if (plan::Recording()) plan::RecordElem(out, a, op);
+  return out;
+}
 
 enum class BroadcastKind { kSame, kScalar, kBias };
 
@@ -218,65 +258,40 @@ Tensor ReduceToBias(const Tensor& g, int64_t n) {
 
 }  // namespace
 
+// A one-element operand of Add/Sub/Mul/Div is read when the kernel runs, so
+// a varying scalar input replays correctly.
+
 Var Add(const Var& a, const Var& b) {
   const BroadcastKind kind =
       ClassifyBroadcast(a.value(), b.value(), /*allow_bias=*/true);
+  const Var* ins[] = {&a, &b};
+  const int64_t n = a.numel();
   Tensor out;
   switch (kind) {
     case BroadcastKind::kSame:
-      out = a.value().Add(b.value());
+      out = RunKernel(a.shape(), ins, 2, [n](In in, float* o) {
+        kernels::Add(in[0], in[1], o, n);
+      });
       break;
     case BroadcastKind::kScalar:
-      out = a.value().AddScalar(b.value()[0]);
+      out = RunKernel(a.shape(), ins, 2, [n](In in, float* o) {
+        kernels::AddScalar(in[0], in[1][0], o, n);
+      });
       break;
     case BroadcastKind::kBias: {
-      out = Tensor(a.value().shape());
-      const int64_t n = b.value().dim(0);
-      const int64_t rows = out.numel() / n;
-      const float* pa = a.value().data();
-      const float* pb = b.value().data();
-      float* po = out.data();
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t i = 0; i < n; ++i) po[r * n + i] = pa[r * n + i] + pb[i];
-      }
+      const int64_t bn = b.value().dim(0);
+      const int64_t rows = n / bn;
+      out = RunKernel(a.shape(), ins, 2, [rows, bn](In in, float* o) {
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t i = 0; i < bn; ++i) {
+            o[r * bn + i] = in[0][r * bn + i] + in[1][i];
+          }
+        }
+      });
       break;
     }
   }
-  if (plan::Recording()) {
-    const int64_t n = out.numel();
-    switch (kind) {
-      case BroadcastKind::kSame:
-        plan::RecordStep(out, {&a, &b},
-                         [n](const float* const* ins, float* o) {
-                           kernels::Add(ins[0], ins[1], o, n);
-                         });
-        break;
-      case BroadcastKind::kScalar:
-        // The scalar operand is read at replay time, so a varying scalar
-        // input replays correctly.
-        plan::RecordStep(out, {&a, &b},
-                         [n](const float* const* ins, float* o) {
-                           kernels::AddScalar(ins[0], ins[1][0], o, n);
-                         });
-        break;
-      case BroadcastKind::kBias: {
-        const int64_t bn = b.value().dim(0);
-        const int64_t rows = n / bn;
-        plan::RecordStep(out, {&a, &b},
-                         [rows, bn](const float* const* ins, float* o) {
-                           const float* pa = ins[0];
-                           const float* pb = ins[1];
-                           for (int64_t r = 0; r < rows; ++r) {
-                             for (int64_t i = 0; i < bn; ++i) {
-                               o[r * bn + i] = pa[r * bn + i] + pb[i];
-                             }
-                           }
-                         });
-        break;
-      }
-    }
-  }
-  return MakeOp(std::move(out), {a, b}, [kind](Node& self) {
+  return MakeOp(std::move(out), ins, 2, [kind](Node& self) {
     Node* pa = self.parents[0].get();
     Node* pb = self.parents[1].get();
     AccumGrad(pa, self.grad);
@@ -299,24 +314,18 @@ Var Add(const Var& a, const Var& b) {
 Var Sub(const Var& a, const Var& b) {
   const BroadcastKind kind =
       ClassifyBroadcast(a.value(), b.value(), /*allow_bias=*/false);
-  Tensor out = (kind == BroadcastKind::kSame)
-                   ? a.value().Sub(b.value())
-                   : a.value().AddScalar(-b.value()[0]);
-  if (plan::Recording()) {
-    const int64_t n = out.numel();
-    if (kind == BroadcastKind::kSame) {
-      plan::RecordStep(out, {&a, &b},
-                       [n](const float* const* ins, float* o) {
-                         kernels::Sub(ins[0], ins[1], o, n);
-                       });
-    } else {
-      plan::RecordStep(out, {&a, &b},
-                       [n](const float* const* ins, float* o) {
-                         kernels::AddScalar(ins[0], -ins[1][0], o, n);
-                       });
-    }
-  }
-  return MakeOp(std::move(out), {a, b}, [kind](Node& self) {
+  const Var* ins[] = {&a, &b};
+  const int64_t n = a.numel();
+  Tensor out =
+      kind == BroadcastKind::kSame
+          ? RunKernel(a.shape(), ins, 2,
+                      [n](In in, float* o) {
+                        kernels::Sub(in[0], in[1], o, n);
+                      })
+          : RunKernel(a.shape(), ins, 2, [n](In in, float* o) {
+              kernels::AddScalar(in[0], -in[1][0], o, n);
+            });
+  return MakeOp(std::move(out), ins, 2, [kind](Node& self) {
     Node* pa = self.parents[0].get();
     Node* pb = self.parents[1].get();
     AccumGrad(pa, self.grad);
@@ -333,24 +342,18 @@ Var Sub(const Var& a, const Var& b) {
 Var Mul(const Var& a, const Var& b) {
   const BroadcastKind kind =
       ClassifyBroadcast(a.value(), b.value(), /*allow_bias=*/false);
-  Tensor out = (kind == BroadcastKind::kSame) ? a.value().Mul(b.value())
-                                              : a.value().MulScalar(
-                                                    b.value()[0]);
-  if (plan::Recording()) {
-    const int64_t n = out.numel();
-    if (kind == BroadcastKind::kSame) {
-      plan::RecordStep(out, {&a, &b},
-                       [n](const float* const* ins, float* o) {
-                         kernels::Mul(ins[0], ins[1], o, n);
-                       });
-    } else {
-      plan::RecordStep(out, {&a, &b},
-                       [n](const float* const* ins, float* o) {
-                         kernels::MulScalar(ins[0], ins[1][0], o, n);
-                       });
-    }
-  }
-  return MakeOp(std::move(out), {a, b}, [kind](Node& self) {
+  const Var* ins[] = {&a, &b};
+  const int64_t n = a.numel();
+  Tensor out =
+      kind == BroadcastKind::kSame
+          ? RunKernel(a.shape(), ins, 2,
+                      [n](In in, float* o) {
+                        kernels::Mul(in[0], in[1], o, n);
+                      })
+          : RunKernel(a.shape(), ins, 2, [n](In in, float* o) {
+              kernels::MulScalar(in[0], in[1][0], o, n);
+            });
+  return MakeOp(std::move(out), ins, 2, [kind](Node& self) {
     Node* pa = self.parents[0].get();
     Node* pb = self.parents[1].get();
     if (kind == BroadcastKind::kSame) {
@@ -371,24 +374,18 @@ Var Mul(const Var& a, const Var& b) {
 Var Div(const Var& a, const Var& b) {
   const BroadcastKind kind =
       ClassifyBroadcast(a.value(), b.value(), /*allow_bias=*/false);
-  Tensor out = (kind == BroadcastKind::kSame)
-                   ? a.value().Div(b.value())
-                   : a.value().MulScalar(1.0f / b.value()[0]);
-  if (plan::Recording()) {
-    const int64_t n = out.numel();
-    if (kind == BroadcastKind::kSame) {
-      plan::RecordStep(out, {&a, &b},
-                       [n](const float* const* ins, float* o) {
-                         kernels::Div(ins[0], ins[1], o, n);
-                       });
-    } else {
-      plan::RecordStep(out, {&a, &b},
-                       [n](const float* const* ins, float* o) {
-                         kernels::MulScalar(ins[0], 1.0f / ins[1][0], o, n);
-                       });
-    }
-  }
-  return MakeOp(std::move(out), {a, b}, [kind](Node& self) {
+  const Var* ins[] = {&a, &b};
+  const int64_t n = a.numel();
+  Tensor out =
+      kind == BroadcastKind::kSame
+          ? RunKernel(a.shape(), ins, 2,
+                      [n](In in, float* o) {
+                        kernels::Div(in[0], in[1], o, n);
+                      })
+          : RunKernel(a.shape(), ins, 2, [n](In in, float* o) {
+              kernels::MulScalar(in[0], 1.0f / in[1][0], o, n);
+            });
+  return MakeOp(std::move(out), ins, 2, [kind](Node& self) {
     Node* pa = self.parents[0].get();
     Node* pb = self.parents[1].get();
     if (kind == BroadcastKind::kSame) {
@@ -418,68 +415,44 @@ Var Div(const Var& a, const Var& b) {
 Var Neg(const Var& a) { return MulScalar(a, -1.0f); }
 
 Var AddScalar(const Var& a, float v) {
-  Tensor out = a.value().AddScalar(v);
-  if (plan::Recording()) {
-    plan::RecordElem(out, a, {kernels::ElemOpKind::kAddScalar, v});
-  }
-  return MakeOp(std::move(out), {a}, [](Node& self) {
+  Tensor out = RunElem(a, {kernels::ElemOpKind::kAddScalar, v});
+  const Var* ins[] = {&a};
+  return MakeOp(std::move(out), ins, 1, [](Node& self) {
     AccumGrad(self.parents[0].get(), self.grad);
   });
 }
 
 Var MulScalar(const Var& a, float v) {
-  Tensor out = a.value().MulScalar(v);
-  if (plan::Recording()) {
-    plan::RecordElem(out, a, {kernels::ElemOpKind::kMulScalar, v});
-  }
-  return MakeOp(std::move(out), {a}, [v](Node& self) {
+  Tensor out = RunElem(a, {kernels::ElemOpKind::kMulScalar, v});
+  const Var* ins[] = {&a};
+  return MakeOp(std::move(out), ins, 1, [v](Node& self) {
     AccumGrad(self.parents[0].get(), self.grad.MulScalar(v));
   });
 }
 
-namespace {
-
-// Shared implementation for elementwise min/max: mask is 1 where a wins.
-Var MinMaxImpl(const Var& a, const Var& b, bool is_min) {
+Var Min(const Var& a, const Var& b) {
   CIT_CHECK(a.value().shape() == b.value().shape());
+  const Var* ins[] = {&a, &b};
   const int64_t n = a.numel();
-  Tensor out(a.value().shape());
-  // The winner mask only feeds the backward pass; skip it under NoGradGuard
-  // (the closure below is discarded unseen there).
-  auto mask = GradEnabled() ? std::make_shared<std::vector<uint8_t>>(n)
-                            : nullptr;
-  {
-    const float* pa = a.value().data();
-    const float* pb = b.value().data();
-    float* po = out.data();
+  Tensor out = RunKernel(a.shape(), ins, 2, [n](In in, float* o) {
     for (int64_t i = 0; i < n; ++i) {
-      const bool a_wins = is_min ? (pa[i] <= pb[i]) : (pa[i] >= pb[i]);
-      if (mask) (*mask)[i] = a_wins ? 1 : 0;
-      po[i] = a_wins ? pa[i] : pb[i];
+      o[i] = in[0][i] <= in[1][i] ? in[0][i] : in[1][i];
     }
-  }
-  if (plan::Recording()) {
-    plan::RecordStep(out, {&a, &b},
-                     [n, is_min](const float* const* ins, float* o) {
-                       const float* pa = ins[0];
-                       const float* pb = ins[1];
-                       for (int64_t i = 0; i < n; ++i) {
-                         const bool a_wins =
-                             is_min ? (pa[i] <= pb[i]) : (pa[i] >= pb[i]);
-                         o[i] = a_wins ? pa[i] : pb[i];
-                       }
-                     });
-  }
-  return MakeOp(std::move(out), {a, b}, [mask](Node& self) {
+  });
+  return MakeOp(std::move(out), ins, 2, [](Node& self) {
+    // The backward recomputes the winner from the parents' values; a wins
+    // ties, as in the forward.
     Node* pa = self.parents[0].get();
     Node* pb = self.parents[1].get();
     const int64_t n = self.grad.numel();
     const float* g = CData(self.grad);
+    const float* va = CData(pa->value);
+    const float* vb = CData(pb->value);
     if (pa->requires_grad) {
       Tensor ga(self.grad.shape());
       float* p = ga.data();
       for (int64_t i = 0; i < n; ++i) {
-        if ((*mask)[i]) p[i] = g[i];
+        if (va[i] <= vb[i]) p[i] = g[i];
       }
       AccumGrad(pa, ga);
     }
@@ -487,25 +460,17 @@ Var MinMaxImpl(const Var& a, const Var& b, bool is_min) {
       Tensor gb(self.grad.shape());
       float* p = gb.data();
       for (int64_t i = 0; i < n; ++i) {
-        if (!(*mask)[i]) p[i] = g[i];
+        if (!(va[i] <= vb[i])) p[i] = g[i];
       }
       AccumGrad(pb, gb);
     }
   });
 }
 
-}  // namespace
-
-Var Min(const Var& a, const Var& b) { return MinMaxImpl(a, b, true); }
-
-Var Max(const Var& a, const Var& b) { return MinMaxImpl(a, b, false); }
-
 Var Clamp(const Var& a, float lo, float hi) {
-  Tensor out(a.value().shape());
-  const kernels::ElemOp op{kernels::ElemOpKind::kClamp, lo, hi};
-  kernels::FusedElemwise(a.value().data(), out.data(), out.numel(), &op, 1);
-  if (plan::Recording()) plan::RecordElem(out, a, op);
-  return MakeOp(std::move(out), {a}, [lo, hi](Node& self) {
+  Tensor out = RunElem(a, {kernels::ElemOpKind::kClamp, lo, hi});
+  const Var* ins[] = {&a};
+  return MakeOp(std::move(out), ins, 1, [lo, hi](Node& self) {
     Node* pa = self.parents[0].get();
     Tensor g(self.grad.shape());
     kernels::Map2(CData(self.grad), CData(pa->value), g.data(), g.numel(),
@@ -518,17 +483,11 @@ Var Clamp(const Var& a, float lo, float hi) {
 
 namespace {
 
-// The forward runs the one-op chain through kernels::FusedElemwise, the
-// kernel an unfused plan replay runs, so the interpreted path, an unfused
-// replay and a fused sweep all evaluate the identical expression (exact
-// ops may take the SIMD sweep, libm ops keep the scalar one).
 template <typename Bwd>
 Var UnaryOp(const Var& a, kernels::ElemOpKind kind, Bwd bwd_from_inout) {
-  Tensor out(a.value().shape());
-  const kernels::ElemOp op{kind};
-  kernels::FusedElemwise(a.value().data(), out.data(), out.numel(), &op, 1);
-  if (plan::Recording()) plan::RecordElem(out, a, op);
-  return MakeOp(std::move(out), {a}, [bwd_from_inout](Node& self) {
+  Tensor out = RunElem(a, {kind});
+  const Var* ins[] = {&a};
+  return MakeOp(std::move(out), ins, 1, [bwd_from_inout](Node& self) {
     Node* pa = self.parents[0].get();
     Tensor g(self.grad.shape());
     kernels::Map3(CData(self.grad), CData(pa->value), CData(self.value),
@@ -580,11 +539,6 @@ Var Relu(const Var& a) {
                  [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
-Var Sqrt(const Var& a) {
-  return UnaryOp(a, kernels::ElemOpKind::kSqrt,
-                 [](float, float y) { return 0.5f / y; });
-}
-
 Var Square(const Var& a) {
   return UnaryOp(a, kernels::ElemOpKind::kSquare,
                  [](float x, float) { return 2.0f * x; });
@@ -596,106 +550,46 @@ Var Abs(const Var& a) {
 }
 
 Var Sum(const Var& a) {
-  Tensor out = Tensor::Scalar(a.value().Sum());
-  if (plan::Recording()) {
-    const int64_t n = a.numel();
-    plan::RecordStep(out, {&a}, [n](const float* const* ins, float* o) {
-      o[0] = static_cast<float>(kernels::Sum(ins[0], n));
-    });
-  }
-  return MakeOp(std::move(out), {a}, [](Node& self) {
+  const Var* ins[] = {&a};
+  const int64_t n = a.numel();
+  Tensor out = RunKernel({1}, ins, 1, [n](In in, float* o) {
+    o[0] = static_cast<float>(kernels::Sum(in[0], n));
+  });
+  return MakeOp(std::move(out), ins, 1, [](Node& self) {
     Node* pa = self.parents[0].get();
     AccumGrad(pa, Tensor::Full(pa->value.shape(), CData(self.grad)[0]));
   });
 }
 
 Var Mean(const Var& a) {
-  const float inv_n = 1.0f / static_cast<float>(a.numel());
-  Tensor out = Tensor::Scalar(a.value().Mean());
-  if (plan::Recording()) {
-    const int64_t n = a.numel();
-    plan::RecordStep(out, {&a}, [n](const float* const* ins, float* o) {
-      // Same float sequence as Tensor::Mean: float(Sum) / float(n).
-      o[0] = static_cast<float>(kernels::Sum(ins[0], n)) /
-             static_cast<float>(n);
-    });
-  }
-  return MakeOp(std::move(out), {a}, [inv_n](Node& self) {
+  const int64_t n = a.numel();
+  CIT_CHECK_GT(n, 0);
+  const float inv_n = 1.0f / static_cast<float>(n);
+  const Var* ins[] = {&a};
+  Tensor out = RunKernel({1}, ins, 1, [n](In in, float* o) {
+    o[0] = static_cast<float>(kernels::Sum(in[0], n)) / static_cast<float>(n);
+  });
+  return MakeOp(std::move(out), ins, 1, [inv_n](Node& self) {
     Node* pa = self.parents[0].get();
     AccumGrad(pa,
               Tensor::Full(pa->value.shape(), CData(self.grad)[0] * inv_n));
   });
 }
 
-namespace {
-
-Var SumAxisImpl(const Var& a, int64_t axis, float scale) {
-  const Tensor& x = a.value();
-  int64_t ax = axis < 0 ? axis + x.ndim() : axis;
-  CIT_CHECK(ax >= 0 && ax < x.ndim());
-  Tensor out = x.SumAxis(ax);
-  if (scale != 1.0f) out.MulScalarInPlace(scale);
-  int64_t outer = 1;
-  for (int64_t i = 0; i < ax; ++i) outer *= x.dim(i);
-  int64_t inner = 1;
-  for (int64_t i = ax + 1; i < x.ndim(); ++i) inner *= x.dim(i);
-  const int64_t axis_len = x.dim(ax);
-  if (plan::Recording()) {
-    plan::RecordStep(out, {&a},
-                     [outer, axis_len, inner,
-                      scale](const float* const* ins, float* o) {
-                       kernels::SumAxis(ins[0], o, outer, axis_len, inner);
-                       if (scale != 1.0f) {
-                         kernels::ScaleInto(o, scale, outer * inner);
-                       }
-                     });
-  }
-  return MakeOp(std::move(out), {a},
-                [outer, inner, axis_len, scale](Node& self) {
-                  Node* pa = self.parents[0].get();
-                  Tensor g(pa->value.shape());
-                  float* dst_base = g.data();
-                  const float* src_base = CData(self.grad);
-                  for (int64_t o = 0; o < outer; ++o) {
-                    const float* src = src_base + o * inner;
-                    for (int64_t k = 0; k < axis_len; ++k) {
-                      float* dst = dst_base + (o * axis_len + k) * inner;
-                      for (int64_t i = 0; i < inner; ++i) {
-                        dst[i] = src[i] * scale;
-                      }
-                    }
-                  }
-                  AccumGrad(pa, g);
-                });
-}
-
-}  // namespace
-
-Var SumAxis(const Var& a, int64_t axis) { return SumAxisImpl(a, axis, 1.0f); }
-
-Var MeanAxis(const Var& a, int64_t axis) {
-  int64_t ax = axis < 0 ? axis + a.value().ndim() : axis;
-  const float scale = 1.0f / static_cast<float>(a.value().dim(ax));
-  return SumAxisImpl(a, ax, scale);
-}
-
 Var MatMul(const Var& a, const Var& b) {
-  Tensor out = Tensor::MatMul(a.value(), b.value());
-  if (plan::Recording()) {
-    const int64_t p = a.value().dim(0);
-    const int64_t q = a.value().dim(1);
-    const int64_t r = b.value().dim(1);
-    plan::RecordStep(out, {&a, &b},
-                     [p, q, r](const float* const* ins, float* o) {
-                       kernels::MatMul(ins[0], ins[1], o, p, q, r);
-                     });
-  }
-  return MakeOp(std::move(out), {a, b}, [](Node& self) {
+  CIT_CHECK_EQ(a.value().ndim(), 2);
+  CIT_CHECK_EQ(b.value().ndim(), 2);
+  const int64_t p = a.value().dim(0);
+  const int64_t q = a.value().dim(1);
+  CIT_CHECK_EQ(b.value().dim(0), q);
+  const int64_t r = b.value().dim(1);
+  const Var* ins[] = {&a, &b};
+  Tensor out = RunKernel({p, r}, ins, 2, [p, q, r](In in, float* o) {
+    kernels::MatMul(in[0], in[1], o, p, q, r);
+  });
+  return MakeOp(std::move(out), ins, 2, [p, q, r](Node& self) {
     Node* pa = self.parents[0].get();
     Node* pb = self.parents[1].get();
-    const int64_t p = pa->value.dim(0);
-    const int64_t q = pa->value.dim(1);
-    const int64_t r = pb->value.dim(1);
     if (pa->requires_grad) {
       // grad_a = g @ b^T, reading b in its stored layout.
       Tensor ga(pa->value.shape());
@@ -714,16 +608,14 @@ Var MatMul(const Var& a, const Var& b) {
 }
 
 Var Transpose(const Var& a) {
-  Tensor out = a.value().Transpose2D();
-  if (plan::Recording()) {
-    const int64_t rows = a.value().dim(0);
-    const int64_t cols = a.value().dim(1);
-    plan::RecordStep(out, {&a},
-                     [rows, cols](const float* const* ins, float* o) {
-                       kernels::Transpose(ins[0], o, rows, cols);
-                     });
-  }
-  return MakeOp(std::move(out), {a}, [](Node& self) {
+  CIT_CHECK_EQ(a.value().ndim(), 2);
+  const int64_t rows = a.value().dim(0);
+  const int64_t cols = a.value().dim(1);
+  const Var* ins[] = {&a};
+  Tensor out = RunKernel({cols, rows}, ins, 1, [rows, cols](In in, float* o) {
+    kernels::Transpose(in[0], o, rows, cols);
+  });
+  return MakeOp(std::move(out), ins, 1, [](Node& self) {
     AccumGrad(self.parents[0].get(), self.grad.Transpose2D());
   });
 }
@@ -731,7 +623,8 @@ Var Transpose(const Var& a) {
 Var Reshape(const Var& a, Shape shape) {
   Tensor out = a.value().Reshape(std::move(shape));
   if (plan::Recording()) plan::RecordAlias(out, a);
-  return MakeOp(std::move(out), {a}, [](Node& self) {
+  const Var* ins[] = {&a};
+  return MakeOp(std::move(out), ins, 1, [](Node& self) {
     Node* pa = self.parents[0].get();
     AccumGrad(pa, self.grad.Reshape(pa->value.shape()));
   });
@@ -739,128 +632,110 @@ Var Reshape(const Var& a, Shape shape) {
 
 namespace {
 
-// Raw strided-copy core shared by the interpreted path, replay closures and
-// the backward: one strided triple loop over the output, with ranks below 3
-// lifted to rank 3 by leading unit dims.
-void PermuteRaw(const float* src, float* dst, const Shape& out_shape,
-                const std::vector<int64_t>& in_strides,
-                const std::vector<int64_t>& perm) {
-  const size_t nd = out_shape.size();
-  CIT_CHECK_LE(nd, 3u);
-  int64_t dims[3] = {1, 1, 1};
-  int64_t strides[3] = {0, 0, 0};
-  for (size_t i = 0; i < nd; ++i) {
-    dims[3 - nd + i] = out_shape[i];
-    strides[3 - nd + i] = in_strides[perm[i]];
-  }
-  for (int64_t i0 = 0; i0 < dims[0]; ++i0) {
-    for (int64_t i1 = 0; i1 < dims[1]; ++i1) {
-      const float* row = src + i0 * strides[0] + i1 * strides[1];
-      for (int64_t i2 = 0; i2 < dims[2]; ++i2) *dst++ = row[i2 * strides[2]];
+// A permutation of a rank <= 3 tensor as one strided triple loop over the
+// output, lower ranks lifted to rank 3 by leading unit dims. Plain values,
+// so the forward and backward closures copy it without allocating.
+struct PermuteLoop {
+  int64_t dims[3] = {1, 1, 1};     // output dims
+  int64_t strides[3] = {0, 0, 0};  // input stride of each output dim
+
+  PermuteLoop(const Shape& in_shape, const std::vector<int64_t>& perm) {
+    const size_t nd = in_shape.size();
+    CIT_CHECK_LE(nd, 3u);
+    CIT_CHECK_EQ(perm.size(), nd);
+    int64_t in_strides[3] = {1, 1, 1};
+    int64_t stride = 1;
+    for (size_t i = nd; i-- > 0;) {
+      in_strides[i] = stride;
+      stride *= in_shape[i];
+    }
+    for (size_t i = 0; i < nd; ++i) {
+      dims[3 - nd + i] = in_shape[perm[i]];
+      strides[3 - nd + i] = in_strides[perm[i]];
     }
   }
-}
 
-std::vector<int64_t> StridesOf(const Tensor& x) {
-  const int64_t nd = x.ndim();
-  std::vector<int64_t> strides(nd, 1);
-  for (int64_t i = nd - 2; i >= 0; --i) {
-    strides[i] = strides[i + 1] * x.dim(i + 1);
+  void operator()(const float* src, float* dst) const {
+    for (int64_t i0 = 0; i0 < dims[0]; ++i0) {
+      for (int64_t i1 = 0; i1 < dims[1]; ++i1) {
+        const float* row = src + i0 * strides[0] + i1 * strides[1];
+        for (int64_t i2 = 0; i2 < dims[2]; ++i2) *dst++ = row[i2 * strides[2]];
+      }
+    }
   }
-  return strides;
-}
-
-Tensor PermuteTensor(const Tensor& x, const std::vector<int64_t>& perm) {
-  const int64_t nd = x.ndim();
-  CIT_CHECK_EQ(static_cast<int64_t>(perm.size()), nd);
-  Shape out_shape(nd);
-  for (int64_t i = 0; i < nd; ++i) out_shape[i] = x.dim(perm[i]);
-  Tensor out(out_shape);
-  PermuteRaw(x.data(), out.data(), out_shape, StridesOf(x), perm);
-  return out;
-}
+};
 
 }  // namespace
 
 Var Permute(const Var& a, std::vector<int64_t> perm) {
-  Tensor out = PermuteTensor(a.value(), perm);
-  const int64_t nd = a.value().ndim();
+  const Tensor& x = a.value();
+  const PermuteLoop forward(x.shape(), perm);
+  const int64_t nd = x.ndim();
+  Shape out_shape(nd);
   std::vector<int64_t> inverse(nd);
-  for (int64_t i = 0; i < nd; ++i) inverse[perm[i]] = i;
-  if (plan::Recording()) {
-    plan::RecordStep(out, {&a},
-                     [out_shape = out.shape(),
-                      in_strides = StridesOf(a.value()),
-                      perm](const float* const* ins, float* o) {
-                       PermuteRaw(ins[0], o, out_shape, in_strides, perm);
-                     });
+  for (int64_t i = 0; i < nd; ++i) {
+    out_shape[i] = x.dim(perm[i]);
+    inverse[perm[i]] = i;
   }
-  return MakeOp(std::move(out), {a}, [inverse](Node& self) {
-    AccumGrad(self.parents[0].get(), PermuteTensor(self.grad, inverse));
+  const PermuteLoop backward(out_shape, inverse);
+  const Var* ins[] = {&a};
+  Tensor out = RunKernel(std::move(out_shape), ins, 1,
+                         [forward](In in, float* o) { forward(in[0], o); });
+  return MakeOp(std::move(out), ins, 1, [backward](Node& self) {
+    Node* pa = self.parents[0].get();
+    Tensor g(pa->value.shape());
+    backward(CData(self.grad), g.data());
+    AccumGrad(pa, g);
   });
 }
 
 Var Concat(const std::vector<Var>& parts, int64_t axis) {
   CIT_CHECK(!parts.empty());
   const Tensor& first = parts[0].value();
-  int64_t ax = axis < 0 ? axis + first.ndim() : axis;
+  const int64_t ax = axis < 0 ? axis + first.ndim() : axis;
   CIT_CHECK(ax >= 0 && ax < first.ndim());
-  Shape out_shape = first.shape();
+  std::vector<const Var*> ins;
+  std::vector<int64_t> part_lens;
+  ins.reserve(parts.size());
+  part_lens.reserve(parts.size());
   int64_t total = 0;
   for (const Var& p : parts) {
     CIT_CHECK_EQ(p.value().ndim(), first.ndim());
     for (int64_t i = 0; i < first.ndim(); ++i) {
       if (i != ax) CIT_CHECK_EQ(p.value().dim(i), first.dim(i));
     }
-    total += p.value().dim(ax);
+    ins.push_back(&p);
+    part_lens.push_back(p.value().dim(ax));
+    total += part_lens.back();
   }
+  Shape out_shape = first.shape();
   out_shape[ax] = total;
-  Tensor out(out_shape);
   int64_t outer = 1;
   for (int64_t i = 0; i < ax; ++i) outer *= first.dim(i);
   int64_t inner = 1;
   for (int64_t i = ax + 1; i < first.ndim(); ++i) inner *= first.dim(i);
-  std::vector<int64_t> part_lens;
-  part_lens.reserve(parts.size());
-  for (const Var& p : parts) part_lens.push_back(p.value().dim(ax));
-  // Copy each part's rows into the right offset of the output.
-  float* out_base = out.data();
-  int64_t offset = 0;
-  for (size_t pi = 0; pi < parts.size(); ++pi) {
-    const Tensor& x = parts[pi].value();
-    const int64_t len = part_lens[pi];
-    const float* src = x.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      kernels::Copy(src + o * len * inner,
-                    out_base + (o * total + offset) * inner, len * inner);
-    }
-    offset += len;
-  }
-  if (plan::Recording()) {
-    std::vector<const Var*> ins;
-    ins.reserve(parts.size());
-    for (const Var& p : parts) ins.push_back(&p);
-    plan::RecordStepVec(
-        out, ins,
-        [part_lens, outer, inner, total](const float* const* in, float* o) {
-          int64_t off = 0;
-          for (size_t pi = 0; pi < part_lens.size(); ++pi) {
-            const int64_t len = part_lens[pi];
-            for (int64_t ot = 0; ot < outer; ++ot) {
-              kernels::Copy(in[pi] + ot * len * inner,
-                            o + (ot * total + off) * inner, len * inner);
-            }
-            off += len;
+  // Copies each part's rows into its offset along the axis.
+  Tensor out = RunKernel(
+      std::move(out_shape), ins.data(), ins.size(),
+      [part_lens = std::move(part_lens), outer, inner, total](In in,
+                                                              float* o) {
+        int64_t offset = 0;
+        for (size_t pi = 0; pi < part_lens.size(); ++pi) {
+          const int64_t len = part_lens[pi];
+          for (int64_t ot = 0; ot < outer; ++ot) {
+            kernels::Copy(in[pi] + ot * len * inner,
+                          o + (ot * total + offset) * inner, len * inner);
           }
-        });
-  }
-  return MakeOpVec(std::move(out), parts,
-                [part_lens, outer, inner, total](Node& self) {
+          offset += len;
+        }
+      });
+  return MakeOp(std::move(out), ins.data(), ins.size(),
+                [ax, outer, inner, total](Node& self) {
                   const float* g = CData(self.grad);
                   int64_t offset = 0;
-                  for (size_t pi = 0; pi < self.parents.size(); ++pi) {
-                    Node* p = self.parents[pi].get();
-                    const int64_t len = part_lens[pi];
+                  for (const std::shared_ptr<Node>& part : self.parents) {
+                    Node* p = part.get();
+                    const int64_t len = p->value.dim(ax);
                     if (p->requires_grad) {
                       // Accumulate straight into the parent's grad region —
                       // no per-part zero tensor, no second add pass.
@@ -878,30 +753,31 @@ Var Concat(const std::vector<Var>& parts, int64_t axis) {
 
 Var Slice(const Var& a, int64_t axis, int64_t start, int64_t len) {
   const Tensor& x = a.value();
-  int64_t ax = axis < 0 ? axis + x.ndim() : axis;
-  Tensor out = x.Slice(ax, start, len);
+  const int64_t ax = axis < 0 ? axis + x.ndim() : axis;
+  CIT_CHECK(ax >= 0 && ax < x.ndim());
+  const int64_t axis_len = x.dim(ax);
+  CIT_CHECK(start >= 0 && len >= 0 && start + len <= axis_len);
   int64_t outer = 1;
   for (int64_t i = 0; i < ax; ++i) outer *= x.dim(i);
   int64_t inner = 1;
   for (int64_t i = ax + 1; i < x.ndim(); ++i) inner *= x.dim(i);
-  const int64_t axis_len = x.dim(ax);
-  if (plan::Recording()) {
-    if (out.SharesStorageWith(x)) {
-      plan::RecordAlias(out, a);  // contiguous region: O(1) view
-    } else {
-      plan::RecordStep(out, {&a},
-                       [outer, inner, axis_len, start,
-                        len](const float* const* ins, float* o) {
-                         const int64_t in_step = axis_len * inner;
-                         const int64_t out_step = len * inner;
-                         for (int64_t ot = 0; ot < outer; ++ot) {
-                           kernels::Copy(ins[0] + ot * in_step + start * inner,
-                                         o + ot * out_step, len * inner);
-                         }
-                       });
-    }
+  const Var* ins[] = {&a};
+  Tensor out;
+  if (outer == 1) {
+    out = x.Slice(ax, start, len);  // contiguous region: O(1) view
+    if (plan::Recording()) plan::RecordAlias(out, a);
+  } else {
+    Shape out_shape = x.shape();
+    out_shape[ax] = len;
+    out = RunKernel(std::move(out_shape), ins, 1,
+                    [outer, inner, axis_len, start, len](In in, float* o) {
+                      for (int64_t ot = 0; ot < outer; ++ot) {
+                        kernels::Copy(in[0] + (ot * axis_len + start) * inner,
+                                      o + ot * len * inner, len * inner);
+                      }
+                    });
   }
-  return MakeOp(std::move(out), {a},
+  return MakeOp(std::move(out), ins, 1,
                 [outer, inner, axis_len, start, len](Node& self) {
                   Node* pa = self.parents[0].get();
                   // Accumulate the slice's gradient directly into the
@@ -917,18 +793,14 @@ Var Slice(const Var& a, int64_t axis, int64_t start, int64_t len) {
 }
 
 Var Softmax(const Var& a) {
-  Tensor out = a.value();
   const int64_t n = a.value().dim(-1);
-  kernels::SoftmaxLastAxis(out.data(), out.numel() / n, n);
-  if (plan::Recording()) {
-    const int64_t total = out.numel();
-    plan::RecordStep(out, {&a},
-                     [total, n](const float* const* ins, float* o) {
-                       kernels::Copy(ins[0], o, total);
-                       kernels::SoftmaxLastAxis(o, total / n, n);
-                     });
-  }
-  return MakeOp(std::move(out), {a}, [n](Node& self) {
+  const int64_t total = a.numel();
+  const Var* ins[] = {&a};
+  Tensor out = RunKernel(a.shape(), ins, 1, [total, n](In in, float* o) {
+    kernels::Copy(in[0], o, total);
+    kernels::SoftmaxLastAxis(o, total / n, n);
+  });
+  return MakeOp(std::move(out), ins, 1, [n](Node& self) {
     Node* pa = self.parents[0].get();
     const int64_t outer = self.value.numel() / n;
     Tensor g(pa->value.shape());
@@ -942,39 +814,6 @@ Var Softmax(const Var& a) {
       for (int64_t i = 0; i < n; ++i) dot += gy[i] * s[i];
       float* gx = g_base + o * n;
       for (int64_t i = 0; i < n; ++i) gx[i] = s[i] * (gy[i] - dot);
-    }
-    AccumGrad(pa, g);
-  });
-}
-
-Var LogSoftmax(const Var& a) {
-  Tensor out = a.value();
-  const int64_t n = a.value().dim(-1);
-  kernels::LogSoftmaxLastAxis(out.data(), out.numel() / n, n);
-  if (plan::Recording()) {
-    const int64_t total = out.numel();
-    plan::RecordStep(out, {&a},
-                     [total, n](const float* const* ins, float* o) {
-                       kernels::Copy(ins[0], o, total);
-                       kernels::LogSoftmaxLastAxis(o, total / n, n);
-                     });
-  }
-  return MakeOp(std::move(out), {a}, [n](Node& self) {
-    Node* pa = self.parents[0].get();
-    const int64_t outer = self.value.numel() / n;
-    Tensor g(pa->value.shape());
-    float* g_base = g.data();
-    const float* y_base = CData(self.value);
-    const float* gy_base = CData(self.grad);
-    for (int64_t o = 0; o < outer; ++o) {
-      const float* y = y_base + o * n;
-      const float* gy = gy_base + o * n;
-      float total = 0.0f;
-      for (int64_t i = 0; i < n; ++i) total += gy[i];
-      float* gx = g_base + o * n;
-      for (int64_t i = 0; i < n; ++i) {
-        gx[i] = gy[i] - std::exp(y[i]) * total;
-      }
     }
     AccumGrad(pa, g);
   });
@@ -997,29 +836,17 @@ Var CausalConv1d(const Var& x, const Var& w, const Var& b, int64_t dilation) {
     CIT_CHECK_EQ(b.value().ndim(), 1);
     CIT_CHECK_EQ(b.value().dim(0), cout);
   }
-
-  Tensor out(Shape{batch, cout, len});
-  kernels::CausalConv1dForward(xv.data(), wv.data(),
-                               has_bias ? b.value().data() : nullptr,
-                               out.data(), batch, cin, cout, len, ksize,
-                               dilation);
-
-  if (plan::Recording()) {
-    std::vector<const Var*> ins = {&x, &w};
-    if (has_bias) ins.push_back(&b);
-    plan::RecordStepVec(
-        out, ins,
-        [batch, cin, cout, len, ksize, dilation,
-         has_bias](const float* const* in, float* o) {
-          kernels::CausalConv1dForward(in[0], in[1],
-                                       has_bias ? in[2] : nullptr, o, batch,
-                                       cin, cout, len, ksize, dilation);
-        });
-  }
-  std::vector<Var> inputs = {x, w};
-  if (has_bias) inputs.push_back(b);
-  return MakeOpVec(
-      std::move(out), std::move(inputs),
+  const Var* ins[] = {&x, &w, &b};
+  const size_t nin = has_bias ? 3 : 2;
+  Tensor out = RunKernel(
+      {batch, cout, len}, ins, nin,
+      [batch, cin, cout, len, ksize, dilation, has_bias](In in, float* o) {
+        kernels::CausalConv1dForward(in[0], in[1], has_bias ? in[2] : nullptr,
+                                     o, batch, cin, cout, len, ksize,
+                                     dilation);
+      });
+  return MakeOp(
+      std::move(out), ins, nin,
       [batch, cin, cout, len, ksize, dilation, has_bias](Node& self) {
         Node* px = self.parents[0].get();
         Node* pw = self.parents[1].get();

@@ -1,6 +1,7 @@
 #ifndef CIT_MATH_AUTOGRAD_H_
 #define CIT_MATH_AUTOGRAD_H_
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -10,8 +11,8 @@
 namespace cit::plan::detail {
 // Trace-recorder hooks. t_recording is true while the calling thread is
 // recording a plan (math/plan.cc sets and clears it; NoteOp is defined
-// there). While a CompiledFn is recording on a thread, MakeOp/MakeOpVec
-// ping NoteOp() for every op executed so the recorder can verify it saw a
+// there). While a CompiledFn is recording on a thread, MakeOp pings
+// NoteOp() for every op executed so the recorder can verify it saw a
 // matching Record* call for each one — an op added without a recording
 // hook then poisons the plan (permanent interpreted fallback) instead of
 // replaying garbage.
@@ -130,7 +131,7 @@ class Var {
 
  private:
   explicit Var(std::shared_ptr<Node> node) : node_(std::move(node)) {}
-  friend Var MakeOpImpl(Tensor value, std::vector<Var> inputs,
+  friend Var MakeOpImpl(Tensor value, const Var* const* inputs, size_t n,
                         std::function<void(Node&)> backward_fn);
 
   std::shared_ptr<Node> node_;
@@ -141,49 +142,22 @@ class Var {
 };
 
 // Graph-building slow path of MakeOp (grad mode only).
-Var MakeOpImpl(Tensor value, std::vector<Var> inputs,
+Var MakeOpImpl(Tensor value, const Var* const* inputs, size_t n,
                std::function<void(Node&)> backward_fn);
 
-namespace detail {
-// Non-owning input handle for MakeOp's braced input lists. A braced list
-// of VarRefs puts plain pointers on the stack, so the no-grad fast path
-// never copies a Var (a constant Var copy allocates a fresh shape vector)
-// and never heap-allocates an input container.
-struct VarRef {
-  VarRef(const Var& v) : ptr(&v) {}  // NOLINT(runtime/explicit)
-  const Var* ptr;
-};
-}  // namespace detail
-
-// Builds an op node: output `value`, edges to `inputs`, and a backward
-// closure. requires_grad is inherited from the inputs. Under NoGradGuard
-// the inputs and closure are discarded and a node-free constant is
-// returned: the closure is never converted to std::function and the
-// inputs are never copied, so the no-grad path pays no type-erasure or
+// Builds an op node: output `value`, edges to `inputs[0..n)`, and a
+// backward closure. requires_grad is inherited from the inputs. Under
+// NoGradGuard the inputs and closure are discarded and a node-free
+// constant is returned: the closure is never converted to std::function
+// and no input Var is copied, so the no-grad path pays no type-erasure or
 // container allocation.
 template <typename BackwardFn>
-Var MakeOp(Tensor value, std::initializer_list<detail::VarRef> inputs,
+Var MakeOp(Tensor value, const Var* const* inputs, size_t n,
            BackwardFn&& backward_fn) {
   if (plan::detail::t_recording) plan::detail::NoteOp();
   if (!GradEnabled()) return Var::Constant(std::move(value));
-  std::vector<Var> ins;
-  ins.reserve(inputs.size());
-  for (const detail::VarRef& r : inputs) ins.push_back(*r.ptr);
   return MakeOpImpl(
-      std::move(value), std::move(ins),
-      std::function<void(Node&)>(std::forward<BackwardFn>(backward_fn)));
-}
-
-// Variant for ops whose input count is only known at runtime (Concat,
-// optional-bias Conv): takes the materialized vector. Call sites on hot
-// forward paths should prefer the braced-list overload.
-template <typename BackwardFn>
-Var MakeOpVec(Tensor value, std::vector<Var> inputs,
-              BackwardFn&& backward_fn) {
-  if (plan::detail::t_recording) plan::detail::NoteOp();
-  if (!GradEnabled()) return Var::Constant(std::move(value));
-  return MakeOpImpl(
-      std::move(value), std::move(inputs),
+      std::move(value), inputs, n,
       std::function<void(Node&)>(std::forward<BackwardFn>(backward_fn)));
 }
 
@@ -199,9 +173,8 @@ Var Neg(const Var& a);
 Var AddScalar(const Var& a, float v);
 Var MulScalar(const Var& a, float v);
 
-// Elementwise min/max of two same-shape tensors (subgradient: ties go to a).
+// Elementwise min of two same-shape tensors (subgradient: ties go to a).
 Var Min(const Var& a, const Var& b);
-Var Max(const Var& a, const Var& b);
 // Clamp to [lo, hi]; gradient is zero outside the interval.
 Var Clamp(const Var& a, float lo, float hi);
 
@@ -211,15 +184,12 @@ Var Log(const Var& a);   // caller guarantees positive input
 Var Tanh(const Var& a);
 Var Sigmoid(const Var& a);
 Var Relu(const Var& a);
-Var Sqrt(const Var& a);
 Var Square(const Var& a);
 Var Abs(const Var& a);
 
 // ---- Reductions ------------------------------------------------------------
-Var Sum(const Var& a);                    // -> shape [1]
-Var Mean(const Var& a);                   // -> shape [1]
-Var SumAxis(const Var& a, int64_t axis);  // axis removed
-Var MeanAxis(const Var& a, int64_t axis);
+Var Sum(const Var& a);   // -> shape [1]
+Var Mean(const Var& a);  // -> shape [1]
 
 // ---- Linear algebra --------------------------------------------------------
 Var MatMul(const Var& a, const Var& b);  // [p,q] x [q,r] -> [p,r]
@@ -231,9 +201,8 @@ Var Permute(const Var& a, std::vector<int64_t> perm);
 Var Concat(const std::vector<Var>& parts, int64_t axis);
 Var Slice(const Var& a, int64_t axis, int64_t start, int64_t len);
 
-// ---- Softmax family (over the last axis) -----------------------------------
+// ---- Softmax (over the last axis) ------------------------------------------
 Var Softmax(const Var& a);
-Var LogSoftmax(const Var& a);
 
 // ---- Convolution -----------------------------------------------------------
 // Causal dilated 1-D convolution: x [B, Cin, L], w [Cout, Cin, K],

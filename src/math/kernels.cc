@@ -233,9 +233,8 @@ void Copy(const float* src, float* dst, int64_t n) {
   std::memcpy(dst, src, sizeof(float) * static_cast<size_t>(n));
 }
 
-// All ops below except Axpy are single IEEE operations per element —
-// bit-identical between backends; Axpy's SIMD arm fuses the multiply-add
-// (see math/simd.h).
+// All ops below are single IEEE operations per element — bit-identical
+// between backends.
 
 void Add(const float* a, const float* b, float* out, int64_t n) {
   if (UseSimd()) {
@@ -293,28 +292,12 @@ void AddInto(float* dst, const float* src, int64_t n) {
   Map2(dst, src, dst, n, [](float x, float y) { return x + y; });
 }
 
-void SubInto(float* dst, const float* src, int64_t n) {
-  if (UseSimd()) {
-    simd::Sub(dst, src, dst, n);
-    return;
-  }
-  Map2(dst, src, dst, n, [](float x, float y) { return x - y; });
-}
-
 void ScaleInto(float* dst, float v, int64_t n) {
   if (UseSimd()) {
     simd::MulScalar(dst, v, dst, n);
     return;
   }
   Map(dst, dst, n, [v](float x) { return x * v; });
-}
-
-void Axpy(float alpha, const float* x, float* y, int64_t n) {
-  if (UseSimd()) {
-    simd::Axpy(alpha, x, y, n);
-    return;
-  }
-  Map2(y, x, y, n, [alpha](float yi, float xi) { return yi + alpha * xi; });
 }
 
 void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
@@ -339,18 +322,6 @@ double Sum(const float* a, int64_t n) {
   double s = 0.0;
   for (int64_t i = 0; i < n; ++i) s += a[i];
   return s;
-}
-
-void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
-             int64_t inner) {
-  for (int64_t o = 0; o < outer; ++o) {
-    float* dst = out + o * inner;
-    std::memset(dst, 0, sizeof(float) * static_cast<size_t>(inner));
-    for (int64_t k = 0; k < axis_len; ++k) {
-      const float* src = x + (o * axis_len + k) * inner;
-      for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
-    }
-  }
 }
 
 // ---- Linear algebra --------------------------------------------------------
@@ -576,7 +547,7 @@ void Transpose(const float* in, float* out, int64_t rows, int64_t cols) {
   }
 }
 
-// ---- Softmax family --------------------------------------------------------
+// ---- Softmax ---------------------------------------------------------------
 
 void SoftmaxLastAxis(float* x, int64_t outer, int64_t n) {
   for (int64_t o = 0; o < outer; ++o) {
@@ -589,18 +560,6 @@ void SoftmaxLastAxis(float* x, int64_t outer, int64_t n) {
       total += row[i];
     }
     for (int64_t i = 0; i < n; ++i) row[i] /= total;
-  }
-}
-
-void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n) {
-  for (int64_t o = 0; o < outer; ++o) {
-    float* row = x + o * n;
-    float mx = row[0];
-    for (int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
-    float total = 0.0f;
-    for (int64_t i = 0; i < n; ++i) total += std::exp(row[i] - mx);
-    const float lse = mx + std::log(total);
-    for (int64_t i = 0; i < n; ++i) row[i] -= lse;
   }
 }
 

@@ -16,14 +16,11 @@
 // runs it, at any pool size.
 //
 // Determinism contract, per backend: the scalar backend is the bitwise
-// reference, and the SIMD backend matches it exactly on the non-FMA arms
-// (plain elementwise add/sub/mul/div and scalar-parameter ops, plus any
+// reference, and the SIMD backend matches it exactly on every elementwise
+// kernel (plain add/sub/mul/div and scalar-parameter ops, plus any
 // FusedElemwise chain) and on the causal conv forward, and, in optimized
 // builds with FMA, on MatMul and the backward kernels, whose FMA terms the
 // scalar loops fuse only there (see MatMul and "Backward kernels" below).
-// Axpy may differ from scalar by the usual one-rounding-per-fma tolerance
-// where the scalar expression does not contract — but never between thread
-// counts or runs within one backend.
 namespace cit::math::kernels {
 
 // ---- Backend dispatch ------------------------------------------------------
@@ -78,10 +75,7 @@ void AddScalar(const float* a, float v, float* out, int64_t n);
 void MulScalar(const float* a, float v, float* out, int64_t n);
 // dst += src, the gradient-accumulation primitive.
 void AddInto(float* dst, const float* src, int64_t n);
-void SubInto(float* dst, const float* src, int64_t n);
 void ScaleInto(float* dst, float v, int64_t n);
-// y += alpha * x.
-void Axpy(float alpha, const float* x, float* y, int64_t n);
 
 // Applies f elementwise; used by the autodiff unary ops.
 template <typename F>
@@ -119,7 +113,6 @@ enum class ElemOpKind : uint8_t {
   kTanh,
   kSigmoid,
   kRelu,
-  kSqrt,
   kSquare,
   kAbs,
   kClamp,      // p0 = lo, p1 = hi
@@ -140,7 +133,6 @@ inline float ElemApply(const ElemOp& op, float x) {
     case ElemOpKind::kTanh: return std::tanh(x);
     case ElemOpKind::kSigmoid: return 1.0f / (1.0f + std::exp(-x));
     case ElemOpKind::kRelu: return x > 0.0f ? x : 0.0f;
-    case ElemOpKind::kSqrt: return std::sqrt(x);
     case ElemOpKind::kSquare: return x * x;
     case ElemOpKind::kAbs: return std::fabs(x);
     case ElemOpKind::kClamp: return std::min(op.p1, std::max(op.p0, x));
@@ -157,10 +149,6 @@ void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,
 // ---- Reductions ------------------------------------------------------------
 // Serial, double-accumulated full sum (deterministic by construction).
 double Sum(const float* a, int64_t n);
-// out[o, i] = sum_k x[o, k, i] for x viewed as [outer, axis_len, inner].
-// `out` is overwritten; the caller need not zero it.
-void SumAxis(const float* x, float* out, int64_t outer, int64_t axis_len,
-             int64_t inner);
 
 // ---- Linear algebra --------------------------------------------------------
 // c = a @ b with a:[p,q], b:[q,r], c:[p,r] (c overwritten). Each c[i,j] is
@@ -192,9 +180,8 @@ void MatMulTransA(const float* a, const float* b, float* c, int64_t p,
 // out[c, r] = in[r, c] for in:[rows, cols]; blocked for cache friendliness.
 void Transpose(const float* in, float* out, int64_t rows, int64_t cols);
 
-// ---- Softmax family (in place over the last axis) --------------------------
+// ---- Softmax (in place over the last axis) ---------------------------------
 void SoftmaxLastAxis(float* x, int64_t outer, int64_t n);
-void LogSoftmaxLastAxis(float* x, int64_t outer, int64_t n);
 
 // ---- Causal dilated 1-D convolution ----------------------------------------
 // x:[batch, cin, len], w:[cout, cin, k], bias:[cout] or nullptr,

@@ -7,17 +7,15 @@
 // everything in this TU is serial over its range.
 //
 // Numeric ground rules (they are what keeps the dispatch seam honest):
-//  - Non-FMA arms (Add/Sub/Mul/Div/AddScalar/MulScalar, the exact
+//  - The elementwise arms (Add/Sub/Mul/Div/AddScalar/MulScalar, the exact
 //    FusedElemwise chains) use one IEEE operation per element, so the
 //    vector lanes and the scalar tail produce bit-identical results — and
 //    bit-identical to the scalar backend.
-//  - FMA arms (GemmTile, Gemv, Axpy) fuse the multiply-add. Scalar tails
-//    use std::fmaf, the same single-rounding operation as the vector
-//    lanes, so an offset moving an element between vector body and tail (a
-//    request alone vs. inside a stacked batch) can never change its value.
-//    GemmTile and Gemv issue MatMul's chain (see kernels::MatMul), which
-//    the scalar tile contracts to in optimized builds with FMA; Axpy may
-//    differ from the scalar backend by one rounding per element.
+//  - The GEMM arms (GemmTile, Gemv) fuse the multiply-add and mask or
+//    zero-pad their edges, so an offset moving an element between vector
+//    body and edge (a request alone vs. inside a stacked batch) can never
+//    change its value. They issue MatMul's chain (see kernels::MatMul),
+//    which the scalar tile contracts to in optimized builds with FMA.
 //  - FusedElemwise chains containing a libm op (exp/log/tanh/sigmoid) are
 //    rejected by FusedChainExact and stay on the scalar ElemApply sweep:
 //    a vector approximation would break the fused == unfused bitwise
@@ -47,7 +45,7 @@
 #include <arm_neon.h>
 #endif
 
-// GCC PR 105593: min/max/sqrt AVX-512 intrinsics expand through
+// GCC PR 105593: min/max AVX-512 intrinsics expand through
 // _mm512_undefined_ps and trip a spurious -Wmaybe-uninitialized under
 // -Wall. The pass-through operand is by definition unread; silence the
 // false positive for this TU only.
@@ -81,7 +79,6 @@ inline VF VMul(VF a, VF b) { return _mm512_mul_ps(a, b); }
 inline VF VDiv(VF a, VF b) { return _mm512_div_ps(a, b); }
 inline VF VMin(VF a, VF b) { return _mm512_min_ps(a, b); }
 inline VF VMax(VF a, VF b) { return _mm512_max_ps(a, b); }
-inline VF VSqrt(VF a) { return _mm512_sqrt_ps(a); }
 inline VF VAbs(VF a) {
   // Explicit sign-mask clear: same result as _mm512_abs_ps, but avoids the
   // _mm512_undefined_ps-based intrinsic GCC flags under -Wall.
@@ -111,7 +108,6 @@ inline VF VMul(VF a, VF b) { return _mm256_mul_ps(a, b); }
 inline VF VDiv(VF a, VF b) { return _mm256_div_ps(a, b); }
 inline VF VMin(VF a, VF b) { return _mm256_min_ps(a, b); }
 inline VF VMax(VF a, VF b) { return _mm256_max_ps(a, b); }
-inline VF VSqrt(VF a) { return _mm256_sqrt_ps(a); }
 inline VF VAbs(VF a) {
   const VF mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
   return _mm256_and_ps(a, mask);
@@ -132,7 +128,6 @@ inline VF VMul(VF a, VF b) { return vmulq_f32(a, b); }
 inline VF VDiv(VF a, VF b) { return vdivq_f32(a, b); }
 inline VF VMin(VF a, VF b) { return vminq_f32(a, b); }
 inline VF VMax(VF a, VF b) { return vmaxq_f32(a, b); }
-inline VF VSqrt(VF a) { return vsqrtq_f32(a); }
 inline VF VAbs(VF a) { return vabsq_f32(a); }
 inline VF VFma(VF a, VF b, VF c) { return vfmaq_f32(c, a, b); }
 
@@ -311,20 +306,12 @@ void MulScalar(const float* a, float v, float* out, int64_t n) {
         [&](int64_t i) { return a[i] * v; });
 }
 
-void Axpy(float alpha, const float* x, float* y, int64_t n) {
-  const VF va = VSet1(alpha);
-  Sweep(y, n,
-        [&](int64_t i) { VStore(y + i, VFma(va, VLoad(x + i), VLoad(y + i))); },
-        [&](int64_t i) { return std::fmaf(alpha, x[i], y[i]); });
-}
-
 // ---- Fused elementwise -----------------------------------------------------
 
 bool FusedChainExact(const ElemOp* ops, int count) {
   for (int k = 0; k < count; ++k) {
     switch (ops[k].kind) {
       case ElemOpKind::kRelu:
-      case ElemOpKind::kSqrt:
       case ElemOpKind::kSquare:
       case ElemOpKind::kAbs:
       case ElemOpKind::kClamp:
@@ -350,7 +337,6 @@ namespace {
 inline VF ElemApplyVec(const ElemOp& op, VF x) {
   switch (op.kind) {
     case ElemOpKind::kRelu: return VMax(x, VSet1(0.0f));
-    case ElemOpKind::kSqrt: return VSqrt(x);
     case ElemOpKind::kSquare: return VMul(x, x);
     case ElemOpKind::kAbs: return VAbs(x);
     case ElemOpKind::kClamp:
@@ -1032,9 +1018,6 @@ void AddScalar(const float* a, float v, float* out, int64_t n) {
 }
 void MulScalar(const float* a, float v, float* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = a[i] * v;
-}
-void Axpy(float alpha, const float* x, float* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = std::fmaf(alpha, x[i], y[i]);
 }
 bool FusedChainExact(const ElemOp*, int) { return false; }
 void FusedElemwise(const float* in, float* out, int64_t n, const ElemOp* ops,

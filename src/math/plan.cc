@@ -1,5 +1,6 @@
 #include "math/plan.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <unordered_map>
@@ -70,8 +71,6 @@ struct Slot {
   int64_t alias_elem_off = 0;       // kAlias
 };
 
-constexpr size_t kMaxStepInputs = 16;
-
 struct Step {
   ReplayFn fn;                          // null for elementwise steps
   std::vector<int> ins;
@@ -105,7 +104,7 @@ struct Recorder {
   // buffer's address to a new value, which would make a by_buf key
   // silently resolve to the wrong slot.
   std::vector<Tensor> pins;
-  int64_t ops_seen = 0;      // MakeOp/MakeOpVec calls (via NoteOp)
+  int64_t ops_seen = 0;      // MakeOp calls (via NoteOp)
   int64_t ops_recorded = 0;  // Record* calls
   bool failed = false;       // op the recorder cannot express (e.g. a
                              // non-view aliasing pattern)
@@ -169,23 +168,21 @@ int ResolveInput(Recorder& r, const ag::Var& v) {
   return id;
 }
 
-void RecordStepImpl(Recorder& r, const Tensor& out,
-                    const ag::Var* const* ins, size_t nin, ReplayFn fn) {
+// Appends a step that reads `ins[0..n)` and writes `out` into a fresh
+// intermediate slot.
+Step& AppendStep(Recorder& r, const Tensor& out, const ag::Var* const* ins,
+                 size_t n) {
   ++r.ops_recorded;
-  if (nin > kMaxStepInputs) {
-    r.failed = true;
-    return;
-  }
   Step st;
-  st.ins.reserve(nin);
-  for (size_t i = 0; i < nin; ++i) st.ins.push_back(ResolveInput(r, *ins[i]));
+  st.ins.reserve(n);
+  for (size_t i = 0; i < n; ++i) st.ins.push_back(ResolveInput(r, *ins[i]));
   Slot s;
   s.kind = Slot::kInter;
   s.numel = out.numel();
   st.out = AddSlot(r, std::move(s));
-  st.fn = std::move(fn);
   RegisterValue(r, out, st.out);
   r.plan.steps.push_back(std::move(st));
+  return r.plan.steps.back();
 }
 
 // ---- Finalization: fusion + slab layout ------------------------------------
@@ -281,36 +278,20 @@ void NoteOp() {
 
 // ---- Recording hooks -------------------------------------------------------
 
-void RecordStep(const Tensor& out, std::initializer_list<const ag::Var*> ins,
+void RecordStep(const Tensor& out, const ag::Var* const* ins, size_t n,
                 ReplayFn fn) {
-  if (Recorder* r = t_recorder) {
-    RecordStepImpl(*r, out, ins.begin(), ins.size(), std::move(fn));
-  }
-}
-
-void RecordStepVec(const Tensor& out, const std::vector<const ag::Var*>& ins,
-                   ReplayFn fn) {
-  if (Recorder* r = t_recorder) {
-    RecordStepImpl(*r, out, ins.data(), ins.size(), std::move(fn));
-  }
+  if (Recorder* r = t_recorder) AppendStep(*r, out, ins, n).fn = std::move(fn);
 }
 
 void RecordElem(const Tensor& out, const ag::Var& in,
                 math::kernels::ElemOp op) {
   Recorder* r = t_recorder;
   if (r == nullptr) return;
-  ++r->ops_recorded;
-  Step st;
-  st.ins.push_back(ResolveInput(*r, in));
-  Slot s;
-  s.kind = Slot::kInter;
-  s.numel = out.numel();
-  st.out = AddSlot(*r, std::move(s));
+  const ag::Var* ins[] = {&in};
+  Step& st = AppendStep(*r, out, ins, 1);
   st.is_elem = true;
   st.chain.push_back(op);
   st.n = out.numel();
-  RegisterValue(*r, out, st.out);
-  r->plan.steps.push_back(std::move(st));
 }
 
 void RecordAlias(const Tensor& out, const ag::Var& src) {
@@ -342,6 +323,8 @@ struct CompiledFn::Impl {
     ExecPlan plan;
     std::vector<float> slab;
     std::vector<const float*> ptrs;  // per-slot resolved pointers
+    // One step's input pointers, sized to the plan's widest step.
+    std::vector<const float*> args;
     uint64_t last_used = 0;
   };
 
@@ -443,15 +426,15 @@ struct CompiledFn::Impl {
           break;  // resolved once at finalize
       }
     }
-    const float* abuf[kMaxStepInputs];
+    const float** args = e.args.data();
     for (Step& st : p.steps) {
-      for (size_t k = 0; k < st.ins.size(); ++k) abuf[k] = ptrs[st.ins[k]];
+      for (size_t k = 0; k < st.ins.size(); ++k) args[k] = ptrs[st.ins[k]];
       float* out = const_cast<float*>(ptrs[st.out]);
       if (st.is_elem) {
-        kernels::FusedElemwise(abuf[0], out, st.n, st.chain.data(),
+        kernels::FusedElemwise(args[0], out, st.n, st.chain.data(),
                                static_cast<int>(st.chain.size()));
       } else {
-        st.fn(abuf, out);
+        st.fn(args, out);
       }
     }
     Tensor result(p.out_shape);
@@ -467,6 +450,7 @@ struct CompiledFn::Impl {
     e.plan = ExecPlan{};
     e.slab.clear();
     e.ptrs.clear();
+    e.args.clear();
 
     Recorder rec;
     int idx = 0;
@@ -506,6 +490,9 @@ struct CompiledFn::Impl {
 
     e.slab.assign(static_cast<size_t>(p.slab_size), 0.0f);
     e.ptrs.assign(p.slots.size(), nullptr);
+    size_t widest = 0;
+    for (const Step& st : p.steps) widest = std::max(widest, st.ins.size());
+    e.args.assign(widest, nullptr);
     for (size_t i = 0; i < p.slots.size(); ++i) {
       const Slot& s = p.slots[i];
       if (s.kind == Slot::kConst) {

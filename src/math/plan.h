@@ -1,11 +1,11 @@
 #ifndef CIT_MATH_PLAN_H_
 #define CIT_MATH_PLAN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <vector>
 
 #include "math/autograd.h"
 #include "math/kernels.h"
@@ -20,8 +20,9 @@
 // then run the plan directly: no Var construction, no per-op Storage
 // allocation, no dynamic dispatch — just kernel calls over resolved
 // pointers. Replay output is bitwise identical to the interpreted path at
-// any thread count (each step invokes the same kernel, and fused chains
-// evaluate the same scalar expressions; see kernels::ElemApply).
+// any thread count: each step's closure is the op's forward itself, the
+// callable the interpreted op ran (math/autograd.cc), and fused chains
+// evaluate the same scalar expressions (see kernels::ElemApply).
 //
 // Staleness: each plan snapshots the version counter of every parameter it
 // binds (ag::Node::version, bumped by Var::mutable_value — the single
@@ -48,13 +49,11 @@ inline bool Recording() { return detail::t_recording; }
 using ReplayFn = std::function<void(const float* const* ins, float* out)>;
 
 // ---- Recording hooks (no-ops unless the calling thread is recording) ------
-// Generic op: `out` is the freshly computed output tensor, `ins` the op's
-// input Vars in kernel-argument order, `fn` replays the computation.
-void RecordStep(const Tensor& out, std::initializer_list<const ag::Var*> ins,
+// Generic op: `out` is the freshly computed output tensor, `ins[0..n)` the
+// op's input Vars in kernel-argument order, and `fn` the kernel call that
+// computed `out` from them, which every replay runs again.
+void RecordStep(const Tensor& out, const ag::Var* const* ins, size_t n,
                 ReplayFn fn);
-// Same for ops whose input count is only known at runtime (Concat, Conv).
-void RecordStepVec(const Tensor& out, const std::vector<const ag::Var*>& ins,
-                   ReplayFn fn);
 // Single-input elementwise op; these steps are candidates for chain fusion.
 void RecordElem(const Tensor& out, const ag::Var& in, math::kernels::ElemOp op);
 // Zero-copy view (Reshape, contiguous Slice): out shares src's storage.

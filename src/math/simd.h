@@ -21,12 +21,11 @@
 //
 // Determinism within the SIMD backend: every entry point computes each
 // output element with a lane-position-independent formula. The FMA arms
-// run their edges as their vector body does: GemmTile and Gemv mask or
-// zero-pad them, and Axpy finishes with std::fmaf, the same single-rounding
-// fused multiply-add as the vector lanes, so a value cannot depend on
-// whether it fell in the vector body or the tail. The
-// split does move: a request's rows sit at a different offset in a stacked
-// batch than alone, and stacked decides must equal single ones bitwise.
+// run their edges as their vector body does (GemmTile and Gemv mask or
+// zero-pad them), so a value cannot depend on whether it fell in the
+// vector body or the tail. The split does move: a request's rows sit at a
+// different offset in a stacked batch than alone, and stacked decides must
+// equal single ones bitwise.
 
 #if defined(__AVX512F__) && defined(__FMA__)
 #define CIT_SIMD_AVX512 1
@@ -77,13 +76,8 @@ void Div(const float* a, const float* b, float* out, int64_t n);
 void AddScalar(const float* a, float v, float* out, int64_t n);
 void MulScalar(const float* a, float v, float* out, int64_t n);
 
-// y[i] = fma(alpha, x[i], y[i]) — the one elementwise arm that fuses, so
-// it differs from the scalar backend's y + alpha*x by at most one rounding
-// per element (the documented simd-vs-scalar tolerance case).
-void Axpy(float alpha, const float* x, float* y, int64_t n);
-
 // True when every op in ops[0..count) is in the bit-exact vectorizable set
-// (relu/sqrt/square/abs/clamp/add-scalar/mul-scalar). Chains containing a
+// (relu/square/abs/clamp/add-scalar/mul-scalar). Chains containing a
 // libm op (exp/log/tanh/sigmoid) must take the scalar ElemApply sweep:
 // vector transcendental approximations would break the fused == unfused
 // bitwise identity that plan fusion relies on.

@@ -180,20 +180,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
 
 }  // namespace
 
-Tensor Tensor::Add(const Tensor& other) const {
-  CheckSameShape(*this, other);
-  Tensor out(shape_);
-  kernels::Add(data(), other.data(), out.data(), numel_);
-  return out;
-}
-
-Tensor Tensor::Sub(const Tensor& other) const {
-  CheckSameShape(*this, other);
-  Tensor out(shape_);
-  kernels::Sub(data(), other.data(), out.data(), numel_);
-  return out;
-}
-
 Tensor Tensor::Mul(const Tensor& other) const {
   CheckSameShape(*this, other);
   Tensor out(shape_);
@@ -208,12 +194,6 @@ Tensor Tensor::Div(const Tensor& other) const {
   return out;
 }
 
-Tensor Tensor::AddScalar(float v) const {
-  Tensor out(shape_);
-  kernels::AddScalar(data(), v, out.data(), numel_);
-  return out;
-}
-
 Tensor Tensor::MulScalar(float v) const {
   Tensor out(shape_);
   kernels::MulScalar(data(), v, out.data(), numel_);
@@ -223,11 +203,6 @@ Tensor Tensor::MulScalar(float v) const {
 void Tensor::AddInPlace(const Tensor& other) {
   CheckSameShape(*this, other);
   kernels::AddInto(data(), other.data(), numel_);
-}
-
-void Tensor::SubInPlace(const Tensor& other) {
-  CheckSameShape(*this, other);
-  kernels::SubInto(data(), other.data(), numel_);
 }
 
 void Tensor::MulScalarInPlace(float v) {
@@ -247,11 +222,6 @@ float Tensor::Sum() const {
   return static_cast<float>(kernels::Sum(data(), numel_));
 }
 
-float Tensor::Mean() const {
-  CIT_CHECK_GT(numel_, 0);
-  return Sum() / static_cast<float>(numel_);
-}
-
 float Tensor::Max() const {
   CIT_CHECK_GT(numel_, 0);
   const float* p = data();
@@ -262,42 +232,6 @@ float Tensor::Min() const {
   CIT_CHECK_GT(numel_, 0);
   const float* p = data();
   return *std::min_element(p, p + numel_);
-}
-
-Tensor Tensor::SumAxis(int64_t axis) const {
-  if (axis < 0) axis += ndim();
-  CIT_CHECK(axis >= 0 && axis < ndim());
-  Shape out_shape;
-  for (int64_t i = 0; i < ndim(); ++i) {
-    if (i != axis) out_shape.push_back(shape_[i]);
-  }
-  if (out_shape.empty()) out_shape.push_back(1);
-  Tensor out(out_shape);
-  int64_t outer = 1;
-  for (int64_t i = 0; i < axis; ++i) outer *= shape_[i];
-  int64_t inner = 1;
-  for (int64_t i = axis + 1; i < ndim(); ++i) inner *= shape_[i];
-  kernels::SumAxis(data(), out.data(), outer, shape_[axis], inner);
-  return out;
-}
-
-Tensor Tensor::MeanAxis(int64_t axis) const {
-  if (axis < 0) axis += ndim();
-  Tensor out = SumAxis(axis);
-  out.MulScalarInPlace(1.0f / static_cast<float>(shape_[axis]));
-  return out;
-}
-
-Tensor Tensor::MatMul(const Tensor& a, const Tensor& b) {
-  CIT_CHECK_EQ(a.ndim(), 2);
-  CIT_CHECK_EQ(b.ndim(), 2);
-  const int64_t p = a.shape_[0];
-  const int64_t q = a.shape_[1];
-  CIT_CHECK_EQ(b.shape_[0], q);
-  const int64_t r = b.shape_[1];
-  Tensor out(Shape{p, r});
-  kernels::MatMul(a.data(), b.data(), out.data(), p, q, r);
-  return out;
 }
 
 std::string Tensor::ToString(int64_t max_items) const {

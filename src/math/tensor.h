@@ -86,31 +86,21 @@ class Tensor {
   // are 1); materializes otherwise.
   Tensor Slice(int64_t axis, int64_t start, int64_t len) const;
 
-  // Elementwise arithmetic producing new tensors. Shapes must match exactly.
-  Tensor Add(const Tensor& other) const;
-  Tensor Sub(const Tensor& other) const;
+  // Elementwise arithmetic producing new tensors, for the autodiff
+  // backward closures. Shapes must match exactly.
   Tensor Mul(const Tensor& other) const;
   Tensor Div(const Tensor& other) const;
-  Tensor AddScalar(float v) const;
   Tensor MulScalar(float v) const;
 
   // In-place helpers used by optimizers and gradient accumulation.
   void AddInPlace(const Tensor& other);
-  void SubInPlace(const Tensor& other);
   void MulScalarInPlace(float v);
   void Fill(float v);
 
   // Reductions.
   float Sum() const;
-  float Mean() const;
   float Max() const;
   float Min() const;
-  // Sum/mean over one axis (that axis is removed from the shape).
-  Tensor SumAxis(int64_t axis) const;
-  Tensor MeanAxis(int64_t axis) const;
-
-  // 2-D matrix product: [p, q] x [q, r] -> [p, r].
-  static Tensor MatMul(const Tensor& a, const Tensor& b);
 
   // Debug rendering, e.g. "Tensor[2,3]{1, 2, 3, ...}".
   std::string ToString(int64_t max_items = 8) const;

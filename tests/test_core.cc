@@ -11,6 +11,7 @@
 #include "core/trader.h"
 #include "env/backtest.h"
 #include "market/simulator.h"
+#include "math/plan.h"
 #include "obs/telemetry.h"
 #include "rl/features.h"
 
@@ -208,7 +209,8 @@ market::PricePanel RequestWindow(const market::PricePanel& src,
 // batched panels must decide bitwise what B independent Reset() +
 // DecideWeights calls do — for every backbone, with and without horizon
 // policies, at batch sizes that share and that do not share a plan with
-// the single path, at 1 and 4 pool threads.
+// the single path (a batch of 17 joins 17 attention blocks in one Concat
+// step of the plan), at 1 and 4 pool threads.
 TEST(StackedDecide, BatchMatchesSingleDecidesBitwise) {
   const market::PricePanel src = SmallPanel();
   // Restores the pool size however the test exits.
@@ -225,7 +227,7 @@ TEST(StackedDecide, BatchMatchesSingleDecidesBitwise) {
         CrossInsightConfig cfg = TinyConfig(n);
         cfg.backbone = kind;
         CrossInsightTrader trader(src.num_assets(), cfg);
-        for (int64_t batch : {1, 3, 8}) {
+        for (int64_t batch : {1, 3, 8, 17}) {
           // Mixed history lengths, each request ending on its own day.
           std::vector<market::PricePanel> panels;
           for (int64_t b = 0; b < batch; ++b) {
@@ -251,13 +253,14 @@ TEST(StackedDecide, BatchMatchesSingleDecidesBitwise) {
 
 // Batch size is the only varying part of a plan's shape key: request
 // history length adds no key, and a serving mix of every batch size up to
-// citd's default max_batch (8) fits each of the n+1 plan caches. The first
-// pass records each (plan, B) once; the second replays all of them.
+// one key per cache entry (CompiledFn::kMaxEntries) fits each of the n+1
+// plan caches. The first pass records each (plan, B) once; the second
+// replays all of them.
 TEST(StackedDecide, EveryBatchSizeRecordsOnceAndReplays) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with CIT_OBS=OFF";
   const market::PricePanel src = SmallPanel();
   const int64_t n = 2;
-  const int64_t max_batch = 8;
+  const int64_t max_batch = plan::CompiledFn::kMaxEntries;
   CrossInsightConfig cfg = TinyConfig(n);
   CrossInsightTrader trader(src.num_assets(), cfg);
   obs::SetEnabled(true);
@@ -266,8 +269,9 @@ TEST(StackedDecide, EveryBatchSizeRecordsOnceAndReplays) {
     for (int64_t batch = 1; batch <= max_batch; ++batch) {
       // Mixed history lengths, each request ending on its own day.
       std::vector<market::PricePanel> panels;
+      // A day stride of 6 keeps 32 requests inside the panel's 210 days.
       for (int64_t b = 0; b < batch; ++b) {
-        panels.push_back(RequestWindow(src, 60 + 7 * b + pass,
+        panels.push_back(RequestWindow(src, 12 + 6 * b + pass,
                                        cfg.window + (b + pass) % 3));
       }
       const std::vector<market::PanelView> views(panels.begin(),

@@ -9,7 +9,7 @@
 //    the 4-thread arm is real even on a 1-core host);
 //  - simd-vs-scalar agreement: 0 ULP on the non-FMA arms the contract
 //    promises exact (plain elementwise ops, FusedElemwise chains) and on
-//    the conv, a documented tolerance on the FMA arms (MatMul, Axpy);
+//    the conv, a documented tolerance on the FMA arm (MatMul);
 //  - the direct conv, both the scalar backend's time-major arm and the
 //    SIMD backend's register-tiled AVX-512 arm, bitwise equal to a plain
 //    per-row triple loop at the model's shapes, at every tile edge, on
@@ -235,15 +235,14 @@ TEST(KernelDispatch, ElementwiseSimdBitwiseEqualsScalar) {
   }
 
   // Scalar-parameter and in-place arms.
-  for (int variant = 0; variant < 5; ++variant) {
+  for (int variant = 0; variant < 4; ++variant) {
     std::vector<float> ref = a, got = a;
     auto run = [&](std::vector<float>& dst) {
       switch (variant) {
         case 0: kn::AddScalar(dst.data(), 1.5f, dst.data(), n); break;
         case 1: kn::MulScalar(dst.data(), -0.75f, dst.data(), n); break;
         case 2: kn::AddInto(dst.data(), b.data(), n); break;
-        case 3: kn::SubInto(dst.data(), b.data(), n); break;
-        case 4: kn::ScaleInto(dst.data(), 1.0f / 3.0f, n); break;
+        case 3: kn::ScaleInto(dst.data(), 1.0f / 3.0f, n); break;
       }
     };
     {
@@ -256,39 +255,6 @@ TEST(KernelDispatch, ElementwiseSimdBitwiseEqualsScalar) {
     }
     ASSERT_EQ(std::memcmp(ref.data(), got.data(), n * sizeof(float)), 0)
         << "in-place variant " << variant << " is not 0-ULP";
-  }
-}
-
-TEST(KernelDispatch, AxpyFmaToleranceAndThreadInvariance) {
-  const int64_t n = 65541;
-  Rng rng(29);
-  std::vector<float> x(n), y0(n);
-  for (float& v : x) v = rng.Uniform(-2.0f, 2.0f);
-  for (float& v : y0) v = rng.Uniform(-2.0f, 2.0f);
-  const float alpha = 0.37f;
-
-  auto run = [&](kn::Backend b, int threads) {
-    BackendGuard bg(b);
-    ThreadCountGuard tg(threads);
-    std::vector<float> y = y0;
-    kn::Axpy(alpha, x.data(), y.data(), n);
-    return y;
-  };
-  for (kn::Backend b : AllBackends()) {
-    const std::vector<float> y1 = run(b, 1);
-    const std::vector<float> y4 = run(b, 4);
-    // Axpy runs serially on its caller at any pool size, and the simd
-    // arm's scalar tail uses fmaf, matching the vector lanes, so where the
-    // vector/tail split falls cannot change a value either.
-    ASSERT_EQ(std::memcmp(y1.data(), y4.data(), n * sizeof(float)), 0)
-        << Name(b) << " Axpy differs between 1 and 4 threads";
-  }
-  if (kn::SimdAvailable()) {
-    const std::vector<float> ref = run(kn::Backend::kScalar, 1);
-    const std::vector<float> got = run(kn::Backend::kSimd, 1);
-    for (int64_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(NearFma(got[i], ref[i])) << "Axpy at " << i;
-    }
   }
 }
 
@@ -307,8 +273,7 @@ TEST(KernelDispatch, FusedElemwiseExactChainBitwise) {
                         {ElemOpKind::kAddScalar, -0.25f, 0},
                         {ElemOpKind::kClamp, -0.5f, 0.5f},
                         {ElemOpKind::kAbs, 0, 0},
-                        {ElemOpKind::kRelu, 0, 0},
-                        {ElemOpKind::kSqrt, 0, 0}};
+                        {ElemOpKind::kRelu, 0, 0}};
   const int count = static_cast<int>(std::size(ops));
 
   // Reference: the scalar ElemApply chain, element by element — the same

@@ -7,6 +7,9 @@
 // ones. Plus structural
 // tests for the shape-keyed LRU cache, elementwise-chain fusion, and
 // coexistence with taped training.
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -237,6 +240,238 @@ TEST(CompiledIdentity, BacktestActuallyReplays) {
   EXPECT_GT(misses, 0u);   // each policy's first day records
   EXPECT_GT(hits, misses); // every later day replays
   EXPECT_EQ(poisoned, 0u); // every op in the forward is replayable
+}
+
+// ---- Op by op: compiled equals interpreted ---------------------------------
+
+// The identity tests above compare whole-agent forwards, which leave ops
+// that only training losses use (Div, Mean, Clamp, Exp) unreplayed. Here
+// every public op and variant runs alone in a CompiledFn with its operands
+// as plan inputs: the plan records once, replays on fresh finite operand
+// values and then on values with IEEE specials, and each replay must equal
+// the op interpreted on the same values bit for bit, on both kernel
+// backends at 1 and 4 pool threads.
+
+namespace kn = math::kernels;
+
+// Restores the kernel backend however the test exits.
+class BackendScope {
+ public:
+  explicit BackendScope(kn::Backend b) : prev_(kn::SetBackend(b)) {}
+  ~BackendScope() { kn::SetBackend(prev_); }
+
+ private:
+  kn::Backend prev_;
+};
+
+struct OpCase {
+  std::string name;
+  std::vector<math::Shape> shapes;  // one per operand
+  std::function<ag::Var(const std::vector<ag::Var>&)> op;
+  // Operand values are uniform in [lo, hi). Unless the op's domain
+  // excludes them, a second replay also writes +0, -0, +inf, -inf and NaN
+  // in turn over positions 0, 7, 14, ...
+  bool specials = true;
+  float lo = -2.0f;
+  float hi = 2.0f;
+};
+
+std::vector<Tensor> Operands(const OpCase& c, uint64_t seed, bool specials) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kSpecial[] = {0.0f, -0.0f, kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  std::vector<Tensor> out;
+  for (size_t k = 0; k < c.shapes.size(); ++k) {
+    math::Rng rng(seed * 31 + k);
+    Tensor t = Tensor::Uniform(c.shapes[k], rng, c.lo, c.hi);
+    if (specials) {
+      for (int64_t i = 0; i < t.numel(); i += 7) t[i] = kSpecial[(i / 7) % 5];
+    }
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+Tensor RunCompiled(plan::CompiledFn& fn, const std::vector<Tensor>& in,
+                   const std::function<ag::Var()>& forward) {
+  switch (in.size()) {
+    case 1: return fn.Run({&in[0]}, forward);
+    case 2: return fn.Run({&in[0], &in[1]}, forward);
+    case 3: return fn.Run({&in[0], &in[1], &in[2]}, forward);
+  }
+  ADD_FAILURE() << "an op case takes 1 to 3 operands";
+  return Tensor();
+}
+
+void ExpectReplayMatchesInterpreted(const OpCase& c) {
+  for (kn::Backend backend : {kn::Backend::kScalar, kn::Backend::kSimd}) {
+    BackendScope use_backend(backend);
+    for (int threads : {1, 4}) {
+      ThreadCountScope pool(threads);
+      const std::string where = c.name + " on the " +
+                                (backend == kn::Backend::kSimd ? "simd"
+                                                               : "scalar") +
+                                " backend at " + std::to_string(threads) +
+                                " threads";
+      std::vector<Tensor> operands = Operands(c, 1, /*specials=*/false);
+      auto forward = [&] {
+        std::vector<ag::Var> vars;
+        for (const Tensor& t : operands) vars.push_back(ag::Var::Constant(t));
+        return c.op(vars);
+      };
+      plan::CompiledFn fn;
+      ag::NoGradGuard no_grad;
+      (void)RunCompiled(fn, operands, forward);  // records
+      int64_t replays = 0;
+      for (bool specials : {false, true}) {
+        if (specials && !c.specials) continue;
+        // Fresh values, same shapes.
+        operands = Operands(c, 2 + replays, specials);
+        const Tensor replayed = RunCompiled(fn, operands, forward);
+        ++replays;
+        ASSERT_EQ(fn.stats().misses, 1) << where;
+        ASSERT_EQ(fn.stats().hits, replays) << where << " did not replay";
+        const Tensor interpreted = forward().value();
+        ASSERT_EQ(replayed.shape(), interpreted.shape()) << where;
+        EXPECT_EQ(std::memcmp(replayed.data(), interpreted.data(),
+                              sizeof(float) *
+                                  static_cast<size_t>(replayed.numel())),
+                  0)
+            << where << (specials ? " with IEEE specials" : "");
+      }
+    }
+  }
+}
+
+void ExpectReplaysMatchInterpreted(const std::vector<OpCase>& cases) {
+  for (const OpCase& c : cases) ExpectReplayMatchesInterpreted(c);
+}
+
+using Vars = std::vector<ag::Var>;
+
+TEST(CompiledOps, BinaryElementwise) {
+  const math::Shape m{3, 5};
+  const math::Shape one{1};
+  ExpectReplaysMatchInterpreted({
+      {"Add", {m, m}, [](const Vars& v) { return ag::Add(v[0], v[1]); }},
+      {"Add one-element", {m, one},
+       [](const Vars& v) { return ag::Add(v[0], v[1]); }},
+      {"Add bias", {m, {5}},
+       [](const Vars& v) { return ag::Add(v[0], v[1]); }},
+      {"Sub", {m, m}, [](const Vars& v) { return ag::Sub(v[0], v[1]); }},
+      {"Sub one-element", {m, one},
+       [](const Vars& v) { return ag::Sub(v[0], v[1]); }},
+      {"Mul", {m, m}, [](const Vars& v) { return ag::Mul(v[0], v[1]); }},
+      {"Mul one-element", {m, one},
+       [](const Vars& v) { return ag::Mul(v[0], v[1]); }},
+      {"Div", {m, m}, [](const Vars& v) { return ag::Div(v[0], v[1]); }},
+      {"Div one-element", {m, one},
+       [](const Vars& v) { return ag::Div(v[0], v[1]); }},
+      {"Min", {m, m}, [](const Vars& v) { return ag::Min(v[0], v[1]); }},
+  });
+}
+
+TEST(CompiledOps, UnaryElementwise) {
+  const math::Shape m{37};
+  OpCase log{"Log", {m}, [](const Vars& v) { return ag::Log(v[0]); }};
+  // ag::Log's domain is finite positive input.
+  log.specials = false;
+  log.lo = 0.05f;
+  log.hi = 4.0f;
+  ExpectReplaysMatchInterpreted({
+      {"Neg", {m}, [](const Vars& v) { return ag::Neg(v[0]); }},
+      {"AddScalar", {m},
+       [](const Vars& v) { return ag::AddScalar(v[0], 0.75f); }},
+      {"MulScalar", {m},
+       [](const Vars& v) { return ag::MulScalar(v[0], -1.5f); }},
+      {"Clamp", {m},
+       [](const Vars& v) { return ag::Clamp(v[0], -0.5f, 0.5f); }},
+      {"Exp", {m}, [](const Vars& v) { return ag::Exp(v[0]); }},
+      log,
+      {"Tanh", {m}, [](const Vars& v) { return ag::Tanh(v[0]); }},
+      {"Sigmoid", {m}, [](const Vars& v) { return ag::Sigmoid(v[0]); }},
+      {"Relu", {m}, [](const Vars& v) { return ag::Relu(v[0]); }},
+      {"Square", {m}, [](const Vars& v) { return ag::Square(v[0]); }},
+      {"Abs", {m}, [](const Vars& v) { return ag::Abs(v[0]); }},
+  });
+}
+
+TEST(CompiledOps, Reductions) {
+  ExpectReplaysMatchInterpreted({
+      {"Sum", {{4, 9}}, [](const Vars& v) { return ag::Sum(v[0]); }},
+      {"Mean", {{4, 9}}, [](const Vars& v) { return ag::Mean(v[0]); }},
+  });
+}
+
+TEST(CompiledOps, LinearAlgebra) {
+  ExpectReplaysMatchInterpreted({
+      {"MatMul r = 1", {{21, 19}, {19, 1}},
+       [](const Vars& v) { return ag::MatMul(v[0], v[1]); }},
+      {"MatMul r > 1", {{6, 19}, {19, 37}},
+       [](const Vars& v) { return ag::MatMul(v[0], v[1]); }},
+      {"Transpose", {{5, 7}},
+       [](const Vars& v) { return ag::Transpose(v[0]); }},
+  });
+}
+
+TEST(CompiledOps, Shape) {
+  ExpectReplaysMatchInterpreted({
+      {"Reshape", {{4, 6}},
+       [](const Vars& v) { return ag::Reshape(v[0], {3, 8}); }},
+      {"Permute rank 2", {{5, 7}},
+       [](const Vars& v) { return ag::Permute(v[0], {1, 0}); }},
+      {"Permute rank 3", {{2, 3, 4}},
+       [](const Vars& v) { return ag::Permute(v[0], {2, 0, 1}); }},
+      {"Concat axis 0", {{2, 3}, {4, 3}},
+       [](const Vars& v) { return ag::Concat({v[0], v[1]}, 0); }},
+      {"Concat axis 1", {{2, 3}, {2, 1}, {2, 4}},
+       [](const Vars& v) { return ag::Concat({v[0], v[1], v[2]}, 1); }},
+      {"Slice contiguous", {{6, 4}},
+       [](const Vars& v) { return ag::Slice(v[0], 0, 1, 3); }},
+      {"Slice strided", {{3, 4, 2}},
+       [](const Vars& v) { return ag::Slice(v[0], 1, 1, 2); }},
+  });
+}
+
+TEST(CompiledOps, Softmax) {
+  ExpectReplaysMatchInterpreted({
+      {"Softmax", {{3, 7}}, [](const Vars& v) { return ag::Softmax(v[0]); }},
+  });
+}
+
+TEST(CompiledOps, CausalConv1d) {
+  const math::Shape x{2, 3, 9};
+  const math::Shape w{4, 3, 3};
+  std::vector<OpCase> cases;
+  for (int64_t dilation : {1, 2}) {
+    const std::string d = " dilation " + std::to_string(dilation);
+    cases.push_back({"CausalConv1d with bias" + d, {x, w, {4}},
+                     [dilation](const Vars& v) {
+                       return ag::CausalConv1d(v[0], v[1], v[2], dilation);
+                     }});
+    cases.push_back({"CausalConv1d without bias" + d, {x, w},
+                     [dilation](const Vars& v) {
+                       return ag::CausalConv1d(v[0], v[1], ag::Var(),
+                                               dilation);
+                     }});
+  }
+  ExpectReplaysMatchInterpreted(cases);
+}
+
+// The attention backbones join B blocks with one Concat, so a batch of B
+// panels records a step with B inputs, and a plan step may read any number
+// of them: here seventeen, each an axis-0 view of the one plan input.
+TEST(CompiledOps, ConcatOfSeventeenParts) {
+  ExpectReplaysMatchInterpreted({
+      {"Concat of 17 parts", {{17, 2, 3}},
+       [](const Vars& v) {
+         std::vector<ag::Var> parts;
+         for (int64_t i = 0; i < 17; ++i) {
+           parts.push_back(ag::Slice(v[0], 0, i, 1));
+         }
+         return ag::Concat(parts, 1);
+       }},
+  });
 }
 
 // ---- Parameter-version staleness -------------------------------------------

@@ -108,7 +108,9 @@ TEST_P(SoftmaxSweep, SimplexAndShiftInvariance) {
     total += v;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
-  const auto w2 = rl::SoftmaxWeights(raw.AddScalar(17.5f));
+  math::Tensor shifted = raw;
+  for (int i = 0; i < n; ++i) shifted[i] += 17.5f;
+  const auto w2 = rl::SoftmaxWeights(shifted);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(w2[i], w[i], 1e-6);
 }
 
